@@ -34,9 +34,12 @@ once per time index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 
 VARIANT_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
@@ -99,8 +102,10 @@ class Rule:
 
     def __post_init__(self):
         for w in self.weights:
-            if w not in (-1, 0, 1):
-                raise ValueError(f"weights must be -1, 0, or +1, got {w}")
+            # type() rather than isinstance: bools and floats hash like
+            # ints and would otherwise share memo entries with them.
+            if type(w) is not int or w not in (-1, 0, 1):
+                raise ValueError(f"weights must be the ints -1, 0, or +1, got {w!r}")
 
     @property
     def weights(self) -> tuple[int, int, int, int]:
@@ -114,10 +119,9 @@ class Rule:
 
     @classmethod
     def from_number(cls, r: int) -> "Rule":
-        if not isinstance(r, int) or not 1 <= r <= 81:
+        if type(r) is not int or not 1 <= r <= 81:
             raise ValueError(f"rule number must be an integer in 1..81, got {r!r}")
-        m = r - 1
-        return cls(m // 27 - 1, (m // 9) % 3 - 1, (m // 3) % 3 - 1, m % 3 - 1)
+        return _rule_of_number(r)
 
     @property
     def arity(self) -> int:
@@ -133,6 +137,12 @@ class Rule:
         return 2
 
 
+@functools.cache
+def _rule_of_number(r: int) -> Rule:
+    m = r - 1
+    return Rule(m // 27 - 1, (m // 9) % 3 - 1, (m // 3) % 3 - 1, m % 3 - 1)
+
+
 def rule_from_number(r: int) -> Rule:
     """Decode a rule number in 1..81 into its weights."""
     return Rule.from_number(r)
@@ -145,7 +155,7 @@ def rule_to_number(rule: Rule) -> int:
 
 def all_rules() -> tuple[Rule, ...]:
     """All 81 rules in ascending number order."""
-    return tuple(Rule.from_number(r) for r in range(1, 82))
+    return tuple(_rule_of_number(r) for r in range(1, 82))
 
 
 @dataclass(frozen=True)
@@ -164,11 +174,14 @@ class Variant:
     def __post_init__(self):
         if self.tag not in VARIANT_TAGS:
             raise ValueError(f"unknown variant tag {self.tag!r}")
+        if not isinstance(self.mode, UpdateMode):
+            raise ValueError(f"mode must be an UpdateMode, got {self.mode!r}")
         if self.epsilon is not None:
             if self.tag not in ("V2", "V3"):
                 raise ValueError("epsilon applies only to V2 and V3")
-            if not 0 < self.epsilon < 1:
-                raise ValueError("epsilon must lie strictly between 0 and 1")
+            if not isinstance(self.epsilon, (Fraction, float)) or not 0 < self.epsilon < 1:
+                raise ValueError("epsilon must be a Fraction or float strictly "
+                                 f"between 0 and 1, got {self.epsilon!r}")
 
     @property
     def low(self) -> int:
@@ -189,6 +202,8 @@ class Variant:
 def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS,
             epsilon: Fraction | float | None = None) -> Variant:
     """Build a :class:`Variant`, accepting lowercase tags and mode strings."""
+    if not isinstance(tag, str):
+        raise ValueError(f"variant tag must be a string, got {tag!r}")
     if isinstance(mode, str):
         mode = UpdateMode(mode)
     return Variant(tag.upper(), mode, epsilon)
@@ -202,13 +217,13 @@ def states(v: Variant) -> tuple[tuple[int, int], ...]:
 
 
 def state_index(v: Variant, s: tuple[int, int]) -> int:
-    """Index 0..3 of a joint state; rejects values outside the convention."""
-    try:
-        return states(v).index(s)
-    except ValueError:
-        raise ValueError(
-            f"state {s} is not valid under the {v.tag} value convention"
-        ) from None
+    """Index 0..3 of a joint state; rejects values outside the convention,
+    including bools and floats that compare equal to an allowed int."""
+    lo, hi = v.low, v.high
+    if type(s) is tuple and len(s) == 2 and all(
+            type(c) is int and (c == lo or c == hi) for c in s):
+        return 2 * (s[0] == hi) + (s[1] == hi)
+    raise ValueError(f"state {s!r} is not valid under the {v.tag} value convention")
 
 
 def state_from_index(v: Variant, i: int) -> tuple[int, int]:
@@ -249,14 +264,24 @@ def _threshold(v: Variant, weighted_sum: int, current: int) -> int:
     return v.low
 
 
+def _sweep(rule: Rule, v: Variant, mode: UpdateMode, x: int, y: int) -> tuple[int, int]:
+    """One update of the joint state (x, y) under ``mode``, unvalidated."""
+    if mode is UpdateMode.SYNCHRONOUS:
+        return (
+            _threshold(v, rule.wxx * x + rule.wxy * y, x),
+            _threshold(v, rule.wyx * x + rule.wyy * y, y),
+        )
+    if mode is UpdateMode.X_FIRST:
+        x2 = _threshold(v, rule.wxx * x + rule.wxy * y, x)
+        return (x2, _threshold(v, rule.wyx * x2 + rule.wyy * y, y))
+    y2 = _threshold(v, rule.wyx * x + rule.wyy * y, y)
+    return (_threshold(v, rule.wxx * x + rule.wxy * y2, x), y2)
+
+
 def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:
     """Synchronous one-step update of the joint state."""
     state_index(v, s)  # validate the value convention
-    x, y = s
-    return (
-        _threshold(v, rule.wxx * x + rule.wxy * y, x),
-        _threshold(v, rule.wyx * x + rule.wyy * y, y),
-    )
+    return _sweep(rule, v, UpdateMode.SYNCHRONOUS, *s)
 
 
 def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
@@ -268,14 +293,7 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
     if order is UpdateMode.SYNCHRONOUS:
         raise ValueError("order must be x-first or y-first")
     state_index(v, s)
-    x, y = s
-    if order is UpdateMode.X_FIRST:
-        x2 = _threshold(v, rule.wxx * x + rule.wxy * y, x)
-        y2 = _threshold(v, rule.wyx * x2 + rule.wyy * y, y)
-    else:
-        y2 = _threshold(v, rule.wyx * x + rule.wyy * y, y)
-        x2 = _threshold(v, rule.wxx * x + rule.wxy * y2, x)
-    return (x2, y2)
+    return _sweep(rule, v, order, *s)
 
 
 def step_function(rule: Rule, v: Variant):
@@ -285,11 +303,35 @@ def step_function(rule: Rule, v: Variant):
     return lambda s: step_async(rule, v, v.mode, s)
 
 
+# The atlas: memo tables filled on first use, never at import.  Every
+# (rule, tag, mode) key maps to one of at most 4**4 successor tuples,
+# each stored once (``_interned``), and everything downstream of the
+# one-step map is keyed by that tuple.  Keys are plain ints, strings and
+# enum members, so a lookup runs no dataclass __eq__ and keeps no Rule
+# or Variant alive.  Results handed out are immutable.
+_successors: dict[tuple, tuple[int, int, int, int]] = {}
+_interned: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
+
+
+def _step_map(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
+    """Successor indices by stepping each of S0..S3 once, interned."""
+    hi = v.high
+    succ = tuple(2 * (x2 == hi) + (y2 == hi)
+                 for x2, y2 in (_sweep(rule, v, v.mode, *s) for s in states(v)))
+    return _interned.setdefault(succ, succ)
+
+
 def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
     """Successor state index for each of S0..S3 under one step."""
-    f = step_function(rule, v)
-    sts = states(v)
-    return tuple(state_index(v, f(s)) for s in sts)
+    if v.epsilon is not None:
+        # Shifted-threshold variants keep their own stepping path and,
+        # with unboundedly many epsilons, are not memoised by key.
+        return _step_map(rule, v)
+    key = (rule.wxx, rule.wxy, rule.wyx, rule.wyy, v.tag, v.mode)
+    succ = _successors.get(key)
+    if succ is None:
+        succ = _successors[key] = _step_map(rule, v)
+    return succ
 
 
 @dataclass(frozen=True)
@@ -300,12 +342,13 @@ class AttractorSet:
     index leads, and listed in ascending order of that leading index.
     ``basin`` maps every state index to the attractor its trajectory
     falls into, and ``steps_to_attractor`` counts how many steps that
-    takes (0 for states already on a cycle).
+    takes (0 for states already on a cycle).  Both are read-only, since
+    one memoised instance is shared by every caller.
     """
 
     attractors: tuple[tuple[int, ...], ...]
-    basin: dict[int, tuple[int, ...]]
-    steps_to_attractor: dict[int, int]
+    basin: Mapping[int, tuple[int, ...]]
+    steps_to_attractor: Mapping[int, int]
 
     @property
     def cycle_lengths(self) -> tuple[int, ...]:
@@ -325,9 +368,8 @@ def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
-    """Iterate the map from all four states and collect its attractors."""
-    succ = successor_indices(rule, v)
+@functools.cache
+def _attractors_of(succ: tuple[int, int, int, int]) -> AttractorSet:
     attractors: dict[tuple[int, ...], None] = {}
     basin: dict[int, tuple[int, ...]] = {}
     steps: dict[int, int] = {}
@@ -344,7 +386,12 @@ def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
         basin[start] = cycle
         steps[start] = entry
     ordered = tuple(sorted(attractors, key=lambda c: c[0]))
-    return AttractorSet(ordered, basin, steps)
+    return AttractorSet(ordered, MappingProxyType(basin), MappingProxyType(steps))
+
+
+def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
+    """Iterate the map from all four states and collect its attractors."""
+    return _attractors_of(successor_indices(rule, v))
 
 
 @dataclass(frozen=True)
@@ -382,6 +429,11 @@ def class_from_cycle_lengths(lengths: tuple[int, ...]) -> DynamicsClass:
     return DynamicsClass("+".join(str(p) for p in lengths), lengths)
 
 
+@functools.cache
+def _class_of(succ: tuple[int, int, int, int]) -> DynamicsClass:
+    return class_from_cycle_lengths(_attractors_of(succ).cycle_lengths)
+
+
 def classify(rule: Rule, v: Variant) -> DynamicsClass:
     """Classify the limiting behavior of a rule under a variant."""
-    return class_from_cycle_lengths(attractor_set(rule, v).cycle_lengths)
+    return _class_of(successor_indices(rule, v))

@@ -28,8 +28,10 @@ from fractions import Fraction
 from . import robustness as rb
 from . import stats as st
 from .dynamics import (
+    VARIANT_TAGS,
     Rule,
     UpdateMode,
+    Variant,
     all_rules,
     attractor_set,
     classify,
@@ -72,16 +74,22 @@ def _fmt_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _class_label(rule: Rule, tag: str, mode: UpdateMode = UpdateMode.SYNCHRONOUS) -> str:
-    return classify(rule, variant(tag, mode)).label
+def _variant_table() -> dict[tuple[str, UpdateMode], Variant]:
+    """Every (tag, mode) variant, built once per table instead of per cell."""
+    return {(tag, mode): variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode}
 
 
-def _merged_label(rule: Rule, tag_a: str, tag_b: str,
+def _class_label(rule: Rule, vt: dict, tag: str,
+                 mode: UpdateMode = UpdateMode.SYNCHRONOUS) -> str:
+    return classify(rule, vt[tag, mode]).label
+
+
+def _merged_label(rule: Rule, vt: dict, tag_a: str, tag_b: str,
                   mode: UpdateMode, warnings: list[str]) -> tuple[str, str]:
     """Labels for a pair of variants expected to agree; both returned,
     with a warning recorded when they differ."""
-    la = _class_label(rule, tag_a, mode)
-    lb = _class_label(rule, tag_b, mode)
+    la = _class_label(rule, vt, tag_a, mode)
+    lb = _class_label(rule, vt, tag_b, mode)
     if la != lb:
         warnings.append(
             f"rule {rule.number}: {tag_a} and {tag_b} disagree "
@@ -90,10 +98,10 @@ def _merged_label(rule: Rule, tag_a: str, tag_b: str,
     return la, lb
 
 
-def _async_label(rule: Rule, tag: str, warnings: list[str]) -> str:
+def _async_label(rule: Rule, vt: dict, tag: str, warnings: list[str]) -> str:
     """Class under sequential updating, checked for order independence."""
-    lx = _class_label(rule, tag, UpdateMode.X_FIRST)
-    ly = _class_label(rule, tag, UpdateMode.Y_FIRST)
+    lx = _class_label(rule, vt, tag, UpdateMode.X_FIRST)
+    ly = _class_label(rule, vt, tag, UpdateMode.Y_FIRST)
     if lx != ly:
         warnings.append(
             f"rule {rule.number}: sequential {tag} classes depend on order "
@@ -102,10 +110,10 @@ def _async_label(rule: Rule, tag: str, warnings: list[str]) -> str:
     return lx
 
 
-def _async_merged_label(rule: Rule, tag_a: str, tag_b: str,
+def _async_merged_label(rule: Rule, vt: dict, tag_a: str, tag_b: str,
                         warnings: list[str]) -> str:
-    la = _async_label(rule, tag_a, warnings)
-    lb = _async_label(rule, tag_b, warnings)
+    la = _async_label(rule, vt, tag_a, warnings)
+    lb = _async_label(rule, vt, tag_b, warnings)
     if la != lb:
         warnings.append(
             f"rule {rule.number}: sequential {tag_a} and {tag_b} disagree "
@@ -118,35 +126,33 @@ def _transform_numbers(rule: Rule) -> tuple[int, int, int]:
     return (t12(rule).number, gauge(rule).number, t12(gauge(rule)).number)
 
 
-def _two_input_t12_representatives() -> list[Rule]:
-    pool = [r for r in all_rules() if r.arity == 2]
-    return [Rule.from_number(c.representative) for c in reduce_rules({"T12"}, pool)]
-
-
-def _low_arity_t12_representatives() -> list[Rule]:
-    pool = [r for r in all_rules() if r.arity < 2]
+def _t12_representatives(arities: tuple[int, ...]) -> list[Rule]:
+    """Node-swap class representatives among the rules of the given arities."""
+    pool = [r for r in all_rules() if r.arity in arities]
     return [Rule.from_number(c.representative) for c in reduce_rules({"T12"}, pool)]
 
 
 def build_t1() -> TableDocument:
     warnings: list[str] = []
+    vt = _variant_table()
+    sync = UpdateMode.SYNCHRONOUS
     rows = []
-    for r in _two_input_t12_representatives():
-        v23, _ = _merged_label(r, "V2", "V3", UpdateMode.SYNCHRONOUS, warnings)
-        v47, _ = _merged_label(r, "V4", "V7", UpdateMode.SYNCHRONOUS, warnings)
+    for r in _t12_representatives((2,)):
+        v23, _ = _merged_label(r, vt, "V2", "V3", sync, warnings)
+        v47, _ = _merged_label(r, vt, "V4", "V7", sync, warnings)
         rows.append([
             str(r.number), *map(str, r.weights),
             *map(str, _transform_numbers(r)),
-            _class_label(r, "V1"),
+            _class_label(r, vt, "V1"),
             v23,
-            _async_label(r, "V1", warnings),
-            _async_merged_label(r, "V2", "V3", warnings),
+            _async_label(r, vt, "V1", warnings),
+            _async_merged_label(r, vt, "V2", "V3", warnings),
             v47,
-            _class_label(r, "V5"),
-            _class_label(r, "V6"),
-            _async_label(r, "V4", warnings),
-            _async_label(r, "V5", warnings),
-            _async_label(r, "V6", warnings),
+            _class_label(r, vt, "V5"),
+            _class_label(r, vt, "V6"),
+            _async_label(r, vt, "V4", warnings),
+            _async_label(r, vt, "V5", warnings),
+            _async_label(r, vt, "V6", warnings),
         ])
     doc = TableDocument(
         "T1",
@@ -162,18 +168,20 @@ def build_t1() -> TableDocument:
 
 def build_ta1() -> TableDocument:
     warnings: list[str] = []
+    vt = _variant_table()
+    sync = UpdateMode.SYNCHRONOUS
     rows = []
-    for r in _low_arity_t12_representatives():
-        v23, _ = _merged_label(r, "V2", "V3", UpdateMode.SYNCHRONOUS, warnings)
-        v47, _ = _merged_label(r, "V4", "V7", UpdateMode.SYNCHRONOUS, warnings)
+    for r in _t12_representatives((0, 1)):
+        v23, _ = _merged_label(r, vt, "V2", "V3", sync, warnings)
+        v47, _ = _merged_label(r, vt, "V4", "V7", sync, warnings)
         rows.append([
             str(r.number), *map(str, r.weights),
             *map(str, _transform_numbers(r)),
-            _class_label(r, "V1"),
+            _class_label(r, vt, "V1"),
             v23,
             v47,
-            _class_label(r, "V5"),
-            _class_label(r, "V6"),
+            _class_label(r, vt, "V5"),
+            _class_label(r, vt, "V6"),
         ])
     doc = TableDocument(
         "TA1",
@@ -187,11 +195,12 @@ def build_ta1() -> TableDocument:
 
 
 def build_ta2() -> TableDocument:
+    variants = [variant(tag) for tag in ("V1", "V2", "V3", "V4", "V5", "V6")]
     rows = []
-    for r in _two_input_t12_representatives():
+    for r in _t12_representatives((2,)):
         cells = [str(r.number)]
-        for tag in ("V1", "V2", "V3", "V4", "V5", "V6"):
-            gx, gy = gate_pair(r, variant(tag))
+        for v in variants:
+            gx, gy = gate_pair(r, v)
             cells.extend([gx.name, gy.name])
         rows.append(cells)
     return TableDocument(
@@ -206,6 +215,7 @@ def build_ta2() -> TableDocument:
 def build_t2() -> TableDocument:
     pool = [r for r in all_rules() if r.arity == 2]
     classes = reduce_rules({"T12", "G"}, pool)
+    v1 = variant("V1")
     rows = []
     for cls in classes:
         r = Rule.from_number(cls.representative)
@@ -213,11 +223,11 @@ def build_t2() -> TableDocument:
         cross = "positive" if preds.cross_positive else (
             "negative" if preds.cross_negative else "none"
         )
-        gx, gy = gate_pair(r, variant("V1"))
+        gx, gy = gate_pair(r, v1)
         rows.append([
             str(r.number), *map(str, r.weights),
             *map(str, _transform_numbers(r)),
-            _class_label(r, "V1"),
+            classify(r, v1).label,
             "+".join(str(m) for m in cls.members),
             gx.name, gy.name,
             cross,
@@ -293,8 +303,9 @@ def t4_cells() -> dict[str, list[int]]:
     """Counts of rules per (V1 class group, all-neighbor robustness bin)."""
     edges = rb.ALL_TARGET_BIN_EDGES
     cells = {g: [0] * (len(edges) + 1) for g in T4_GROUPS}
+    v1 = variant("V1")
     for r in all_rules():
-        group = _t4_group(classify(r, variant("V1")).label)
+        group = _t4_group(classify(r, v1).label)
         frac = rb.state_robustness_rule_mutation(r, "all").fraction
         k = sum(1 for e in edges if frac >= e)
         cells[group][k] += 1
@@ -306,8 +317,9 @@ def quadrant_counts() -> tuple[tuple[int, int], tuple[int, int]]:
     all-neighbor mutation metric over all 81 rules."""
     cut = rb.ALL_TARGET_BIN_EDGES[2]
     n = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
+    v1 = variant("V1")
     for r in all_rules():
-        fixed = _t4_group(classify(r, variant("V1")).label) == "fixed_point"
+        fixed = _t4_group(classify(r, v1).label) == "fixed_point"
         low = rb.state_robustness_rule_mutation(r, "all").fraction < cut
         n[(fixed, low)] += 1
     return ((n[(True, True)], n[(True, False)]), (n[(False, True)], n[(False, False)]))
@@ -336,12 +348,13 @@ def build_t4() -> TableDocument:
 
 
 def build_robustness_table() -> TableDocument:
+    v1 = variant("V1")
     rows = []
     for r in all_rules():
         rows.append([
             str(r.number),
             str(r.arity),
-            _class_label(r, "V1"),
+            classify(r, v1).label,
             _fmt_fraction(rb.class_robustness(r).fraction),
             _fmt_fraction(rb.state_robustness_rule_mutation(r, "two-input").fraction),
             _fmt_fraction(rb.state_robustness_rule_mutation(r, "all").fraction),
@@ -361,16 +374,17 @@ def build_robustness_table() -> TableDocument:
 
 
 def build_spectra_table() -> TableDocument:
+    variants = [variant(tag) for tag in VARIANT_TAGS]
     rows = []
     for r in all_rules():
-        for tag in ("V1", "V2", "V3", "V4", "V5", "V6", "V7"):
-            aset = attractor_set(r, variant(tag))
+        for v in variants:
+            aset = attractor_set(r, v)
             sp = spectrum_from_cycles(aset)
             poly = charpoly_from_cycles(aset)
             rows.append([
                 str(r.number),
-                tag,
-                classify(r, variant(tag)).label,
+                v.tag,
+                classify(r, v).label,
                 str(sp.zero_count),
                 ";".join(str(p) for p in sp.phases),
                 ";".join(str(p) for p in sp.cycle_lengths),

@@ -17,15 +17,17 @@
   members reach the same attractor.
 
 Every score is a rational number stored as numerator/denominator; all
-three metrics are invariant under the node-swap transformation.
+three metrics are invariant under the node-swap transformation.  Each
+score is computed once per (rule, convention) and then shared.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Rule, Variant, attractor_set, classify, states, variant
+from .dynamics import Rule, Variant, all_rules, attractor_set, classify, states, variant
 from .rulespace import neighbors
 
 METRIC_KINDS = (
@@ -62,20 +64,38 @@ class RobustnessScore:
         return Fraction(self.numerator, self.denominator)
 
 
+# Keyed by (rule, tag, mode) rather than by the Variant, so the memo
+# retains no Variant objects.
+_class_scores: dict[tuple, RobustnessScore] = {}
+
+
 def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
     """Fraction of neighbors with the same dynamics-class label."""
     if v is None:
         v = variant("V1")
+    if v.epsilon is not None:
+        # Not memoised by key: epsilons are unbounded (classes still are).
+        return _class_robustness(rule, v)
+    key = (rule, v.tag, v.mode)
+    sc = _class_scores.get(key)
+    if sc is None:
+        sc = _class_scores[key] = _class_robustness(rule, v)
+    return sc
+
+
+def _class_robustness(rule: Rule, v: Variant) -> RobustnessScore:
     own = classify(rule, v).label
     nbs = neighbors(rule)
     hits = sum(1 for nb in nbs if classify(nb, v).label == own)
     return RobustnessScore(rule.number, "class-vs-rule-mutation", hits, len(nbs))
 
 
-def _limiting_state_sets(rule: Rule, v: Variant) -> dict[int, frozenset[int]]:
-    """For each start-state index, the reached attractor as a state set."""
-    aset = attractor_set(rule, v)
-    return {i: frozenset(aset.basin[i]) for i in range(4)}
+@functools.cache
+def _limiting_state_sets(rule: Rule) -> tuple[frozenset[int], ...]:
+    """For each start-state index, the attractor reached under V4 as a
+    state set."""
+    aset = attractor_set(rule, variant("V4"))
+    return tuple(frozenset(aset.basin[i]) for i in range(4))
 
 
 def state_robustness_rule_mutation(rule: Rule,
@@ -85,14 +105,18 @@ def state_robustness_rule_mutation(rule: Rule,
     neighbor conventions."""
     if targets not in MUTATION_TARGET_CHOICES:
         raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
-    v = variant("V4")
-    own = _limiting_state_sets(rule, v)
+    return _state_robustness_rule_mutation(rule, targets)
+
+
+@functools.cache
+def _state_robustness_rule_mutation(rule: Rule, targets: str) -> RobustnessScore:
+    own = _limiting_state_sets(rule)
     eligible = [
         nb for nb in neighbors(rule) if targets == "all" or nb.arity == 2
     ]
     hits = 0
     for nb in eligible:
-        other = _limiting_state_sets(nb, v)
+        other = _limiting_state_sets(nb)
         hits += sum(1 for i in range(4) if own[i] == other[i])
     return RobustnessScore(
         rule.number, "state-vs-rule-mutation", hits, 4 * len(eligible)
@@ -102,9 +126,13 @@ def state_robustness_rule_mutation(rule: Rule,
 def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
     """Fraction of Hamming-1 initial-state pairs reaching the same
     attractor under V4."""
-    v = variant("V4")
-    own = _limiting_state_sets(rule, v)
-    sts = states(v)
+    return _state_robustness_init_perturbation(rule)
+
+
+@functools.cache
+def _state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
+    own = _limiting_state_sets(rule)
+    sts = states(variant("V4"))
     pairs = [
         (i, j)
         for i in range(4)
@@ -158,14 +186,11 @@ def robustness_distribution(metric: str = "state-vs-rule-mutation",
     if metric == "state-vs-rule-mutation":
         if edges is None:
             edges = TWO_INPUT_BIN_EDGES if targets == "two-input" else ALL_TARGET_BIN_EDGES
-        pool = [
-            r for r in (Rule.from_number(n) for n in range(1, 82))
-            if targets == "all" or r.arity == 2
-        ]
+        pool = [r for r in all_rules() if targets == "all" or r.arity == 2]
     else:
         if edges is None:
             raise ValueError(f"no canonical bin edges for metric {metric!r}")
-        pool = [Rule.from_number(n) for n in range(1, 82)]
+        pool = all_rules()
     bins: list[list[int]] = [[] for _ in range(len(edges) + 1)]
     for r in pool:
         sc = score(r, metric, targets)

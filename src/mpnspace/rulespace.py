@@ -19,11 +19,12 @@ headline "fraction of mutations preserving the class" figure uses.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dynamics import Rule, Variant, all_rules, classify, variant
+from .dynamics import VARIANT_TAGS, Rule, Variant, all_rules, classify, variant
 
 FIVE_CLASS_ORDER = ("F4", "F2", "M", "2C", "4C")
 THREE_CLASS_ORDER = ("F", "2C+M", "4C")
@@ -31,6 +32,11 @@ THREE_CLASS_ORDER = ("F", "2C+M", "4C")
 
 def neighbors(rule: Rule) -> tuple[Rule, ...]:
     """All rules at Hamming distance 1, ascending by number."""
+    return _neighbors(rule)
+
+
+@functools.cache
+def _neighbors(rule: Rule) -> tuple[Rule, ...]:
     out = []
     w = list(rule.weights)
     for i in range(4):
@@ -167,14 +173,12 @@ class RuleGraph:
 def build_rule_graph(include_robustness: bool = True) -> RuleGraph:
     from . import robustness as _robustness  # deferred: robustness uses neighbors()
 
+    variants = [variant(tag) for tag in VARIANT_TAGS]
     nodes = {}
     for r in all_rules():
         attrs = {
             "arity": r.arity,
-            "classes": {
-                tag: classify(r, variant(tag)).label for tag in
-                ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
-            },
+            "classes": {v.tag: classify(r, v).label for v in variants},
         }
         if include_robustness:
             attrs["robustness"] = {
@@ -238,7 +242,7 @@ def graph_from_csv(doc: str, include_robustness: bool = True) -> RuleGraph:
     number), so a parsed graph compares equal to the one exported.
     """
     lines = [ln for ln in doc.strip().splitlines() if ln]
-    if lines[0] != "source,target":
+    if not lines or lines[0] != "source,target":
         raise ValueError("csv edge list must start with a source,target header")
     edges = []
     for ln in lines[1:]:

@@ -1,10 +1,15 @@
 """Rule numbering, stepping, attractors, and classification."""
 
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mpnspace import (
+    VARIANT_TAGS,
     Rule,
     UpdateMode,
     all_rules,
@@ -51,6 +56,60 @@ def test_rule_number_bounds():
         rule_from_number(82)
     with pytest.raises(ValueError):
         Rule(2, 0, 0, 0)
+
+
+def test_float_weight_rejected():
+    with pytest.raises(ValueError):
+        Rule(1.0, 0, 0, 0)
+
+
+def test_bool_rule_number_rejected():
+    with pytest.raises(ValueError):
+        Rule.from_number(True)
+
+
+def test_state_index_rejects_float_and_bool_values():
+    with pytest.raises(ValueError):
+        state_index(variant("V1"), (1.0, True))
+
+
+def test_step_rejects_bool_state():
+    with pytest.raises(ValueError):
+        step(rule_from_number(5), variant("V4"), (True, False))
+
+
+# Values that hash or compare like an allowed int but are not ints.
+NON_INTS = hs.one_of(
+    hs.booleans(), hs.floats(), hs.fractions(), hs.decimals(allow_nan=False),
+    hs.integers(-1, 1).map(Decimal), hs.integers(-1, 1).map(Fraction),
+    hs.integers(-1, 1).map(float), hs.text(max_size=2), hs.none(),
+)
+
+
+@settings(deadline=None, database=None)
+@given(hs.integers(0, 3), NON_INTS)
+def test_non_int_weight_is_rejected(position, value):
+    weights = [0, 0, 0, 0]
+    weights[position] = value
+    with pytest.raises(ValueError):
+        Rule(*weights)
+
+
+@settings(deadline=None, database=None)
+@given(hs.sampled_from(VARIANT_TAGS), hs.sampled_from(("synchronous", "x-first")),
+       hs.integers(0, 1), NON_INTS)
+def test_non_int_state_value_is_rejected(tag, mode, position, value):
+    v = variant(tag)
+    s = [v.low, v.high]
+    s[position] = value
+    s = tuple(s)
+    with pytest.raises(ValueError):
+        state_index(v, s)
+    with pytest.raises(ValueError):
+        if mode == "synchronous":
+            step(rule_from_number(5), v, s)
+        else:
+            step_async(rule_from_number(5), v, mode, s)
 
 
 def test_arity_census():

@@ -164,3 +164,8 @@ def test_graph_csv_round_trip():
     rebuilt = graph_from_csv(doc)
     assert {tuple(sorted(e)) for e in rebuilt.edges} == {
         tuple(sorted(e)) for e in graph.edges}
+
+
+def test_graph_from_empty_csv_rejected():
+    with pytest.raises(ValueError):
+        graph_from_csv("")
