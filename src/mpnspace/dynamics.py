@@ -227,61 +227,55 @@ def state_index(v: Variant, s: tuple[int, int]) -> int:
 
 
 def state_from_index(v: Variant, i: int) -> tuple[int, int]:
-    if not 0 <= i <= 3:
-        raise ValueError(f"state index must be 0..3, got {i}")
+    if type(i) is not int or not 0 <= i <= 3:
+        raise ValueError(f"state index must be an int in 0..3, got {i!r}")
     return states(v)[i]
 
 
-def _sign(s) -> int:
-    if s > 0:
-        return 1
-    if s < 0:
-        return -1
-    return 0
-
-
-def _threshold(v: Variant, weighted_sum: int, current: int) -> int:
-    """One node's new value from its weighted input sum."""
+def _node_update(v: Variant):
+    """One node's new value as a function of (weighted sum, current value)
+    on plain ints; the variant's properties are read once, here."""
+    lo, hi = v.low, v.high
     if v.epsilon is not None:
         # Shifted-threshold formulation: plain sign of the shifted sum,
         # no zero case (the shift keeps integer sums away from zero).
-        shifted = weighted_sum + v.epsilon if v.tag == "V2" else weighted_sum - v.epsilon
-        return v.high if shifted > 0 else v.low
+        shift = v.epsilon if v.tag == "V2" else -v.epsilon
+        return lambda total, current: hi if total + shift > 0 else lo
     zero = v.zero_sum
     if zero is ZeroSum.INCREMENT:
         # Increment form: move the current value by the sign of the sum,
         # then clip to {0, 1} with a step that sends 0 to 0.
-        moved = current + _sign(weighted_sum)
-        return 1 if moved > 0 else 0
-    if weighted_sum > 0:
-        return v.high
-    if weighted_sum < 0:
-        return v.low
-    if zero is ZeroSum.HOLD:
-        return current
-    if zero is ZeroSum.HIGH:
-        return v.high
-    return v.low
+        return lambda total, current: 1 if current + (total > 0) - (total < 0) > 0 else 0
+
+    def update(total: int, current: int) -> int:
+        if total > 0:
+            return hi
+        if total < 0:
+            return lo
+        if zero is ZeroSum.HOLD:
+            return current
+        return hi if zero is ZeroSum.HIGH else lo
+
+    return update
 
 
-def _sweep(rule: Rule, v: Variant, mode: UpdateMode, x: int, y: int) -> tuple[int, int]:
+def _sweep(weights: tuple[int, int, int, int], update, mode: UpdateMode,
+           x: int, y: int) -> tuple[int, int]:
     """One update of the joint state (x, y) under ``mode``, unvalidated."""
+    wxx, wxy, wyx, wyy = weights
     if mode is UpdateMode.SYNCHRONOUS:
-        return (
-            _threshold(v, rule.wxx * x + rule.wxy * y, x),
-            _threshold(v, rule.wyx * x + rule.wyy * y, y),
-        )
+        return update(wxx * x + wxy * y, x), update(wyx * x + wyy * y, y)
     if mode is UpdateMode.X_FIRST:
-        x2 = _threshold(v, rule.wxx * x + rule.wxy * y, x)
-        return (x2, _threshold(v, rule.wyx * x2 + rule.wyy * y, y))
-    y2 = _threshold(v, rule.wyx * x + rule.wyy * y, y)
-    return (_threshold(v, rule.wxx * x + rule.wxy * y2, x), y2)
+        x2 = update(wxx * x + wxy * y, x)
+        return x2, update(wyx * x2 + wyy * y, y)
+    y2 = update(wyx * x + wyy * y, y)
+    return update(wxx * x + wxy * y2, x), y2
 
 
 def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:
     """Synchronous one-step update of the joint state."""
     state_index(v, s)  # validate the value convention
-    return _sweep(rule, v, UpdateMode.SYNCHRONOUS, *s)
+    return _sweep(rule.weights, _node_update(v), UpdateMode.SYNCHRONOUS, *s)
 
 
 def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
@@ -293,7 +287,7 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
     if order is UpdateMode.SYNCHRONOUS:
         raise ValueError("order must be x-first or y-first")
     state_index(v, s)
-    return _sweep(rule, v, order, *s)
+    return _sweep(rule.weights, _node_update(v), order, *s)
 
 
 def step_function(rule: Rule, v: Variant):
@@ -315,9 +309,12 @@ _interned: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
 def _step_map(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
     """Successor indices by stepping each of S0..S3 once, interned."""
-    hi = v.high
-    succ = tuple(2 * (x2 == hi) + (y2 == hi)
-                 for x2, y2 in (_sweep(rule, v, v.mode, *s) for s in states(v)))
+    w, update, mode, lo, hi = rule.weights, _node_update(v), v.mode, v.low, v.high
+    succ = []
+    for x, y in ((lo, lo), (lo, hi), (hi, lo), (hi, hi)):
+        x2, y2 = _sweep(w, update, mode, x, y)
+        succ.append(2 * (x2 == hi) + (y2 == hi))
+    succ = tuple(succ)
     return _interned.setdefault(succ, succ)
 
 
@@ -417,6 +414,8 @@ class DynamicsClass:
 
 
 def class_from_cycle_lengths(lengths: tuple[int, ...]) -> DynamicsClass:
+    if not lengths or any(type(p) is not int or p < 1 for p in lengths):
+        raise ValueError(f"cycle lengths must be positive ints, got {lengths!r}")
     lengths = tuple(sorted(lengths))
     distinct = set(lengths)
     if distinct == {1}:

@@ -18,9 +18,10 @@ self-negating node are picked out by a third flag.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .dynamics import Rule, Variant, states, step
+from .dynamics import Rule, UpdateMode, Variant, successor_indices
 
 GATE_NAMES = (
     "F", "AND", "xANDnoty", "x", "notxANDy", "y", "XOR", "OR",
@@ -68,32 +69,38 @@ GATES_BY_NAME = {g.name: g for g in GATES}
 
 def identify_gate(truth: tuple[int, int, int, int]) -> Gate:
     """Match a 4-row logical truth table against the 16 gates."""
-    if len(truth) != 4 or any(b not in (0, 1) for b in truth):
-        raise ValueError(f"truth table must be four 0/1 outputs, got {truth!r}")
+    if (type(truth) is not tuple or len(truth) != 4
+            or any(type(b) is not int or b not in (0, 1) for b in truth)):
+        raise ValueError(f"truth table must be a tuple of four 0/1 ints, got {truth!r}")
     i = truth[0] * 8 + truth[1] * 4 + truth[2] * 2 + truth[3]
     return GATES[i]
 
 
 def node_truth_table(rule: Rule, v: Variant, node: str) -> tuple[int, int, int, int]:
-    """Logical outputs of one node over the four input states S0..S3.
+    """Logical outputs of one node over the four input states S0..S3
+    under synchronous updating.
 
     ``node`` is "x" or "y".  Outputs are mapped to logical 0/1 with the
     variant's low value as 0.
     """
     if node not in ("x", "y"):
         raise ValueError(f"node must be 'x' or 'y', got {node!r}")
-    pick = 0 if node == "x" else 1
-    return tuple(
-        1 if step(rule, v, s)[pick] == v.high else 0 for s in states(v)
-    )
+    return gate_pair(rule, v)[0 if node == "x" else 1].truth
 
 
 def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
-    """The (x-node, y-node) gates of a rule under a variant."""
-    return (
-        identify_gate(node_truth_table(rule, v, "x")),
-        identify_gate(node_truth_table(rule, v, "y")),
-    )
+    """The (x-node, y-node) gates of a rule under a variant, read off the
+    successor indices of its synchronous form: state index 2 * x + y holds
+    the logical (x, y) bits of the next state."""
+    if v.mode is not UpdateMode.SYNCHRONOUS:
+        v = v.with_mode(UpdateMode.SYNCHRONOUS)
+    return _gates_of(successor_indices(rule, v))
+
+
+@functools.cache
+def _gates_of(succ: tuple[int, int, int, int]) -> tuple[Gate, Gate]:
+    return (identify_gate(tuple(i >> 1 for i in succ)),
+            identify_gate(tuple(i & 1 for i in succ)))
 
 
 @dataclass(frozen=True)

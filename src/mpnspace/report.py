@@ -79,47 +79,36 @@ def _variant_table() -> dict[tuple[str, UpdateMode], Variant]:
     return {(tag, mode): variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode}
 
 
-def _class_label(rule: Rule, vt: dict, tag: str,
-                 mode: UpdateMode = UpdateMode.SYNCHRONOUS) -> str:
-    return classify(rule, vt[tag, mode]).label
+# Class columns of the dynamics tables.  A column named by several tags
+# merges those variants; a "_seq" column is the sequential form, which
+# also merges x-first and y-first.  Each merge is checked as it is read.
+_T1_COLUMNS = ("v1", "v2_v3", "v1_seq", "v2_v3_seq", "v4_v7", "v5", "v6",
+               "v4_seq", "v5_seq", "v6_seq")
+_TA1_COLUMNS = ("v1", "v2_v3", "v4_v7", "v5", "v6")
 
 
-def _merged_label(rule: Rule, vt: dict, tag_a: str, tag_b: str,
-                  mode: UpdateMode, warnings: list[str]) -> tuple[str, str]:
-    """Labels for a pair of variants expected to agree; both returned,
-    with a warning recorded when they differ."""
-    la = _class_label(rule, vt, tag_a, mode)
-    lb = _class_label(rule, vt, tag_b, mode)
-    if la != lb:
-        warnings.append(
-            f"rule {rule.number}: {tag_a} and {tag_b} disagree "
-            f"({la} vs {lb}) under {mode.value} updating"
-        )
-    return la, lb
-
-
-def _async_label(rule: Rule, vt: dict, tag: str, warnings: list[str]) -> str:
-    """Class under sequential updating, checked for order independence."""
-    lx = _class_label(rule, vt, tag, UpdateMode.X_FIRST)
-    ly = _class_label(rule, vt, tag, UpdateMode.Y_FIRST)
-    if lx != ly:
-        warnings.append(
-            f"rule {rule.number}: sequential {tag} classes depend on order "
-            f"({lx} x-first vs {ly} y-first)"
-        )
-    return lx
-
-
-def _async_merged_label(rule: Rule, vt: dict, tag_a: str, tag_b: str,
-                        warnings: list[str]) -> str:
-    la = _async_label(rule, vt, tag_a, warnings)
-    lb = _async_label(rule, vt, tag_b, warnings)
-    if la != lb:
-        warnings.append(
-            f"rule {rule.number}: sequential {tag_a} and {tag_b} disagree "
-            f"({la} vs {lb})"
-        )
-    return la
+def _class_cell(rule: Rule, vt: dict, column: str, warnings: list[str]) -> str:
+    """The class label shared by a column's merged variants, with a
+    warning recorded for each pair that disagrees."""
+    sequential = column.endswith("_seq")
+    tags = column.removesuffix("_seq").upper().split("_")
+    if sequential:
+        labels = []
+        for tag in tags:
+            lx = classify(rule, vt[tag, UpdateMode.X_FIRST]).label
+            ly = classify(rule, vt[tag, UpdateMode.Y_FIRST]).label
+            if lx != ly:
+                warnings.append(f"rule {rule.number}: sequential {tag} classes depend on order "
+                                f"({lx} x-first vs {ly} y-first)")
+            labels.append(lx)
+    else:
+        labels = [classify(rule, vt[tag, UpdateMode.SYNCHRONOUS]).label for tag in tags]
+    for tag, lab in zip(tags[1:], labels[1:]):
+        if lab != labels[0]:
+            pre, post = ("sequential ", "") if sequential else ("", " under synchronous updating")
+            warnings.append(f"rule {rule.number}: {pre}{tags[0]} and {tag} disagree "
+                            f"({labels[0]} vs {lab}){post}")
+    return labels[0]
 
 
 def _transform_numbers(rule: Rule) -> tuple[int, int, int]:
@@ -132,66 +121,33 @@ def _t12_representatives(arities: tuple[int, ...]) -> list[Rule]:
     return [Rule.from_number(c.representative) for c in reduce_rules({"T12"}, pool)]
 
 
-def build_t1() -> TableDocument:
+def _dynamics_table(table_id: str, arities: tuple[int, ...],
+                    columns: tuple[str, ...]) -> TableDocument:
+    """One row per node-swap representative of the given arities: weights,
+    transform images, then one class label per column of ``columns``."""
     warnings: list[str] = []
     vt = _variant_table()
-    sync = UpdateMode.SYNCHRONOUS
-    rows = []
-    for r in _t12_representatives((2,)):
-        v23, _ = _merged_label(r, vt, "V2", "V3", sync, warnings)
-        v47, _ = _merged_label(r, vt, "V4", "V7", sync, warnings)
-        rows.append([
-            str(r.number), *map(str, r.weights),
-            *map(str, _transform_numbers(r)),
-            _class_label(r, vt, "V1"),
-            v23,
-            _async_label(r, vt, "V1", warnings),
-            _async_merged_label(r, vt, "V2", "V3", warnings),
-            v47,
-            _class_label(r, vt, "V5"),
-            _class_label(r, vt, "V6"),
-            _async_label(r, vt, "V4", warnings),
-            _async_label(r, vt, "V5", warnings),
-            _async_label(r, vt, "V6", warnings),
-        ])
+    rows = [
+        [str(r.number), *map(str, r.weights), *map(str, _transform_numbers(r)),
+         *(_class_cell(r, vt, column, warnings) for column in columns)]
+        for r in _t12_representatives(arities)
+    ]
     doc = TableDocument(
-        "T1",
-        ("rule", "wxx", "wxy", "wyx", "wyy", "t12", "gauge", "t12_gauge",
-         "v1", "v2_v3", "v1_seq", "v2_v3_seq", "v4_v7", "v5", "v6",
-         "v4_seq", "v5_seq", "v6_seq"),
+        table_id,
+        ("rule", "wxx", "wxy", "wyx", "wyy", "t12", "gauge", "t12_gauge", *columns),
         rows,
     )
     if warnings:
         doc.metadata["warnings"] = warnings
     return doc
+
+
+def build_t1() -> TableDocument:
+    return _dynamics_table("T1", (2,), _T1_COLUMNS)
 
 
 def build_ta1() -> TableDocument:
-    warnings: list[str] = []
-    vt = _variant_table()
-    sync = UpdateMode.SYNCHRONOUS
-    rows = []
-    for r in _t12_representatives((0, 1)):
-        v23, _ = _merged_label(r, vt, "V2", "V3", sync, warnings)
-        v47, _ = _merged_label(r, vt, "V4", "V7", sync, warnings)
-        rows.append([
-            str(r.number), *map(str, r.weights),
-            *map(str, _transform_numbers(r)),
-            _class_label(r, vt, "V1"),
-            v23,
-            v47,
-            _class_label(r, vt, "V5"),
-            _class_label(r, vt, "V6"),
-        ])
-    doc = TableDocument(
-        "TA1",
-        ("rule", "wxx", "wxy", "wyx", "wyy", "t12", "gauge", "t12_gauge",
-         "v1", "v2_v3", "v4_v7", "v5", "v6"),
-        rows,
-    )
-    if warnings:
-        doc.metadata["warnings"] = warnings
-    return doc
+    return _dynamics_table("TA1", (0, 1), _TA1_COLUMNS)
 
 
 def build_ta2() -> TableDocument:

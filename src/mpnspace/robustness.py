@@ -146,7 +146,9 @@ def _state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
 
 
 def score(rule: Rule, metric: str, targets: str = "two-input") -> RobustnessScore:
-    """Dispatch on the metric kind."""
+    """Dispatch on the metric kind; ``targets`` is validated for all."""
+    if targets not in MUTATION_TARGET_CHOICES:
+        raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
     if metric == "class-vs-rule-mutation":
         return class_robustness(rule)
     if metric == "state-vs-rule-mutation":

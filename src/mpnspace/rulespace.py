@@ -86,6 +86,10 @@ def _three_class_group(label: str) -> str:
     return label
 
 
+# Keyed by (tag, mode, grouping), so the memo retains no Variant objects.
+_transition_tallies: dict[tuple, TransitionCounts] = {}
+
+
 def class_transition_counts(v: Variant | None = None,
                             grouping: str = "five-class") -> TransitionCounts:
     """Tally neighbor pairs by the dynamics classes of their endpoints.
@@ -97,29 +101,42 @@ def class_transition_counts(v: Variant | None = None,
         raise ValueError(f"unknown grouping {grouping!r}")
     if v is None:
         v = variant("V1")
-    label_of = {r.number: classify(r, v).label for r in all_rules()}
+    if v.epsilon is not None:
+        # Not memoised by key: epsilons are unbounded (classes still are).
+        return _transition_counts(v, grouping)
+    key = (v.tag, v.mode, grouping)
+    counts = _transition_tallies.get(key)
+    if counts is None:
+        counts = _transition_tallies[key] = _transition_counts(v, grouping)
+    return counts
+
+
+def _transition_counts(v: Variant, grouping: str) -> TransitionCounts:
+    rules = all_rules()  # rule number n sits at position n - 1
+    label_of = [classify(r, v).label for r in rules]
     if grouping == "three-class":
-        label_of = {n: _three_class_group(lab) for n, lab in label_of.items()}
+        label_of = [_three_class_group(lab) for lab in label_of]
         base_order = THREE_CLASS_ORDER
     else:
         base_order = FIVE_CLASS_ORDER
-    observed = set(label_of.values())
+    observed = set(label_of)
     labels = tuple(lab for lab in base_order if lab in observed) + tuple(
         sorted(observed - set(base_order))
     )
-    index = {lab: i for i, lab in enumerate(labels)}
+    row_of = [labels.index(lab) for lab in label_of]
+    two_input = [r.arity == 2 for r in rules]
 
     directed = [[0] * len(labels) for _ in labels]
     two_input_edges = 0
     two_input_preserving = 0
     low_arity_edges = 0
-    for r in all_rules():
-        for nb in neighbors(r):
-            directed[index[label_of[r.number]]][index[label_of[nb.number]]] += 1
-            if nb.number > r.number:  # each undirected edge once
-                if r.arity == 2 and nb.arity == 2:
+    for i, r in enumerate(rules):
+        for j in (nb.number - 1 for nb in neighbors(r)):
+            directed[row_of[i]][row_of[j]] += 1
+            if j > i:  # each undirected edge once
+                if two_input[i] and two_input[j]:
                     two_input_edges += 1
-                    if label_of[r.number] == label_of[nb.number]:
+                    if row_of[i] == row_of[j]:
                         two_input_preserving += 1
                 else:
                     low_arity_edges += 1

@@ -13,6 +13,7 @@ oracle over the integers cross-checks the combinatorial spectrum.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,10 +62,15 @@ class Spectrum:
 
 def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
     """Combinatorial spectrum: zeros for transients, p-th roots per cycle."""
+    return _spectrum_of(attractors.attractors)
+
+
+@functools.cache
+def _spectrum_of(cycles: tuple[tuple[int, ...], ...]) -> Spectrum:
     phases = []
     lengths = []
     cycle_states = 0
-    for cycle in attractors.attractors:
+    for cycle in cycles:
         p = len(cycle)
         lengths.append(p)
         cycle_states += p
@@ -77,7 +83,7 @@ def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
 
 
 def spectrum(rule: Rule, v: Variant) -> Spectrum:
-    return spectrum_from_cycles(attractor_set(rule, v))
+    return _spectrum_of(attractor_set(rule, v).attractors)
 
 
 # Integer polynomials as coefficient lists, lowest power first.
@@ -135,11 +141,17 @@ def charpoly_oracle(T: TransitionMatrix) -> list[int]:
 def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:
     """lambda^z times the product over cycles of (lambda^p - 1),
     in descending powers: the spectrum's predicted characteristic
-    polynomial, built by a route independent of the matrix oracle."""
-    sp = spectrum_from_cycles(attractors)
+    polynomial, built by a route independent of the matrix oracle.
+    Each call returns a new list."""
+    return list(_charpoly_of(attractors.attractors))
+
+
+@functools.cache
+def _charpoly_of(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    sp = _spectrum_of(cycles)
     poly = [1]
     for p in sp.cycle_lengths:
         factor = [-1] + [0] * (p - 1) + [1]  # lambda^p - 1, lowest first
         poly = _poly_mul(poly, factor)
     poly = [0] * sp.zero_count + poly  # multiply by lambda^z
-    return list(reversed(poly))
+    return tuple(reversed(poly))

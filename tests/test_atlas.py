@@ -1,9 +1,10 @@
 """The memoised atlas against the plain path, over the whole universe.
 
-Successor maps, attractor sets, classes, neighbor lists and robustness
-scores all come from memo tables.  Here each one is recomputed without
-them, from ``step``/``step_async`` and the independent attractor oracle,
-and must be equal on every key.  The tests also bound the work one
+Successor maps, attractor sets, classes, neighbor lists, robustness
+scores, spectra, gates and transition tallies all come from memo tables.
+Here each one is recomputed without them, from ``step``/``step_async``,
+the independent attractor oracle and the cofactor charpoly oracle, and
+must be equal on every key.  The tests also bound the work one
 ``run_all`` does, check that importing the CLI computes nothing, and
 check that a shared result cannot be changed by one caller.
 """
@@ -17,25 +18,38 @@ import pytest
 
 import mpnspace
 from mpnspace import (
+    FIVE_CLASS_ORDER,
+    THREE_CLASS_ORDER,
     VARIANT_TAGS,
     Rule,
+    Spectrum,
+    TransitionCounts,
     UpdateMode,
     all_rules,
     attractor_set,
+    charpoly_from_cycles,
+    charpoly_oracle,
     class_from_cycle_lengths,
     class_robustness,
+    class_transition_counts,
     classify,
+    gate_pair,
+    identify_gate,
+    node_truth_table,
     rule_from_number,
     run_all,
     state_robustness_init_perturbation,
     state_robustness_rule_mutation,
+    spectrum,
+    spectrum_from_cycles,
     states,
     step,
     step_async,
     successor_indices,
+    transition_matrix,
     variant,
 )
-from mpnspace import dynamics, robustness, rulespace
+from mpnspace import dynamics, gates, robustness, rulespace, spectral
 from oracles import functional_graph_attractors
 
 ALL = all_rules()
@@ -47,7 +61,8 @@ EPSILON_VARIANTS = [
 
 # Every memo table of the package, as "module.name": dicts, then
 # functools caches.
-ATLAS_TABLES = ("dynamics._successors", "dynamics._interned", "robustness._class_scores")
+ATLAS_TABLES = ("dynamics._successors", "dynamics._interned", "robustness._class_scores",
+                "rulespace._transition_tallies")
 ATLAS_MEMOS = (
     "dynamics._rule_of_number",
     "dynamics._attractors_of",
@@ -56,8 +71,13 @@ ATLAS_MEMOS = (
     "robustness._limiting_state_sets",
     "robustness._state_robustness_rule_mutation",
     "robustness._state_robustness_init_perturbation",
+    "spectral._spectrum_of",
+    "spectral._charpoly_of",
+    "gates._gates_of",
 )
-MODULES = {"dynamics": dynamics, "robustness": robustness, "rulespace": rulespace}
+MODULES = {"dynamics": dynamics, "gates": gates, "robustness": robustness,
+           "rulespace": rulespace, "spectral": spectral}
+GROUPINGS = ("five-class", "three-class")
 
 
 def resolve(name):
@@ -108,6 +128,52 @@ def plain_limiting_sets(rule):
     return [frozenset(basin[i]) for i in range(4)]
 
 
+def plain_truth_table(rule, v, pick):
+    """Logical outputs of node ``pick`` (0 for x) under synchronous steps."""
+    return tuple(int(step(rule, v, s)[pick] == v.high) for s in states(v))
+
+
+def plain_spectrum(rule, v):
+    cycles, _, _ = plain_attractors(rule, v)
+    lengths = sorted(len(c) for c in cycles)
+    return Spectrum(
+        zero_count=4 - sum(lengths),
+        phases=tuple(sorted(Fraction(k, p) for p in lengths for k in range(p))),
+        cycle_lengths=tuple(lengths),
+    )
+
+
+def plain_tally(v, grouping):
+    """Ordered neighbor pairs tallied by endpoint class, then halved."""
+    def group(label):
+        if grouping == "five-class":
+            return label
+        if label.startswith("F"):
+            return "F"
+        return "2C+M" if label in ("2C", "M") else label
+
+    label = {r.number: group(plain_label(r, v)) for r in ALL}
+    order = FIVE_CLASS_ORDER if grouping == "five-class" else THREE_CLASS_ORDER
+    seen = set(label.values())
+    labels = tuple(lab for lab in order if lab in seen) + tuple(sorted(seen - set(order)))
+    ordered = {}
+    two_input = preserving = low_arity = 0
+    for r in ALL:
+        for nb in plain_neighbors(r):
+            pair = (label[r.number], label[nb.number])
+            ordered[pair] = ordered.get(pair, 0) + 1
+            if nb.number < r.number:
+                continue
+            if r.arity == 2 and nb.arity == 2:
+                two_input += 1
+                preserving += pair[0] == pair[1]
+            else:
+                low_arity += 1
+    assert all(c % 2 == 0 for c in ordered.values())
+    matrix = tuple(tuple(ordered.get((a, b), 0) // 2 for b in labels) for a in labels)
+    return TransitionCounts(labels, matrix, two_input, preserving, low_arity)
+
+
 def _variant_id(v):
     return f"{v.tag}-{v.mode.value}" + ("" if v.epsilon is None else f"-eps{v.epsilon}")
 
@@ -127,6 +193,45 @@ def test_memoised_dynamics_equal_plain_path(v):
             assert aset.basin == basin
             assert aset.steps_to_attractor == steps
             assert classify(r, w) == label
+
+
+@pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
+def test_memoised_views_equal_plain_path(v):
+    for rule in ALL:
+        truths = (plain_truth_table(rule, v, 0), plain_truth_table(rule, v, 1))
+        assert gate_pair(rule, v) == tuple(map(identify_gate, truths)), (rule.number, v)
+        assert (node_truth_table(rule, v, "x"), node_truth_table(rule, v, "y")) == truths
+        expected = plain_spectrum(rule, v)
+        assert spectrum(rule, v) == expected
+        aset = attractor_set(rule, v)
+        assert spectrum_from_cycles(aset) == expected
+        assert charpoly_from_cycles(aset) == charpoly_oracle(transition_matrix(rule, v))
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+@pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
+def test_memoised_transition_counts_equal_plain_tally(v, grouping):
+    expected = plain_tally(v, grouping)
+    assert class_transition_counts(v, grouping) == expected
+    # A second lookup with an equal, freshly built variant gives the same.
+    assert class_transition_counts(variant(v.tag, v.mode, v.epsilon), grouping) == expected
+
+
+def test_epsilon_transition_counts_are_not_memoised_by_key():
+    expected = class_transition_counts(variant("V3"), "three-class")
+    before = len(rulespace._transition_tallies)
+    for eps in (Fraction(1, 3), 0.125):
+        assert class_transition_counts(variant("V3", epsilon=eps), "three-class") == expected
+    assert len(rulespace._transition_tallies) == before
+
+
+def test_charpoly_from_cycles_returns_a_fresh_list():
+    aset = attractor_set(rule_from_number(8), variant("V1"))
+    first = charpoly_from_cycles(aset)
+    expected = list(first)
+    first.append(99)
+    first[0] = -7
+    assert charpoly_from_cycles(aset) == expected
 
 
 @pytest.mark.parametrize("number", range(1, 82))
@@ -176,12 +281,19 @@ def test_run_all_computes_each_result_once(tmp_path):
         info = memo.cache_info()
         assert info.misses == 81 * conventions, memo
         assert info.hits > 0, memo
+    # Views keyed by the successor tuple or by its attractor cycles.
+    assert gates._gates_of.cache_info().misses <= 170
+    distinct_cycles = len({attractor_set(r, v).attractors for r in ALL for v in UNIVERSE})
+    for memo in (spectral._spectrum_of, spectral._charpoly_of):
+        assert memo.cache_info().misses <= distinct_cycles, memo
+    # T3A, T3B and the stats report share two tallies (V1, two groupings).
+    assert len(rulespace._transition_tallies) == 2
 
 
 def test_importing_the_cli_leaves_the_atlas_empty():
     code = (
         "import mpnspace.cli\n"
-        "from mpnspace import dynamics, robustness, rulespace\n"
+        f"from mpnspace import {', '.join(MODULES)}\n"
         f"tables = ({', '.join(ATLAS_TABLES)},)\n"
         f"memos = ({', '.join(ATLAS_MEMOS)},)\n"
         "assert not any(tables), tables\n"

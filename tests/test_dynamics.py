@@ -78,6 +78,18 @@ def test_step_rejects_bool_state():
         step(rule_from_number(5), variant("V4"), (True, False))
 
 
+@pytest.mark.parametrize("index", [True, 2.0, "1"], ids=repr)
+def test_state_from_index_rejects_non_int_index(index):
+    with pytest.raises(ValueError):
+        state_from_index(variant("V1"), index)
+
+
+@pytest.mark.parametrize("lengths", [(), (0,), (1, -2), (1.0,)], ids=repr)
+def test_class_from_cycle_lengths_rejects_empty_or_non_positive(lengths):
+    with pytest.raises(ValueError):
+        class_from_cycle_lengths(lengths)
+
+
 # Values that hash or compare like an allowed int but are not ints.
 NON_INTS = hs.one_of(
     hs.booleans(), hs.floats(), hs.fractions(), hs.decimals(allow_nan=False),

@@ -49,6 +49,13 @@ def test_identify_gate_rejects_bad_truth():
         identify_gate((0, 1, 0))
 
 
+@pytest.mark.parametrize("truth", [(True, 0, 0, 0), (1.0, 0, 0, 0), [1, 0, 0, 0]],
+                         ids=["bool", "float", "list"])
+def test_identify_gate_rejects_non_int_or_non_tuple_truth(truth):
+    with pytest.raises(ValueError):
+        identify_gate(truth)
+
+
 def test_truth_table_convention():
     # rule 39 under V4 copies each node: x' = x has truth (0,0,1,1)
     # over inputs (0,0),(0,1),(1,0),(1,1)

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import mpnspace
 from mpnspace import emit_state_graph, emit_table, rule_from_number, variant
 from mpnspace.cli import main as cli_main
 from mpnspace.report import (
@@ -179,6 +183,15 @@ def test_cli_classify():
     assert result.exit_code == 0
     assert "class: 4C" in result.output
     assert "(-1, -1) -> (1, -1) -> (1, 1) -> (-1, 1)" in result.output
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(mpnspace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "mpnspace", "classify", "8", "V1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "class: 4C" in proc.stdout
 
 
 def test_cli_usage_errors_exit_2():

@@ -125,6 +125,12 @@ def test_score_dispatch():
         score(r, "state-vs-weather")
 
 
+@pytest.mark.parametrize("metric", ["class-vs-rule-mutation", "state-vs-init-perturbation"])
+def test_score_rejects_invalid_targets_for_every_metric(metric):
+    with pytest.raises(ValueError):
+        score(rule_from_number(25), metric, "bogus")
+
+
 def _median_by_group(metric_value, group):
     v1 = variant("V1")
     reps = T12_REPRESENTATIVES + LOW_ARITY_REPRESENTATIVES
