@@ -7,8 +7,6 @@ unexpected internal failures.
 
 from __future__ import annotations
 
-import json
-
 import click
 
 from . import report
@@ -111,6 +109,8 @@ def robustness_cmd(metric: str, targets: str, distribution: bool):
             raise click.UsageError(
                 "--distribution requires --metric state-vs-rule-mutation"
             )
+        import json
+
         hist = rb.robustness_distribution(metric, targets)
         payload = {
             "metric": metric,
@@ -131,6 +131,8 @@ def robustness_cmd(metric: str, targets: str, distribution: bool):
 @main.command(name="stats")
 def stats_cmd():
     """Statistics report with reference-value comparison flags."""
+    import json
+
     click.echo(json.dumps(report.stats_report(), indent=2, sort_keys=True))
 
 

@@ -35,11 +35,11 @@ once per time index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 
 VARIANT_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
@@ -93,12 +93,19 @@ class Rule:
     ``wxx`` weighs node x's own value in the update of x, ``wxy`` weighs
     node y's value in the update of x, and symmetrically ``wyx``/``wyy``
     for the update of y.  Each weight is -1, 0, or +1, giving 81 rules.
+    ``number`` is the canonical rule number in 1..81 (base-3 encoding of
+    the weights), derived once at construction and left out of repr,
+    equality, ordering and hashing.
     """
 
     wxx: int
     wxy: int
     wyx: int
     wyy: int
+    # Set in __post_init__ rather than cached on first read: writing it
+    # later turns the instance's inline attribute values into a dict and
+    # slows every field read.
+    number: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in self.weights:
@@ -106,16 +113,13 @@ class Rule:
             # ints and would otherwise share memo entries with them.
             if type(w) is not int or w not in (-1, 0, 1):
                 raise ValueError(f"weights must be the ints -1, 0, or +1, got {w!r}")
+        a, b, c, d = self.weights
+        object.__setattr__(self, "number",
+                           27 * (a + 1) + 9 * (b + 1) + 3 * (c + 1) + (d + 1) + 1)
 
     @property
     def weights(self) -> tuple[int, int, int, int]:
         return (self.wxx, self.wxy, self.wyx, self.wyy)
-
-    @property
-    def number(self) -> int:
-        """Canonical rule number in 1..81 (base-3 encoding of the weights)."""
-        a, b, c, d = self.weights
-        return 27 * (a + 1) + 9 * (b + 1) + 3 * (c + 1) + (d + 1) + 1
 
     @classmethod
     def from_number(cls, r: int) -> "Rule":
@@ -207,6 +211,13 @@ def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS,
     if isinstance(mode, str):
         mode = UpdateMode(mode)
     return Variant(tag.upper(), mode, epsilon)
+
+
+@functools.cache
+def _default_variant(tag: str) -> Variant:
+    """The synchronous variant ``tag``, built once per process on first
+    use and shared by every caller that falls back to it."""
+    return Variant(tag)
 
 
 def states(v: Variant) -> tuple[tuple[int, int], ...]:
@@ -331,8 +342,7 @@ def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
     return succ
 
 
-@dataclass(frozen=True)
-class AttractorSet:
+class AttractorSet(NamedTuple):
     """All recurrent cycles of the one-step map, with basin assignment.
 
     Attractors are cycles of state indices, rotated so the smallest
@@ -391,8 +401,7 @@ def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
     return _attractors_of(successor_indices(rule, v))
 
 
-@dataclass(frozen=True)
-class DynamicsClass:
+class DynamicsClass(NamedTuple):
     """Taxonomy label for a rule's limiting behavior under one variant.
 
     ``label`` is Fk when all attractors are fixed points (k of them),

@@ -19,7 +19,7 @@ self-negating node are picked out by a third flag.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import Rule, UpdateMode, Variant, successor_indices
 
@@ -37,8 +37,7 @@ _CANALIZATION_TIERS = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One of the 16 two-input Boolean functions.
 
     ``truth`` lists the output for logical inputs (x, y) in the order
@@ -103,8 +102,7 @@ def _gates_of(succ: tuple[int, int, int, int]) -> tuple[Gate, Gate]:
             identify_gate(tuple(i & 1 for i in succ)))
 
 
-@dataclass(frozen=True)
-class SignPredicates:
+class SignPredicates(NamedTuple):
     """Sign conditions on the weights tied to the attractor taxonomy."""
 
     cross_positive: bool

@@ -17,10 +17,7 @@ byte-identical documents.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
-import json
+import functools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +29,7 @@ from .dynamics import (
     Rule,
     UpdateMode,
     Variant,
+    _default_variant,
     all_rules,
     attractor_set,
     classify,
@@ -40,13 +38,8 @@ from .dynamics import (
     variant,
 )
 from .gates import gate_pair, sign_predicates
-from .rulespace import (
-    build_rule_graph,
-    class_transition_counts,
-    export_graph,
-    neighbors,
-)
-from .spectral import charpoly_from_cycles, spectrum_from_cycles, transition_matrix
+from .rulespace import build_rule_graph, class_transition_counts, export_graph
+from .spectral import charpoly_from_cycles, spectrum_from_cycles
 from .transforms import gauge, reduce_rules, t12
 
 TABLE_IDS = ("T1", "T2", "T3A", "T3B", "T4", "TA1", "TA2", "robustness", "spectra")
@@ -151,7 +144,7 @@ def build_ta1() -> TableDocument:
 
 
 def build_ta2() -> TableDocument:
-    variants = [variant(tag) for tag in ("V1", "V2", "V3", "V4", "V5", "V6")]
+    variants = [_default_variant(tag) for tag in ("V1", "V2", "V3", "V4", "V5", "V6")]
     rows = []
     for r in _t12_representatives((2,)):
         cells = [str(r.number)]
@@ -171,7 +164,7 @@ def build_ta2() -> TableDocument:
 def build_t2() -> TableDocument:
     pool = [r for r in all_rules() if r.arity == 2]
     classes = reduce_rules({"T12", "G"}, pool)
-    v1 = variant("V1")
+    v1 = _default_variant("V1")
     rows = []
     for cls in classes:
         r = Rule.from_number(cls.representative)
@@ -203,7 +196,7 @@ def build_t2() -> TableDocument:
 
 
 def _transition_doc(table_id: str, grouping: str) -> TableDocument:
-    counts = class_transition_counts(variant("V1"), grouping)
+    counts = class_transition_counts(_default_variant("V1"), grouping)
     rows = []
     for i, lab in enumerate(counts.labels):
         rows.append([lab, *map(str, counts.matrix[i]), str(counts.row_sums[i])])
@@ -259,7 +252,7 @@ def t4_cells() -> dict[str, list[int]]:
     """Counts of rules per (V1 class group, all-neighbor robustness bin)."""
     edges = rb.ALL_TARGET_BIN_EDGES
     cells = {g: [0] * (len(edges) + 1) for g in T4_GROUPS}
-    v1 = variant("V1")
+    v1 = _default_variant("V1")
     for r in all_rules():
         group = _t4_group(classify(r, v1).label)
         frac = rb.state_robustness_rule_mutation(r, "all").fraction
@@ -271,9 +264,14 @@ def t4_cells() -> dict[str, list[int]]:
 def quadrant_counts() -> tuple[tuple[int, int], tuple[int, int]]:
     """2x2 table: (fixed-point vs not) by (robustness below 0.821 vs not),
     all-neighbor mutation metric over all 81 rules."""
+    return _quadrant_counts()
+
+
+@functools.cache
+def _quadrant_counts() -> tuple[tuple[int, int], tuple[int, int]]:
     cut = rb.ALL_TARGET_BIN_EDGES[2]
     n = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-    v1 = variant("V1")
+    v1 = _default_variant("V1")
     for r in all_rules():
         fixed = _t4_group(classify(r, v1).label) == "fixed_point"
         low = rb.state_robustness_rule_mutation(r, "all").fraction < cut
@@ -304,7 +302,7 @@ def build_t4() -> TableDocument:
 
 
 def build_robustness_table() -> TableDocument:
-    v1 = variant("V1")
+    v1 = _default_variant("V1")
     rows = []
     for r in all_rules():
         rows.append([
@@ -330,7 +328,7 @@ def build_robustness_table() -> TableDocument:
 
 
 def build_spectra_table() -> TableDocument:
-    variants = [variant(tag) for tag in VARIANT_TAGS]
+    variants = [_default_variant(tag) for tag in VARIANT_TAGS]
     rows = []
     for r in all_rules():
         for v in variants:
@@ -378,6 +376,9 @@ def build_table(table_id: str) -> TableDocument:
 
 def render_table(doc: TableDocument, fmt: str) -> str:
     if fmt in ("csv", "tsv"):
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t",
                             lineterminator="\n")
@@ -390,6 +391,8 @@ def render_table(doc: TableDocument, fmt: str) -> str:
         lines.extend("| " + " | ".join(row) + " |" for row in doc.rows)
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         return json.dumps(
             {
                 "table": doc.table_id,
@@ -472,7 +475,7 @@ def stats_report() -> dict:
     pool81 = sorted(mut_all)
     pool72 = sorted(mut_two)
 
-    counts = class_transition_counts(variant("V1"), "five-class")
+    counts = class_transition_counts(_default_variant("V1"), "five-class")
     preserving = sum(counts.matrix[i][i] for i in range(len(counts.labels)))
 
     inverse = (1.0 / odds.statistic) if odds.statistic else None
@@ -538,6 +541,9 @@ def stats_report() -> dict:
 
 def run_all(out_dir: str) -> dict:
     """Emit every document into ``out_dir`` and return the manifest."""
+    import hashlib
+    import json
+
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
 

@@ -24,10 +24,10 @@ score is computed once per (rule, convention) and then shared.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .dynamics import Rule, Variant, all_rules, attractor_set, classify, states, variant
+from .dynamics import Rule, Variant, _default_variant, all_rules, attractor_set, classify, states
 from .rulespace import neighbors
 
 METRIC_KINDS = (
@@ -52,8 +52,7 @@ ALL_TARGET_BIN_EDGES = (
 )
 
 
-@dataclass(frozen=True)
-class RobustnessScore:
+class RobustnessScore(NamedTuple):
     rule: int
     metric: str
     numerator: int
@@ -72,7 +71,7 @@ _class_scores: dict[tuple, RobustnessScore] = {}
 def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
     """Fraction of neighbors with the same dynamics-class label."""
     if v is None:
-        v = variant("V1")
+        v = _default_variant("V1")
     if v.epsilon is not None:
         # Not memoised by key: epsilons are unbounded (classes still are).
         return _class_robustness(rule, v)
@@ -94,7 +93,7 @@ def _class_robustness(rule: Rule, v: Variant) -> RobustnessScore:
 def _limiting_state_sets(rule: Rule) -> tuple[frozenset[int], ...]:
     """For each start-state index, the attractor reached under V4 as a
     state set."""
-    aset = attractor_set(rule, variant("V4"))
+    aset = attractor_set(rule, _default_variant("V4"))
     return tuple(frozenset(aset.basin[i]) for i in range(4))
 
 
@@ -132,7 +131,7 @@ def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
 @functools.cache
 def _state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
     own = _limiting_state_sets(rule)
-    sts = states(variant("V4"))
+    sts = states(_default_variant("V4"))
     pairs = [
         (i, j)
         for i in range(4)
@@ -158,8 +157,7 @@ def score(rule: Rule, metric: str, targets: str = "two-input") -> RobustnessScor
     raise ValueError(f"metric must be one of {METRIC_KINDS}")
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Binned scores; bin i holds values below edges[i] (strictly) and
     at or above edges[i-1], the final bin holds the rest."""
 

@@ -20,11 +20,10 @@ headline "fraction of mutations preserving the class" figure uses.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
-from .dynamics import VARIANT_TAGS, Rule, Variant, all_rules, classify, variant
+from .dynamics import VARIANT_TAGS, Rule, Variant, _default_variant, all_rules, classify
 
 FIVE_CLASS_ORDER = ("F4", "F2", "M", "2C", "4C")
 THREE_CLASS_ORDER = ("F", "2C+M", "4C")
@@ -54,8 +53,7 @@ def degree(rule: Rule) -> int:
     return 4 + sum(1 for w in rule.weights if w == 0)
 
 
-@dataclass(frozen=True)
-class TransitionCounts:
+class TransitionCounts(NamedTuple):
     """Class-transition count matrix plus the sidecar tallies."""
 
     labels: tuple[str, ...]
@@ -100,7 +98,7 @@ def class_transition_counts(v: Variant | None = None,
     if grouping not in ("five-class", "three-class"):
         raise ValueError(f"unknown grouping {grouping!r}")
     if v is None:
-        v = variant("V1")
+        v = _default_variant("V1")
     if v.epsilon is not None:
         # Not memoised by key: epsilons are unbounded (classes still are).
         return _transition_counts(v, grouping)
@@ -159,7 +157,7 @@ def edge_of_chaos(v: Variant | None = None) -> tuple[Rule, ...]:
     """Two-input rules with all-fixed-point dynamics sitting one
     mutation away from a rule whose every trajectory is a 4-cycle."""
     if v is None:
-        v = variant("V1")
+        v = _default_variant("V1")
     label_of = {r.number: classify(r, v) for r in all_rules()}
     out = []
     for r in all_rules():
@@ -190,7 +188,7 @@ class RuleGraph:
 def build_rule_graph(include_robustness: bool = True) -> RuleGraph:
     from . import robustness as _robustness  # deferred: robustness uses neighbors()
 
-    variants = [variant(tag) for tag in VARIANT_TAGS]
+    variants = [_default_variant(tag) for tag in VARIANT_TAGS]
     nodes = {}
     for r in all_rules():
         attrs = {
@@ -242,6 +240,8 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
         lines.extend(f"{u},{w}" for u, w in graph.edges)
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         doc = {
             "nodes": [
                 {"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)

@@ -12,10 +12,9 @@ oracle over the integers cross-checks the combinatorial spectrum.
 
 from __future__ import annotations
 
-import cmath
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dynamics import AttractorSet, Rule, Variant, attractor_set, successor_indices
 
@@ -41,8 +40,7 @@ def is_permutation_matrix(T: TransitionMatrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Exact eigenvalue multiset of the transposed transition matrix.
 
     ``zero_count`` zeros (one per transient state) plus one root of
@@ -56,6 +54,8 @@ class Spectrum:
 
     def eigenvalues(self) -> tuple[complex, ...]:
         """Numeric eigenvalues for display, zeros first."""
+        import cmath
+
         roots = tuple(cmath.exp(2j * cmath.pi * p) for p in self.phases)
         return (0j,) * self.zero_count + roots
 
@@ -84,6 +84,10 @@ def _spectrum_of(cycles: tuple[tuple[int, ...], ...]) -> Spectrum:
 
 def spectrum(rule: Rule, v: Variant) -> Spectrum:
     return _spectrum_of(attractor_set(rule, v).attractors)
+
+
+_SEQUENCES = frozenset((list, tuple))
+_BITS = frozenset((0, 1))
 
 
 # Integer polynomials as coefficient lists, lowest power first.
@@ -123,8 +127,15 @@ def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     """Characteristic polynomial of the transpose of T, exact integers.
 
     Expands det(lambda*I - T^t) by cofactors; returns the coefficients
-    in descending powers of lambda, leading coefficient 1.
+    in descending powers of lambda, leading coefficient 1.  ``T`` must be
+    a 4x4 matrix (rows as lists or tuples) of the ints 0 and 1.
     """
+    # Set operations over map() keep this check cheap beside the expansion.
+    shape_ok = (type(T) in _SEQUENCES and len(T) == 4
+                and _SEQUENCES.issuperset(map(type, T)) and {*map(len, T)} == {4})
+    entries = (*T[0], *T[1], *T[2], *T[3]) if shape_ok else ()
+    if not (entries and {*map(type, entries)} == {int} and _BITS.issuperset(entries)):
+        raise ValueError(f"matrix must be 4x4 with 0/1 int entries, got {T!r}")
     m = [
         [
             # entry (i, j) of lambda*I - T^t is -T[j][i] plus lambda on the diagonal

@@ -14,17 +14,15 @@ needs no numerical library at run time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Table2x2 = tuple[tuple[int, int], tuple[int, int]]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float | None
     p_value: Fraction | float | None
     ci_low: float | None = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dynamics import Rule, Variant, all_rules, variant
+from .dynamics import Rule, Variant, _default_variant, all_rules
 
 
 def t12(rule: Rule) -> Rule:
@@ -82,7 +82,7 @@ def reduce_rules(generators: Iterable[str],
     if unknown:
         raise ValueError(f"unknown transformations: {sorted(unknown)}")
     if under is None:
-        under = variant("V1")
+        under = _default_variant("V1")
     if "G" in generators and under.tag != "V1":
         raise ValueError(
             "the cross-weight sign flip preserves dynamics only under V1; "

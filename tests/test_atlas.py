@@ -49,7 +49,7 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
-from mpnspace import dynamics, gates, robustness, rulespace, spectral
+from mpnspace import dynamics, gates, report, robustness, rulespace, spectral
 from oracles import functional_graph_attractors
 
 ALL = all_rules()
@@ -74,8 +74,10 @@ ATLAS_MEMOS = (
     "spectral._spectrum_of",
     "spectral._charpoly_of",
     "gates._gates_of",
+    "dynamics._default_variant",
+    "report._quadrant_counts",
 )
-MODULES = {"dynamics": dynamics, "gates": gates, "robustness": robustness,
+MODULES = {"dynamics": dynamics, "gates": gates, "report": report, "robustness": robustness,
            "rulespace": rulespace, "spectral": spectral}
 GROUPINGS = ("five-class", "three-class")
 
@@ -288,6 +290,10 @@ def test_run_all_computes_each_result_once(tmp_path):
         assert memo.cache_info().misses <= distinct_cycles, memo
     # T3A, T3B and the stats report share two tallies (V1, two groupings).
     assert len(rulespace._transition_tallies) == 2
+    # T4 and the stats report share one quadrant table, and each default
+    # (synchronous) variant is built once.
+    assert report._quadrant_counts.cache_info().misses == 1
+    assert dynamics._default_variant.cache_info().misses <= len(VARIANT_TAGS)
 
 
 def test_importing_the_cli_leaves_the_atlas_empty():

@@ -4,6 +4,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from mpnspace import (
@@ -69,6 +70,27 @@ def test_charpoly_spot_values():
         1, 0, 0, 0, -1]
     assert charpoly_oracle(transition_matrix(rule_from_number(1), v1)) == [
         1, -2, 0, 2, -1]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 0], [0, 1]],
+    [[1 if i == j else 0 for j in range(5)] for i in range(5)],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "1000010000100001",
+    None,
+], ids=["2x2", "5x5", "3_rows", "ragged", "float", "bool", "entry_2", "string", "none"])
+def test_charpoly_oracle_rejects_malformed_matrices(matrix):
+    with pytest.raises(ValueError):
+        charpoly_oracle(matrix)
+
+
+def test_charpoly_oracle_accepts_lists_and_tuples():
+    T = transition_matrix(rule_from_number(8), variant("V1"))
+    assert charpoly_oracle([list(row) for row in T]) == charpoly_oracle(T) == [1, 0, 0, 0, -1]
 
 
 def test_spectrum_phases_for_four_cycle():

@@ -1,0 +1,167 @@
+"""What importing the package costs and what its output records are.
+
+``import mpnspace.cli`` loads only what every command needs: the
+stdlib modules that one command or one export format uses are imported
+inside the functions that use them.  The nine frozen output records are
+``typing.NamedTuple`` classes; across the whole universe they keep the
+``Name(field=value, ...)`` repr, compare and hash by field values,
+refuse attribute assignment, and behave as the tuples of their fields.
+"""
+
+import os
+import subprocess
+import sys
+from collections.abc import Mapping
+from fractions import Fraction
+
+import pytest
+
+import mpnspace
+from mpnspace import (
+    GATES,
+    METRIC_KINDS,
+    MUTATION_TARGET_CHOICES,
+    VARIANT_TAGS,
+    AttractorSet,
+    DynamicsClass,
+    Gate,
+    Histogram,
+    RobustnessScore,
+    SignPredicates,
+    Spectrum,
+    TransitionCounts,
+    UpdateMode,
+    all_rules,
+    attractor_set,
+    class_robustness,
+    class_transition_counts,
+    classify,
+    fisher_exact,
+    gate_pair,
+    odds_ratio,
+    pearson,
+    robustness_distribution,
+    score,
+    sign_predicates,
+    spearman,
+    spectrum,
+    variant,
+)
+from mpnspace.report import quadrant_counts
+
+# Bound by attribute: a test module global named Test* is collected by pytest.
+STATS_RESULT = mpnspace.TestResult
+
+DEFERRED_STDLIB = ("hashlib", "csv", "json", "cmath")
+
+ALL = all_rules()
+UNIVERSE = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
+
+FIELDS = {
+    AttractorSet: ("attractors", "basin", "steps_to_attractor"),
+    DynamicsClass: ("label", "cycle_lengths"),
+    Gate: ("name", "truth"),
+    SignPredicates: ("cross_positive", "cross_negative", "isolated_self_negation"),
+    TransitionCounts: ("labels", "matrix", "two_input_edges", "two_input_preserving",
+                       "low_arity_edges"),
+    RobustnessScore: ("rule", "metric", "numerator", "denominator"),
+    Histogram: ("edges", "counts", "rules_per_bin"),
+    STATS_RESULT: ("statistic", "p_value", "ci_low", "ci_high", "note"),
+    Spectrum: ("zero_count", "phases", "cycle_lengths"),
+}
+
+
+def _instances(cls):
+    """Every instance of ``cls`` the package hands out over the universe."""
+    if cls is AttractorSet:
+        return [attractor_set(r, v) for r in ALL for v in UNIVERSE]
+    if cls is DynamicsClass:
+        return [classify(r, v) for r in ALL for v in UNIVERSE]
+    if cls is Gate:
+        return list(GATES) + [g for r in ALL for v in UNIVERSE for g in gate_pair(r, v)]
+    if cls is SignPredicates:
+        return [sign_predicates(r) for r in ALL]
+    if cls is TransitionCounts:
+        return [class_transition_counts(v, grouping) for v in UNIVERSE
+                for grouping in ("five-class", "three-class")]
+    if cls is RobustnessScore:
+        return ([score(r, metric, targets) for r in ALL for metric in METRIC_KINDS
+                 for targets in MUTATION_TARGET_CHOICES]
+                + [class_robustness(r, v) for r in ALL for v in UNIVERSE])
+    if cls is Histogram:
+        edges = (Fraction(1, 2), Fraction(3, 4))
+        return [robustness_distribution("state-vs-rule-mutation", targets)
+                for targets in MUTATION_TARGET_CHOICES] + [
+                robustness_distribution(metric, targets, edges)
+                for metric in METRIC_KINDS for targets in MUTATION_TARGET_CHOICES]
+    if cls is STATS_RESULT:
+        quad = quadrant_counts()
+        init = [float(score(r, "state-vs-init-perturbation").fraction) for r in ALL]
+        mut = [float(score(r, "state-vs-rule-mutation", "all").fraction) for r in ALL]
+        return [fisher_exact(quad), odds_ratio(quad), pearson(init, mut), spearman(init, mut),
+                fisher_exact(((0, 0), (3, 4))), odds_ratio(((0, 2), (3, 4)))]
+    if cls is Spectrum:
+        return [spectrum(r, v) for r in ALL for v in UNIVERSE]
+    raise AssertionError(cls)
+
+
+def _values(record):
+    return tuple(getattr(record, f) for f in FIELDS[type(record)])
+
+
+def _value_key(record):
+    """The field values in a hashable form (mappings as sorted items)."""
+    return tuple(tuple(sorted(v.items())) if isinstance(v, Mapping) else v
+                 for v in _values(record))
+
+
+def test_importing_the_cli_defers_one_command_stdlib_modules():
+    code = (
+        "import sys\n"
+        "import mpnspace.cli\n"
+        f"loaded = [m for m in {list(DEFERRED_STDLIB)!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(mpnspace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_output_record_repr_equality_and_immutability(cls):
+    records = _instances(cls)
+    assert records and all(type(x) is cls for x in records)
+    groups = {}
+    for x in records:
+        fields = ", ".join(f"{f}={getattr(x, f)!r}" for f in FIELDS[cls])
+        assert repr(x) == f"{cls.__name__}({fields})"
+        groups.setdefault(_value_key(x), []).append(x)
+        for f in FIELDS[cls]:
+            with pytest.raises(AttributeError):
+                setattr(x, f, getattr(x, f))
+        with pytest.raises(AttributeError):
+            x.extra = 1
+    firsts = [members[0] for members in groups.values()]
+    for first, members in zip(firsts, groups.values()):
+        rebuilt = cls(**dict(zip(FIELDS[cls], _values(first))))
+        assert all(x == rebuilt for x in members)
+        assert sum(first == other for other in firsts) == 1
+    if cls is AttractorSet:
+        # Basins are read-only mappings, which are unhashable.
+        with pytest.raises(TypeError):
+            hash(records[0])
+    else:
+        assert len(set(records)) == len(groups)
+        for first, members in zip(firsts, groups.values()):
+            assert {hash(x) for x in members} == {hash(cls(*_values(first)))}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_output_records_are_tuples_of_their_fields(cls):
+    x = _instances(cls)[0]
+    assert x._fields == FIELDS[cls]
+    assert tuple(x) == _values(x) and x == _values(x)
+    first, *_ = x
+    assert first == x[0] == getattr(x, FIELDS[cls][0])
