@@ -3,6 +3,8 @@ two-node threshold network rules under seven update variants, with
 table emitters, graph exports, robustness metrics, and exact statistics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dynamics import (
     CLASS_LABELS,
     VARIANT_TAGS,
@@ -104,4 +106,6 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Public names, without the submodules bound here by the imports above.
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -14,6 +14,7 @@ from . import robustness as rb
 from .dynamics import (
     VARIANT_TAGS,
     Rule,
+    UpdateMode,
     all_rules,
     attractor_set,
     classify,
@@ -22,7 +23,7 @@ from .dynamics import (
 )
 from .rulespace import build_rule_graph, export_graph
 
-MODE_CHOICES = ("synchronous", "x-first", "y-first")
+MODE_CHOICES = tuple(mode.value for mode in UpdateMode)
 
 GATE_NAME_NOTE = (
     "Gate names are ASCII: negation is spelled 'not' (notx, noty, "
@@ -111,14 +112,7 @@ def robustness_cmd(metric: str, targets: str, distribution: bool):
             )
         import json
 
-        hist = rb.robustness_distribution(metric, targets)
-        payload = {
-            "metric": metric,
-            "targets": targets,
-            "edges": [f"{e.numerator}/{e.denominator}" for e in hist.edges],
-            "counts": list(hist.counts),
-            "rules_per_bin": [list(b) for b in hist.rules_per_bin],
-        }
+        payload = {"metric": metric, "targets": targets, **report.distribution_payload(targets)}
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
         return
     click.echo("rule,numerator,denominator,value")

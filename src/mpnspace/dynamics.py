@@ -65,25 +65,26 @@ class ZeroSum(Enum):
     INCREMENT = "increment"
 
 
-_VARIANT_VALUES = {
-    "V1": (-1, 1),
-    "V2": (-1, 1),
-    "V3": (-1, 1),
-    "V4": (0, 1),
-    "V5": (0, 1),
-    "V6": (0, 1),
-    "V7": (0, 1),
+# Per tag: the (low, high) node values and the zero-sum treatment.
+_VARIANT_CONVENTIONS = {
+    "V1": (-1, 1, ZeroSum.HOLD),
+    "V2": (-1, 1, ZeroSum.HIGH),
+    "V3": (-1, 1, ZeroSum.LOW),
+    "V4": (0, 1, ZeroSum.HOLD),
+    "V5": (0, 1, ZeroSum.HIGH),
+    "V6": (0, 1, ZeroSum.LOW),
+    "V7": (0, 1, ZeroSum.INCREMENT),
 }
 
-_VARIANT_ZERO = {
-    "V1": ZeroSum.HOLD,
-    "V2": ZeroSum.HIGH,
-    "V3": ZeroSum.LOW,
-    "V4": ZeroSum.HOLD,
-    "V5": ZeroSum.HIGH,
-    "V6": ZeroSum.LOW,
-    "V7": ZeroSum.INCREMENT,
-}
+# Rule numbering: the weights (wxx, wxy, wyx, wyy), each shifted to
+# 0..2, are the base-3 digits of the rule number minus one, with these
+# place values.  A weight step of +-1 therefore moves the number by the
+# weight's place value.
+_PLACE_VALUES = (27, 9, 3, 1)
+
+
+def _rule_number(weights: tuple[int, int, int, int]) -> int:
+    return 1 + sum(p * (w + 1) for p, w in zip(_PLACE_VALUES, weights))
 
 
 @dataclass(frozen=True, order=True)
@@ -113,9 +114,7 @@ class Rule:
             # ints and would otherwise share memo entries with them.
             if type(w) is not int or w not in (-1, 0, 1):
                 raise ValueError(f"weights must be the ints -1, 0, or +1, got {w!r}")
-        a, b, c, d = self.weights
-        object.__setattr__(self, "number",
-                           27 * (a + 1) + 9 * (b + 1) + 3 * (c + 1) + (d + 1) + 1)
+        object.__setattr__(self, "number", _rule_number(self.weights))
 
     @property
     def weights(self) -> tuple[int, int, int, int]:
@@ -143,8 +142,7 @@ class Rule:
 
 @functools.cache
 def _rule_of_number(r: int) -> Rule:
-    m = r - 1
-    return Rule(m // 27 - 1, (m // 9) % 3 - 1, (m // 3) % 3 - 1, m % 3 - 1)
+    return Rule(*((r - 1) // p % 3 - 1 for p in _PLACE_VALUES))
 
 
 def rule_from_number(r: int) -> Rule:
@@ -189,15 +187,15 @@ class Variant:
 
     @property
     def low(self) -> int:
-        return _VARIANT_VALUES[self.tag][0]
+        return _VARIANT_CONVENTIONS[self.tag][0]
 
     @property
     def high(self) -> int:
-        return _VARIANT_VALUES[self.tag][1]
+        return _VARIANT_CONVENTIONS[self.tag][1]
 
     @property
     def zero_sum(self) -> ZeroSum:
-        return _VARIANT_ZERO[self.tag]
+        return _VARIANT_CONVENTIONS[self.tag][2]
 
     def with_mode(self, mode: UpdateMode) -> "Variant":
         return Variant(self.tag, mode, self.epsilon)

@@ -38,11 +38,10 @@ from .dynamics import (
     variant,
 )
 from .gates import gate_pair, sign_predicates
-from .rulespace import build_rule_graph, class_transition_counts, export_graph
+from .rulespace import _three_class_group, build_rule_graph, class_transition_counts, export_graph
 from .spectral import charpoly_from_cycles, spectrum_from_cycles
 from .transforms import gauge, reduce_rules, t12
 
-TABLE_IDS = ("T1", "T2", "T3A", "T3B", "T4", "TA1", "TA2", "robustness", "spectra")
 FORMATS = ("csv", "tsv", "markdown", "json")
 
 # External reference values the statistics report compares against.
@@ -104,8 +103,14 @@ def _class_cell(rule: Rule, vt: dict, column: str, warnings: list[str]) -> str:
     return labels[0]
 
 
-def _transform_numbers(rule: Rule) -> tuple[int, int, int]:
-    return (t12(rule).number, gauge(rule).number, t12(gauge(rule)).number)
+# Leading columns of T1, TA1 and T2: the rule, its weights, and the
+# numbers of its images under node swap, sign flip, and both.
+_RULE_COLUMNS = ("rule", "wxx", "wxy", "wyx", "wyy", "t12", "gauge", "t12_gauge")
+
+
+def _rule_cells(rule: Rule) -> list[str]:
+    return [str(rule.number), *map(str, rule.weights),
+            *(str(image.number) for image in (t12(rule), gauge(rule), t12(gauge(rule))))]
 
 
 def _t12_representatives(arities: tuple[int, ...]) -> list[Rule]:
@@ -121,15 +126,10 @@ def _dynamics_table(table_id: str, arities: tuple[int, ...],
     warnings: list[str] = []
     vt = _variant_table()
     rows = [
-        [str(r.number), *map(str, r.weights), *map(str, _transform_numbers(r)),
-         *(_class_cell(r, vt, column, warnings) for column in columns)]
+        [*_rule_cells(r), *(_class_cell(r, vt, column, warnings) for column in columns)]
         for r in _t12_representatives(arities)
     ]
-    doc = TableDocument(
-        table_id,
-        ("rule", "wxx", "wxy", "wyx", "wyy", "t12", "gauge", "t12_gauge", *columns),
-        rows,
-    )
+    doc = TableDocument(table_id, (*_RULE_COLUMNS, *columns), rows)
     if warnings:
         doc.metadata["warnings"] = warnings
     return doc
@@ -143,20 +143,16 @@ def build_ta1() -> TableDocument:
     return _dynamics_table("TA1", (0, 1), _TA1_COLUMNS)
 
 
+_TA2_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6")
+
+
 def build_ta2() -> TableDocument:
-    variants = [_default_variant(tag) for tag in ("V1", "V2", "V3", "V4", "V5", "V6")]
-    rows = []
-    for r in _t12_representatives((2,)):
-        cells = [str(r.number)]
-        for v in variants:
-            gx, gy = gate_pair(r, v)
-            cells.extend([gx.name, gy.name])
-        rows.append(cells)
+    variants = [_default_variant(tag) for tag in _TA2_TAGS]
+    rows = [[str(r.number), *(g.name for v in variants for g in gate_pair(r, v))]
+            for r in _t12_representatives((2,))]
     return TableDocument(
         "TA2",
-        ("rule",
-         "v1_x", "v1_y", "v2_x", "v2_y", "v3_x", "v3_y",
-         "v4_x", "v4_y", "v5_x", "v5_y", "v6_x", "v6_y"),
+        ("rule", *(f"{tag.lower()}_{node}" for tag in _TA2_TAGS for node in "xy")),
         rows,
     )
 
@@ -174,8 +170,7 @@ def build_t2() -> TableDocument:
         )
         gx, gy = gate_pair(r, v1)
         rows.append([
-            str(r.number), *map(str, r.weights),
-            *map(str, _transform_numbers(r)),
+            *_rule_cells(r),
             classify(r, v1).label,
             "+".join(str(m) for m in cls.members),
             gx.name, gy.name,
@@ -184,7 +179,7 @@ def build_t2() -> TableDocument:
         ])
     return TableDocument(
         "T2",
-        ("rule", "wxx", "wxy", "wyx", "wyy", "t12", "gauge", "t12_gauge",
+        (*_RULE_COLUMNS,
          "class_v1", "members", "gate_x", "gate_y",
          "cross_sign", "isolated_self_negation"),
         rows,
@@ -224,79 +219,63 @@ def build_t3b() -> TableDocument:
     return _transition_doc("T3B", "three-class")
 
 
-T4_GROUPS = ("fixed_point", "cycle2_or_mixed", "cycle4")
-
-
-def _t4_group(label: str) -> str:
-    if label.startswith("F"):
-        return "fixed_point"
-    if label in ("2C", "M"):
-        return "cycle2_or_mixed"
-    if label == "4C":
-        return "cycle4"
-    raise ValueError(f"no count-table group for class {label!r}")
+# The T4 row name of each three-class group, in row order.
+_T4_ROW_OF_GROUP = {"F": "fixed_point", "2C+M": "cycle2_or_mixed", "4C": "cycle4"}
+T4_GROUPS = tuple(_T4_ROW_OF_GROUP.values())
+# The quadrant table splits T4 at this edge: bins up to this index lie
+# below it, the later bins at or above it.
+_QUADRANT_EDGE = 2
 
 
 def _t4_bin_headers() -> tuple[str, ...]:
     e = [str(float(x)) for x in rb.ALL_TARGET_BIN_EDGES]
-    return (
-        f"below_{e[0]}",
-        f"from_{e[0]}_below_{e[1]}",
-        f"from_{e[1]}_below_{e[2]}",
-        f"from_{e[2]}_below_{e[3]}",
-        f"at_least_{e[3]}",
-    )
+    return (f"below_{e[0]}", *(f"from_{a}_below_{b}" for a, b in zip(e, e[1:])),
+            f"at_least_{e[-1]}")
 
 
 def t4_cells() -> dict[str, list[int]]:
     """Counts of rules per (V1 class group, all-neighbor robustness bin)."""
+    return {g: list(row) for g, row in zip(T4_GROUPS, _t4_cells())}
+
+
+@functools.cache
+def _t4_cells() -> tuple[tuple[int, ...], ...]:
     edges = rb.ALL_TARGET_BIN_EDGES
     cells = {g: [0] * (len(edges) + 1) for g in T4_GROUPS}
     v1 = _default_variant("V1")
     for r in all_rules():
-        group = _t4_group(classify(r, v1).label)
+        label = classify(r, v1).label
+        group = _T4_ROW_OF_GROUP.get(_three_class_group(label))
+        if group is None:
+            raise ValueError(f"no count-table group for class {label!r}")
         frac = rb.state_robustness_rule_mutation(r, "all").fraction
-        k = sum(1 for e in edges if frac >= e)
-        cells[group][k] += 1
-    return cells
+        cells[group][rb._bin_index(frac, edges)] += 1
+    return tuple(tuple(cells[g]) for g in T4_GROUPS)
 
 
 def quadrant_counts() -> tuple[tuple[int, int], tuple[int, int]]:
     """2x2 table: (fixed-point vs not) by (robustness below 0.821 vs not),
-    all-neighbor mutation metric over all 81 rules."""
-    return _quadrant_counts()
-
-
-@functools.cache
-def _quadrant_counts() -> tuple[tuple[int, int], tuple[int, int]]:
-    cut = rb.ALL_TARGET_BIN_EDGES[2]
-    n = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-    v1 = _default_variant("V1")
-    for r in all_rules():
-        fixed = _t4_group(classify(r, v1).label) == "fixed_point"
-        low = rb.state_robustness_rule_mutation(r, "all").fraction < cut
-        n[(fixed, low)] += 1
-    return ((n[(True, True)], n[(True, False)]), (n[(False, True)], n[(False, False)]))
+    all-neighbor mutation metric over all 81 rules, summed from T4's cells."""
+    fixed, *others = _t4_cells()
+    rest = [sum(col) for col in zip(*others)]
+    k = _QUADRANT_EDGE + 1
+    return ((sum(fixed[:k]), sum(fixed[k:])), (sum(rest[:k]), sum(rest[k:])))
 
 
 def build_t4() -> TableDocument:
     cells = t4_cells()
-    headers = _t4_bin_headers()
-    rows = []
-    for g in T4_GROUPS:
-        rows.append([g, *map(str, cells[g]), str(sum(cells[g]))])
-    totals = [sum(cells[g][k] for g in T4_GROUPS) for k in range(len(headers))]
-    rows.append(["total", *map(str, totals), str(sum(totals))])
+    totals = [sum(col) for col in zip(*cells.values())]
+    rows = [[g, *map(str, row), str(sum(row))] for g, row in (*cells.items(), ("total", totals))]
     quad = quadrant_counts()
     return TableDocument(
         "T4",
-        ("dynamics_group", *headers, "total"),
+        ("dynamics_group", *_t4_bin_headers(), "total"),
         rows,
         metadata={
             "metric": "state-vs-rule-mutation, all-neighbor convention, all 81 rules",
             "bin_edges": [_fmt_fraction(e) for e in rb.ALL_TARGET_BIN_EDGES],
             "quadrants": [list(quad[0]), list(quad[1])],
-            "quadrant_cut": _fmt_fraction(rb.ALL_TARGET_BIN_EDGES[2]),
+            "quadrant_cut": _fmt_fraction(rb.ALL_TARGET_BIN_EDGES[_QUADRANT_EDGE]),
         },
     )
 
@@ -365,6 +344,7 @@ _BUILDERS = {
     "robustness": build_robustness_table,
     "spectra": build_spectra_table,
 }
+TABLE_IDS = tuple(_BUILDERS)
 
 
 def build_table(table_id: str) -> TableDocument:
@@ -410,10 +390,8 @@ def emit_table(table_id: str, fmt: str = "csv") -> str:
     return render_table(build_table(table_id), fmt)
 
 
-def emit_state_graph(rule: Rule, v, fmt: str = "dot") -> str:
+def emit_state_graph(rule: Rule, v) -> str:
     """DOT digraph of the one-step map on the four states."""
-    if fmt != "dot":
-        raise ValueError(f"unknown state-graph format {fmt!r}")
     sts = states(v)
     aset = attractor_set(rule, v)
     nxt = successor_indices(rule, v)
@@ -426,6 +404,17 @@ def emit_state_graph(rule: Rule, v, fmt: str = "dot") -> str:
         lines.append(f"  s{i} -> s{nxt[i]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def distribution_payload(targets: str) -> dict:
+    """The state-vs-rule-mutation histogram for ``targets`` as JSON-ready
+    edges ("n/d" text), counts and rule numbers per bin."""
+    hist = rb.robustness_distribution("state-vs-rule-mutation", targets)
+    return {
+        "edges": [_fmt_fraction(e) for e in hist.edges],
+        "counts": list(hist.counts),
+        "rules_per_bin": [list(b) for b in hist.rules_per_bin],
+    }
 
 
 def _corr_block(pool_desc: str, xs, ys) -> dict:
@@ -459,21 +448,13 @@ def stats_report() -> dict:
     fisher_p = float(fisher.p_value)
     ref_p = REFERENCE["fisher_p"]
 
-    init_fracs = {
-        r.number: float(rb.state_robustness_init_perturbation(r).fraction)
-        for r in all_rules()
-    }
-    mut_all = {
-        r.number: float(rb.state_robustness_rule_mutation(r, "all").fraction)
-        for r in all_rules()
-    }
-    mut_two = {
-        r.number: float(rb.state_robustness_rule_mutation(r, "two-input").fraction)
-        for r in all_rules()
-        if r.arity == 2
-    }
-    pool81 = sorted(mut_all)
-    pool72 = sorted(mut_two)
+    # Per-rule scores in rule order: all 81 rules, then the 72 two-input rules.
+    rules = all_rules()
+    init_all = [float(rb.state_robustness_init_perturbation(r).fraction) for r in rules]
+    mut_all = [float(rb.state_robustness_rule_mutation(r, "all").fraction) for r in rules]
+    init_two = [x for r, x in zip(rules, init_all) if r.arity == 2]
+    mut_two = [float(rb.state_robustness_rule_mutation(r, "two-input").fraction)
+               for r in rules if r.arity == 2]
 
     counts = class_transition_counts(_default_variant("V1"), "five-class")
     preserving = sum(counts.matrix[i][i] for i in range(len(counts.labels)))
@@ -509,14 +490,14 @@ def stats_report() -> dict:
             "primary": _corr_block(
                 "all 81 rules; all-neighbor mutation metric vs "
                 "initial-state perturbation metric",
-                [init_fracs[n] for n in pool81],
-                [mut_all[n] for n in pool81],
+                init_all,
+                mut_all,
             ),
             "two_input_restriction": _corr_block(
                 "72 two-input rules; two-input mutation metric vs "
                 "initial-state perturbation metric",
-                [init_fracs[n] for n in pool72],
-                [mut_two[n] for n in pool72],
+                init_two,
+                mut_two,
             ),
             "note": (
                 "only the 81-rule all-neighbor dataset reproduces the "
@@ -557,18 +538,11 @@ def run_all(out_dir: str) -> dict:
     for table_id in TABLE_IDS:
         write(f"table_{table_id.lower()}.csv", emit_table(table_id, "csv"))
 
-    graph = build_rule_graph(include_robustness=True)
+    graph = build_rule_graph()
     for fmt, ext in (("dot", "dot"), ("csv", "csv"), ("json", "json")):
         write(f"rulespace.{ext}", export_graph(graph, fmt))
 
-    dists = {}
-    for targets in ("two-input", "all"):
-        hist = rb.robustness_distribution("state-vs-rule-mutation", targets)
-        dists[targets] = {
-            "edges": [_fmt_fraction(e) for e in hist.edges],
-            "counts": list(hist.counts),
-            "rules_per_bin": [list(b) for b in hist.rules_per_bin],
-        }
+    dists = {targets: distribution_payload(targets) for targets in rb.MUTATION_TARGET_CHOICES}
     write("robustness_distributions.json",
           json.dumps(dists, indent=2, sort_keys=True) + "\n")
 

@@ -27,7 +27,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import Rule, Variant, _default_variant, all_rules, attractor_set, classify, states
+from .dynamics import Rule, Variant, _default_variant, all_rules, attractor_set, classify
 from .rulespace import neighbors
 
 METRIC_KINDS = (
@@ -89,6 +89,12 @@ def _class_robustness(rule: Rule, v: Variant) -> RobustnessScore:
     return RobustnessScore(rule.number, "class-vs-rule-mutation", hits, len(nbs))
 
 
+# Unordered start-state pairs at Hamming distance 1.  State index
+# 2 * x + y holds one bit per node, so such a pair differs in one bit.
+_HAMMING1_STATE_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
+                              if i ^ j in (1, 2))
+
+
 @functools.cache
 def _limiting_state_sets(rule: Rule) -> tuple[frozenset[int], ...]:
     """For each start-state index, the attractor reached under V4 as a
@@ -131,16 +137,9 @@ def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
 @functools.cache
 def _state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
     own = _limiting_state_sets(rule)
-    sts = states(_default_variant("V4"))
-    pairs = [
-        (i, j)
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if sum(1 for a, b in zip(sts[i], sts[j]) if a != b) == 1
-    ]
-    hits = sum(1 for i, j in pairs if own[i] == own[j])
+    hits = sum(1 for i, j in _HAMMING1_STATE_PAIRS if own[i] == own[j])
     return RobustnessScore(
-        rule.number, "state-vs-init-perturbation", hits, len(pairs)
+        rule.number, "state-vs-init-perturbation", hits, len(_HAMMING1_STATE_PAIRS)
     )
 
 

@@ -23,7 +23,16 @@ import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dynamics import VARIANT_TAGS, Rule, Variant, _default_variant, all_rules, classify
+from .dynamics import (
+    _PLACE_VALUES,
+    VARIANT_TAGS,
+    Rule,
+    Variant,
+    _default_variant,
+    _rule_of_number,
+    all_rules,
+    classify,
+)
 
 FIVE_CLASS_ORDER = ("F4", "F2", "M", "2C", "4C")
 THREE_CLASS_ORDER = ("F", "2C+M", "4C")
@@ -36,16 +45,10 @@ def neighbors(rule: Rule) -> tuple[Rule, ...]:
 
 @functools.cache
 def _neighbors(rule: Rule) -> tuple[Rule, ...]:
-    out = []
-    w = list(rule.weights)
-    for i in range(4):
-        for delta in (-1, 1):
-            nv = w[i] + delta
-            if -1 <= nv <= 1:
-                w2 = w.copy()
-                w2[i] = nv
-                out.append(Rule(*w2))
-    return tuple(sorted(out, key=lambda r: r.number))
+    numbers = sorted(rule.number + delta * p
+                     for w, p in zip(rule.weights, _PLACE_VALUES)
+                     for delta in (-1, 1) if -1 <= w + delta <= 1)
+    return tuple(_rule_of_number(n) for n in numbers)
 
 
 def degree(rule: Rule) -> int:
@@ -176,27 +179,24 @@ class RuleGraph:
     """The 81-node mutation graph with per-rule attributes.
 
     ``nodes`` maps rule number to its attribute dict (arity, dynamics
-    class per synchronous variant, and the three robustness fractions
-    when requested); ``edges`` lists each undirected edge once as
-    (smaller, larger).
+    class per synchronous variant, and the three robustness fractions);
+    ``edges`` lists each undirected edge once as (smaller, larger).
     """
 
     nodes: dict[int, dict] = field(default_factory=dict)
     edges: tuple[tuple[int, int], ...] = ()
 
 
-def build_rule_graph(include_robustness: bool = True) -> RuleGraph:
+def build_rule_graph() -> RuleGraph:
     from . import robustness as _robustness  # deferred: robustness uses neighbors()
 
     variants = [_default_variant(tag) for tag in VARIANT_TAGS]
     nodes = {}
     for r in all_rules():
-        attrs = {
+        nodes[r.number] = {
             "arity": r.arity,
             "classes": {v.tag: classify(r, v).label for v in variants},
-        }
-        if include_robustness:
-            attrs["robustness"] = {
+            "robustness": {
                 "class_vs_rule_mutation": str(_robustness.class_robustness(r).fraction),
                 "state_vs_rule_mutation": str(
                     _robustness.state_robustness_rule_mutation(r).fraction
@@ -204,8 +204,8 @@ def build_rule_graph(include_robustness: bool = True) -> RuleGraph:
                 "state_vs_init_perturbation": str(
                     _robustness.state_robustness_init_perturbation(r).fraction
                 ),
-            }
-        nodes[r.number] = attrs
+            },
+        }
     edges = sorted(
         (r.number, nb.number)
         for r in all_rules()
@@ -252,7 +252,7 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def graph_from_csv(doc: str, include_robustness: bool = True) -> RuleGraph:
+def graph_from_csv(doc: str) -> RuleGraph:
     """Rebuild a rule graph from a csv edge list.
 
     Node attributes are recomputed (they are pure functions of the rule
@@ -265,7 +265,7 @@ def graph_from_csv(doc: str, include_robustness: bool = True) -> RuleGraph:
     for ln in lines[1:]:
         u, w = ln.split(",")
         edges.append((int(u), int(w)))
-    rebuilt = build_rule_graph(include_robustness=include_robustness)
+    rebuilt = build_rule_graph()
     if tuple(sorted(edges)) != rebuilt.edges:
         raise ValueError("edge list does not match the rule-space adjacency")
     return rebuilt

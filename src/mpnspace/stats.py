@@ -31,9 +31,14 @@ class TestResult(NamedTuple):
 
 
 def _check_table(t: Table2x2) -> tuple[int, int, int, int]:
-    (n11, n12), (n21, n22) = t
+    """The cells of a 2x2 table row by row, checked once per public call."""
+    try:
+        (n11, n12), (n21, n22) = t
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 2x2 table, got {t!r}") from None
     cells = (n11, n12, n21, n22)
-    if any(not isinstance(c, int) or c < 0 for c in cells):
+    # type() rather than isinstance: a bool is an int subclass.
+    if any(type(c) is not int or c < 0 for c in cells):
         raise ValueError("table cells must be non-negative integers")
     if sum(cells) < 1:
         raise ValueError("table must contain at least one observation")
@@ -54,11 +59,11 @@ def fisher_exact(t: Table2x2) -> TestResult:
     margins) at most as probable as the observed one.  Degenerate
     margins (an all-zero row or column) give p = 1 with a note.
     """
-    n11, n12, n21, n22 = _check_table(t)
+    n11, n12, n21, n22 = cells = _check_table(t)
     r1, r2 = n11 + n12, n21 + n22
     c1, c2 = n11 + n21, n12 + n22
     n = r1 + r2
-    odds = _sample_odds_ratio(t)
+    odds = _sample_odds_ratio(*cells)
     if 0 in (r1, r2, c1, c2):
         return TestResult(odds, Fraction(1), note="degenerate margins")
     k_min = max(0, r1 - c2)
@@ -72,8 +77,7 @@ def fisher_exact(t: Table2x2) -> TestResult:
     return TestResult(odds, p)
 
 
-def _sample_odds_ratio(t: Table2x2) -> float:
-    n11, n12, n21, n22 = _check_table(t)
+def _sample_odds_ratio(n11: int, n12: int, n21: int, n22: int) -> float:
     if n12 * n21 == 0:
         return math.inf if n11 * n22 > 0 else math.nan
     return (n11 * n22) / (n12 * n21)
@@ -81,8 +85,8 @@ def _sample_odds_ratio(t: Table2x2) -> float:
 
 def odds_ratio(t: Table2x2) -> TestResult:
     """Sample odds ratio with a Woolf 95% confidence interval."""
-    n11, n12, n21, n22 = _check_table(t)
-    est = _sample_odds_ratio(t)
+    n11, n12, n21, n22 = cells = _check_table(t)
+    est = _sample_odds_ratio(*cells)
     if 0 in (n11, n12, n21, n22):
         return TestResult(
             est, None, note="zero cell: interval undefined for the sample estimate"

@@ -22,17 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dynamics import Rule, Variant, _default_variant, all_rules
+from .dynamics import Rule, Variant, _default_variant, _rule_number, _rule_of_number, all_rules
 
 
 def t12(rule: Rule) -> Rule:
     """Swap the two node labels."""
-    return Rule(rule.wyy, rule.wyx, rule.wxy, rule.wxx)
+    return _rule_of_number(_rule_number((rule.wyy, rule.wyx, rule.wxy, rule.wxx)))
 
 
 def gauge(rule: Rule) -> Rule:
     """Flip the signs of both cross weights."""
-    return Rule(rule.wxx, -rule.wxy, -rule.wyx, rule.wyy)
+    return _rule_of_number(_rule_number((rule.wxx, -rule.wxy, -rule.wyx, rule.wyy)))
 
 
 TRANSFORMATIONS = {"T12": t12, "G": gauge}

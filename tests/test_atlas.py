@@ -34,6 +34,7 @@ from mpnspace import (
     class_transition_counts,
     classify,
     gate_pair,
+    gauge,
     identify_gate,
     node_truth_table,
     rule_from_number,
@@ -46,6 +47,7 @@ from mpnspace import (
     step,
     step_async,
     successor_indices,
+    t12,
     transition_matrix,
     variant,
 )
@@ -75,7 +77,7 @@ ATLAS_MEMOS = (
     "spectral._charpoly_of",
     "gates._gates_of",
     "dynamics._default_variant",
-    "report._quadrant_counts",
+    "report._t4_cells",
 )
 MODULES = {"dynamics": dynamics, "gates": gates, "report": report, "robustness": robustness,
            "rulespace": rulespace, "spectral": spectral}
@@ -261,6 +263,12 @@ def test_memoised_robustness_equals_plain_recomputation(number):
         sum(own[i] == own[j] for i, j in pairs), len(pairs))
 
 
+def test_transforms_and_neighbors_return_the_shared_rules():
+    for rule in ALL:
+        for image in (t12(rule), gauge(rule), *rulespace.neighbors(rule)):
+            assert image is rule_from_number(image.number), (rule.number, image)
+
+
 def test_epsilon_class_robustness_is_not_memoised_by_key():
     rule = rule_from_number(8)
     expected = class_robustness(rule, variant("V2"))
@@ -290,9 +298,9 @@ def test_run_all_computes_each_result_once(tmp_path):
         assert memo.cache_info().misses <= distinct_cycles, memo
     # T3A, T3B and the stats report share two tallies (V1, two groupings).
     assert len(rulespace._transition_tallies) == 2
-    # T4 and the stats report share one quadrant table, and each default
-    # (synchronous) variant is built once.
-    assert report._quadrant_counts.cache_info().misses == 1
+    # T4 and the stats report's quadrant table share one pass over the T4
+    # cells, and each default (synchronous) variant is built once.
+    assert report._t4_cells.cache_info().misses == 1
     assert dynamics._default_variant.cache_info().misses <= len(VARIANT_TAGS)
 
 

@@ -7,6 +7,7 @@ import pytest
 from mpnspace import (
     GATE_NAMES,
     GATES_BY_NAME,
+    Variant,
     all_rules,
     classify,
     gate_pair,
@@ -97,6 +98,22 @@ def test_no_parity_gate_under_any_variant():
     for r, tag in itertools.product(ALL, GATE_TAGS + ("V7",)):
         for g in gate_pair(r, variant(tag)):
             assert g.name not in ("XOR", "NXOR"), (r.number, tag)
+
+
+def test_sequential_gate_pair_builds_no_variant(monkeypatch):
+    rule, v = rule_from_number(8), variant("V2", "x-first")
+    expected = gate_pair(rule, variant("V2"))
+    gate_pair(rule, v)  # first use may build the shared synchronous V2
+    built = []
+    post_init = Variant.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Variant, "__post_init__", counted)
+    assert gate_pair(rule, v) == expected
+    assert built == []
 
 
 def test_canalization_tiers():

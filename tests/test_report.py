@@ -120,11 +120,6 @@ def test_state_graph_hold_variant_funnel():
     assert '[label="(0,1)" shape=doublecircle]' in dot
 
 
-def test_state_graph_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        emit_state_graph(rule_from_number(8), variant("V1"), fmt="svg")
-
-
 def test_stats_report_reference_comparisons():
     sr = stats_report()
     fisher = sr["fisher"]

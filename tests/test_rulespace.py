@@ -138,7 +138,7 @@ def test_edge_of_chaos_witnesses():
 
 
 def test_rule_graph_nodes_and_annotations():
-    graph = build_rule_graph(include_robustness=True)
+    graph = build_rule_graph()
     assert len(graph.nodes) == 81
     assert len(graph.edges) == 216
     node8 = graph.nodes[8]

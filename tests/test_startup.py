@@ -1,4 +1,5 @@
-"""What importing the package costs and what its output records are.
+"""What importing the package costs, what it exports, and what its
+output records are.
 
 ``import mpnspace.cli`` loads only what every command needs: the
 stdlib modules that one command or one export format uses are imported
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
@@ -127,6 +129,12 @@ def test_importing_the_cli_defers_one_command_stdlib_modules():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_all_exports_no_submodule():
+    exported = {name: getattr(mpnspace, name) for name in mpnspace.__all__}
+    assert not [name for name, obj in exported.items() if isinstance(obj, ModuleType)]
+    assert {"classify", "run_all", "TestResult", "neighbors"} <= exported.keys()
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)

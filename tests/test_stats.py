@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import scipy.stats
 
-from mpnspace import fisher_exact, odds_ratio, pearson, rankdata, spearman
+from mpnspace import fisher_exact, odds_ratio, pearson, rankdata, spearman, stats
 
 QUADRANTS = ((27, 21), (28, 5))
 
@@ -38,6 +38,27 @@ def test_fisher_rejects_bad_tables():
         fisher_exact(((1, 2), (3,)))
     with pytest.raises(ValueError):
         fisher_exact(((-1, 2), (3, 4)))
+
+
+@pytest.mark.parametrize("table", [
+    ((True, 0), (0, 1)),
+    ((1.0, 2), (3, 4)),
+    5,
+    None,
+])
+@pytest.mark.parametrize("test", [fisher_exact, odds_ratio])
+def test_2x2_tests_reject_anything_but_a_table_of_counts(test, table):
+    with pytest.raises(ValueError):
+        test(table)
+
+
+@pytest.mark.parametrize("test", [fisher_exact, odds_ratio])
+def test_2x2_tests_check_their_table_once(test, monkeypatch):
+    calls = []
+    check = stats._check_table
+    monkeypatch.setattr(stats, "_check_table", lambda t: calls.append(t) or check(t))
+    test(QUADRANTS)
+    assert calls == [QUADRANTS]
 
 
 @pytest.mark.parametrize("table", [
