@@ -25,7 +25,6 @@ from .dynamics import (
     states,
     step,
     step_async,
-    step_function,
     successor_indices,
     variant,
 )

@@ -7,7 +7,9 @@ unexpected internal failures.
 
 from __future__ import annotations
 
-import click
+import argparse
+import functools
+import os
 
 from . import report
 from . import robustness as rb
@@ -32,112 +34,152 @@ GATE_NAME_NOTE = (
 )
 
 
-@click.group()
-def main():
-    """Enumerate, simulate, and classify the 81 two-node threshold
-    network rules under seven update variants."""
-
-
-@main.command(name="classify")
-@click.argument("rule_number", type=click.IntRange(1, 81), metavar="RULE")
-@click.argument("variant_tag", type=click.Choice(VARIANT_TAGS, case_sensitive=False),
-                metavar="VARIANT")
-@click.option("--mode", type=click.Choice(MODE_CHOICES), default="synchronous",
-              show_default=True, help="Update order within one time step.")
-def classify_cmd(rule_number: int, variant_tag: str, mode: str):
+def classify_cmd(ns: argparse.Namespace) -> None:
     """Classify RULE (1..81) under VARIANT (V1..V7)."""
-    rule = Rule.from_number(rule_number)
-    v = variant(variant_tag, mode)
+    rule = Rule.from_number(ns.rule_number)
+    v = variant(ns.variant_tag, ns.mode)
     aset = attractor_set(rule, v)
     cls = classify(rule, v)
-    click.echo(f"rule: {rule.number}  weights: {rule.weights}")
-    click.echo(f"variant: {v.tag} ({mode})")
-    click.echo(f"class: {cls.label}")
-    click.echo("cycle lengths: " + ",".join(str(p) for p in aset.cycle_lengths))
+    print(f"rule: {rule.number}  weights: {rule.weights}")
+    print(f"variant: {v.tag} ({ns.mode})")
+    print(f"class: {cls.label}")
+    print("cycle lengths: " + ",".join(str(p) for p in aset.cycle_lengths))
     for k, cyc in enumerate(aset.attractors, start=1):
         path = " -> ".join(str(state_from_index(v, i)) for i in cyc)
-        click.echo(f"attractor {k}: {path}")
-    click.echo(f"longest transient: {aset.max_transient}")
+        print(f"attractor {k}: {path}")
+    print(f"longest transient: {aset.max_transient}")
 
 
-@main.command(name="table", epilog=GATE_NAME_NOTE)
-@click.argument("table_id",
-                type=click.Choice(report.TABLE_IDS, case_sensitive=False),
-                metavar="ID")
-@click.option("--format", "fmt", type=click.Choice(report.FORMATS),
-              default="csv", show_default=True)
-def table_cmd(table_id: str, fmt: str):
+def table_cmd(ns: argparse.Namespace) -> None:
     """Emit table ID (T1, T2, T3A, T3B, T4, TA1, TA2, robustness, spectra)."""
-    click.echo(report.emit_table(table_id, fmt), nl=False)
+    print(report.emit_table(ns.table_id, ns.fmt), end="")
 
 
-@main.command(name="state-graph")
-@click.argument("rule_number", type=click.IntRange(1, 81), metavar="RULE")
-@click.argument("variant_tag", type=click.Choice(VARIANT_TAGS, case_sensitive=False),
-                metavar="VARIANT")
-def state_graph_cmd(rule_number: int, variant_tag: str):
+def state_graph_cmd(ns: argparse.Namespace) -> None:
     """Emit the 4-state one-step map of RULE under VARIANT as DOT."""
-    rule = Rule.from_number(rule_number)
-    click.echo(report.emit_state_graph(rule, variant(variant_tag)), nl=False)
+    rule = Rule.from_number(ns.rule_number)
+    print(report.emit_state_graph(rule, variant(ns.variant_tag)), end="")
 
 
-@main.group(name="rulespace")
-def rulespace_grp():
-    """Operations on the 81-node rule graph."""
-
-
-@rulespace_grp.command(name="export")
-@click.option("--format", "fmt", type=click.Choice(("dot", "csv", "json")),
-              default="dot", show_default=True)
-def rulespace_export_cmd(fmt: str):
+def rulespace_export_cmd(ns: argparse.Namespace) -> None:
     """Export the rule graph (nodes annotated with class and robustness)."""
-    click.echo(export_graph(build_rule_graph(), fmt), nl=False)
+    print(export_graph(build_rule_graph(), ns.fmt), end="")
 
 
-@main.command(name="robustness")
-@click.option("--metric", type=click.Choice(rb.METRIC_KINDS),
-              default="state-vs-rule-mutation", show_default=True)
-@click.option("--targets", type=click.Choice(rb.MUTATION_TARGET_CHOICES),
-              default="two-input", show_default=True,
-              help="Mutation pool for the state-vs-rule-mutation metric.")
-@click.option("--distribution", is_flag=True,
-              help="Print the binned distribution (state-vs-rule-mutation "
-                   "only) instead of per-rule scores.")
-def robustness_cmd(metric: str, targets: str, distribution: bool):
+def robustness_cmd(ns: argparse.Namespace) -> None:
     """Per-rule robustness scores, or a binned distribution."""
-    if distribution:
-        if metric != "state-vs-rule-mutation":
-            raise click.UsageError(
-                "--distribution requires --metric state-vs-rule-mutation"
-            )
+    if ns.distribution:
+        if ns.metric != "state-vs-rule-mutation":
+            ns.usage_error("--distribution requires --metric state-vs-rule-mutation")
         import json
 
-        payload = {"metric": metric, "targets": targets, **report.distribution_payload(targets)}
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        payload = {"metric": ns.metric, "targets": ns.targets,
+                   **report.distribution_payload(ns.targets)}
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return
-    click.echo("rule,numerator,denominator,value")
+    print("rule,numerator,denominator,value")
     for r in all_rules():
-        sc = rb.score(r, metric, targets)
-        click.echo(f"{sc.rule},{sc.numerator},{sc.denominator},"
-                   f"{float(sc.fraction):.6f}")
+        sc = rb.score(r, ns.metric, ns.targets)
+        print(f"{sc.rule},{sc.numerator},{sc.denominator},{float(sc.fraction):.6f}")
 
 
-@main.command(name="stats")
-def stats_cmd():
+def stats_cmd(ns: argparse.Namespace) -> None:
     """Statistics report with reference-value comparison flags."""
     import json
 
-    click.echo(json.dumps(report.stats_report(), indent=2, sort_keys=True))
+    print(json.dumps(report.stats_report(), indent=2, sort_keys=True))
 
 
-@main.command(name="all")
-@click.option("--out", "out_dir", required=True,
-              type=click.Path(file_okay=False), metavar="DIR")
-def all_cmd(out_dir: str):
+def all_cmd(ns: argparse.Namespace) -> None:
     """Write every table, export, and report into DIR with a manifest."""
-    manifest = report.run_all(out_dir)
-    click.echo(f"wrote {manifest['file_count']} files to {out_dir} "
-               f"(hashes in manifest.json)")
+    manifest = report.run_all(ns.out_dir)
+    print(f"wrote {manifest['file_count']} files to {ns.out_dir} (hashes in manifest.json)")
+
+
+def _rule_number(text: str) -> int:
+    try:
+        if 1 <= int(text) <= 81:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer in 1..81")
+
+
+def _any_case(choices: tuple[str, ...]):
+    """Map any spelling of a choice to its canonical one; the parser's
+    ``choices`` check rejects anything else."""
+    canonical = {c.lower(): c for c in choices}
+    return lambda text: canonical.get(text.lower(), text)
+
+
+def _directory(text: str) -> str:
+    if os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a file")
+    return text
+
+
+# Cached for callers that run several commands in one process.
+@functools.cache
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Enumerate, simulate, and classify the 81 two-node threshold "
+                    "network rules under seven update variants.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name: str, run, group=commands, **kwargs) -> argparse.ArgumentParser:
+        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__,
+                               allow_abbrev=False, **kwargs)
+        sub.set_defaults(run=run)
+        return sub
+
+    def rule_and_variant(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("rule_number", type=_rule_number, metavar="RULE")
+        sub.add_argument("variant_tag", type=_any_case(VARIANT_TAGS), choices=VARIANT_TAGS,
+                         metavar="VARIANT")
+
+    sub = command("classify", classify_cmd)
+    rule_and_variant(sub)
+    sub.add_argument("--mode", choices=MODE_CHOICES, default="synchronous",
+                     help="Update order within one time step (default: %(default)s).")
+
+    sub = command("table", table_cmd, epilog=GATE_NAME_NOTE)
+    sub.add_argument("table_id", type=_any_case(report.TABLE_IDS), choices=report.TABLE_IDS,
+                     metavar="ID")
+    sub.add_argument("--format", dest="fmt", choices=report.FORMATS, default="csv",
+                     help="Output format (default: %(default)s).")
+
+    rule_and_variant(command("state-graph", state_graph_cmd))
+
+    sub = commands.add_parser("rulespace", help="Operations on the 81-node rule graph.",
+                              allow_abbrev=False)
+    actions = sub.add_subparsers(dest="action", metavar="ACTION", required=True)
+    sub = command("export", rulespace_export_cmd, actions)
+    sub.add_argument("--format", dest="fmt", choices=("dot", "csv", "json"), default="dot",
+                     help="Output format (default: %(default)s).")
+
+    sub = command("robustness", robustness_cmd)
+    sub.add_argument("--metric", choices=rb.METRIC_KINDS, default="state-vs-rule-mutation",
+                     help="Robustness metric (default: %(default)s).")
+    sub.add_argument("--targets", choices=rb.MUTATION_TARGET_CHOICES, default="two-input",
+                     help="Mutation pool for the state-vs-rule-mutation metric "
+                          "(default: %(default)s).")
+    sub.add_argument("--distribution", action="store_true",
+                     help="Print the binned distribution (state-vs-rule-mutation only) "
+                          "instead of per-rule scores.")
+    sub.set_defaults(usage_error=sub.error)
+
+    command("stats", stats_cmd)
+    command("all", all_cmd).add_argument("--out", dest="out_dir", required=True,
+                                         type=_directory, metavar="DIR")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command; always ends by raising ``SystemExit``."""
+    ns = _parser(prog_name or "mpnspace").parse_args(args)
+    ns.run(ns)
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

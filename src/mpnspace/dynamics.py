@@ -35,7 +35,6 @@ once per time index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -87,38 +86,85 @@ def _rule_number(weights: tuple[int, int, int, int]) -> int:
     return 1 + sum(p * (w + 1) for p, w in zip(_PLACE_VALUES, weights))
 
 
-@dataclass(frozen=True, order=True)
-class Rule:
+_setattr = object.__setattr__
+
+
+class _Record:
+    """A slotted record: repr and ``==`` over the values of ``_fields``
+    (within one class); unhashable, as its fields may be reassigned."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class _FrozenRecord(_Record):
+    """A record set once, in ``__init__``, hashing like its field values."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Rule(_FrozenRecord):
     """The four coupling weights of a two-node network.
 
     ``wxx`` weighs node x's own value in the update of x, ``wxy`` weighs
     node y's value in the update of x, and symmetrically ``wyx``/``wyy``
     for the update of y.  Each weight is -1, 0, or +1, giving 81 rules.
-    ``number`` is the canonical rule number in 1..81 (base-3 encoding of
-    the weights), derived once at construction and left out of repr,
-    equality, ordering and hashing.
+    ``weights`` is the tuple of the four, and ``number`` the canonical
+    rule number in 1..81 (base-3 encoding of the weights), both derived
+    once at construction.  Rules compare, order and hash by their
+    weights alone.
     """
 
-    wxx: int
-    wxy: int
-    wyx: int
-    wyy: int
-    # Set in __post_init__ rather than cached on first read: writing it
-    # later turns the instance's inline attribute values into a dict and
-    # slows every field read.
-    number: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("wxx", "wxy", "wyx", "wyy", "weights", "number")
+    _fields = __match_args__ = ("wxx", "wxy", "wyx", "wyy")
+
+    def __init__(self, wxx: int, wxy: int, wyx: int, wyy: int):
+        _setattr(self, "weights", (wxx, wxy, wyx, wyy))
+        self.__post_init__()
 
     def __post_init__(self):
-        for w in self.weights:
+        for name, w in zip(self._fields, self.weights):
             # type() rather than isinstance: bools and floats hash like
             # ints and would otherwise share memo entries with them.
             if type(w) is not int or w not in (-1, 0, 1):
                 raise ValueError(f"weights must be the ints -1, 0, or +1, got {w!r}")
-        object.__setattr__(self, "number", _rule_number(self.weights))
+            _setattr(self, name, w)
+        _setattr(self, "number", _rule_number(self.weights))
 
-    @property
-    def weights(self) -> tuple[int, int, int, int]:
-        return (self.wxx, self.wxy, self.wyx, self.wyy)
+    def _values(self) -> tuple[int, int, int, int]:
+        return self.weights
+
+    # > and >= reflect to these.
+    def __lt__(self, other):
+        return self.weights < other.weights if other.__class__ is Rule else NotImplemented
+
+    def __le__(self, other):
+        return self.weights <= other.weights if other.__class__ is Rule else NotImplemented
 
     @classmethod
     def from_number(cls, r: int) -> "Rule":
@@ -160,8 +206,7 @@ def all_rules() -> tuple[Rule, ...]:
     return tuple(_rule_of_number(r) for r in range(1, 82))
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(_FrozenRecord):
     """One update scheme: a tag V1..V7, an update mode, optional epsilon.
 
     ``epsilon`` selects the shifted-threshold formulation and is only
@@ -169,9 +214,14 @@ class Variant:
     fire high) and V3 (shifted up, so zero sums fall low).
     """
 
-    tag: str
-    mode: UpdateMode = UpdateMode.SYNCHRONOUS
-    epsilon: Fraction | float | None = None
+    __slots__ = _fields = __match_args__ = ("tag", "mode", "epsilon")
+
+    def __init__(self, tag: str, mode: UpdateMode = UpdateMode.SYNCHRONOUS,
+                 epsilon: Fraction | float | None = None):
+        _setattr(self, "tag", tag)
+        _setattr(self, "mode", mode)
+        _setattr(self, "epsilon", epsilon)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.tag not in VARIANT_TAGS:
@@ -216,6 +266,22 @@ def _default_variant(tag: str) -> Variant:
     """The synchronous variant ``tag``, built once per process on first
     use and shared by every caller that falls back to it."""
     return Variant(tag)
+
+
+def _per_variant(memo: dict, compute, v: Variant | None, *args):
+    """``compute(v, *args)`` with ``v`` defaulting to the synchronous V1,
+    memoised in ``memo`` by (tag, mode, *args) so the memo keeps no
+    Variant alive.  Epsilon variants are computed afresh: their epsilons
+    are unbounded (the successor-tuple views below them are shared)."""
+    if v is None:
+        v = _default_variant("V1")
+    if v.epsilon is not None:
+        return compute(v, *args)
+    key = (v.tag, v.mode, *args)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = compute(v, *args)
+    return result
 
 
 def states(v: Variant) -> tuple[tuple[int, int], ...]:
@@ -299,18 +365,11 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
     return _sweep(rule.weights, _node_update(v), order, *s)
 
 
-def step_function(rule: Rule, v: Variant):
-    """The one-step map on joint states implied by the variant's mode."""
-    if v.mode is UpdateMode.SYNCHRONOUS:
-        return lambda s: step(rule, v, s)
-    return lambda s: step_async(rule, v, v.mode, s)
-
-
 # The atlas: memo tables filled on first use, never at import.  Every
 # (rule, tag, mode) key maps to one of at most 4**4 successor tuples,
 # each stored once (``_interned``), and everything downstream of the
 # one-step map is keyed by that tuple.  Keys are plain ints, strings and
-# enum members, so a lookup runs no dataclass __eq__ and keeps no Rule
+# enum members, so a lookup runs no Rule or Variant __eq__ and keeps no Rule
 # or Variant alive.  Results handed out are immutable.
 _successors: dict[tuple, tuple[int, int, int, int]] = {}
 _interned: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}

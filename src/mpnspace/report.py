@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import robustness as rb
@@ -30,6 +29,7 @@ from .dynamics import (
     UpdateMode,
     Variant,
     _default_variant,
+    _Record,
     all_rules,
     attractor_set,
     classify,
@@ -54,12 +54,18 @@ REFERENCE = {
 }
 
 
-@dataclass
-class TableDocument:
-    table_id: str
-    columns: tuple[str, ...]
-    rows: list[list[str]]
-    metadata: dict = field(default_factory=dict)
+class TableDocument(_Record):
+    """One built table: its id, column names, rows of cell strings and
+    metadata (notes, conventions, merge-check warnings)."""
+
+    __slots__ = _fields = __match_args__ = ("table_id", "columns", "rows", "metadata")
+
+    def __init__(self, table_id: str, columns: tuple[str, ...], rows: list[list[str]],
+                 metadata: dict | None = None):
+        self.table_id = table_id
+        self.columns = columns
+        self.rows = rows
+        self.metadata = {} if metadata is None else metadata
 
 
 def _fmt_fraction(f: Fraction) -> str:

@@ -27,7 +27,15 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import Rule, Variant, _default_variant, all_rules, attractor_set, classify
+from .dynamics import (
+    Rule,
+    Variant,
+    _default_variant,
+    _per_variant,
+    all_rules,
+    attractor_set,
+    classify,
+)
 from .rulespace import neighbors
 
 METRIC_KINDS = (
@@ -63,26 +71,16 @@ class RobustnessScore(NamedTuple):
         return Fraction(self.numerator, self.denominator)
 
 
-# Keyed by (rule, tag, mode) rather than by the Variant, so the memo
-# retains no Variant objects.
+# Keyed by (tag, mode, rule): see dynamics._per_variant.
 _class_scores: dict[tuple, RobustnessScore] = {}
 
 
 def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
     """Fraction of neighbors with the same dynamics-class label."""
-    if v is None:
-        v = _default_variant("V1")
-    if v.epsilon is not None:
-        # Not memoised by key: epsilons are unbounded (classes still are).
-        return _class_robustness(rule, v)
-    key = (rule, v.tag, v.mode)
-    sc = _class_scores.get(key)
-    if sc is None:
-        sc = _class_scores[key] = _class_robustness(rule, v)
-    return sc
+    return _per_variant(_class_scores, _class_robustness, v, rule)
 
 
-def _class_robustness(rule: Rule, v: Variant) -> RobustnessScore:
+def _class_robustness(v: Variant, rule: Rule) -> RobustnessScore:
     own = classify(rule, v).label
     nbs = neighbors(rule)
     hits = sum(1 for nb in nbs if classify(nb, v).label == own)

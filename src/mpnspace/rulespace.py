@@ -20,7 +20,6 @@ headline "fraction of mutations preserving the class" figure uses.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dynamics import (
@@ -29,6 +28,8 @@ from .dynamics import (
     Rule,
     Variant,
     _default_variant,
+    _per_variant,
+    _Record,
     _rule_of_number,
     all_rules,
     classify,
@@ -87,7 +88,7 @@ def _three_class_group(label: str) -> str:
     return label
 
 
-# Keyed by (tag, mode, grouping), so the memo retains no Variant objects.
+# Keyed by (tag, mode, grouping): see dynamics._per_variant.
 _transition_tallies: dict[tuple, TransitionCounts] = {}
 
 
@@ -100,16 +101,7 @@ def class_transition_counts(v: Variant | None = None,
     """
     if grouping not in ("five-class", "three-class"):
         raise ValueError(f"unknown grouping {grouping!r}")
-    if v is None:
-        v = _default_variant("V1")
-    if v.epsilon is not None:
-        # Not memoised by key: epsilons are unbounded (classes still are).
-        return _transition_counts(v, grouping)
-    key = (v.tag, v.mode, grouping)
-    counts = _transition_tallies.get(key)
-    if counts is None:
-        counts = _transition_tallies[key] = _transition_counts(v, grouping)
-    return counts
+    return _per_variant(_transition_tallies, _transition_counts, v, grouping)
 
 
 def _transition_counts(v: Variant, grouping: str) -> TransitionCounts:
@@ -174,8 +166,7 @@ def edge_of_chaos(v: Variant | None = None) -> tuple[Rule, ...]:
     return tuple(out)
 
 
-@dataclass
-class RuleGraph:
+class RuleGraph(_Record):
     """The 81-node mutation graph with per-rule attributes.
 
     ``nodes`` maps rule number to its attribute dict (arity, dynamics
@@ -183,8 +174,12 @@ class RuleGraph:
     ``edges`` lists each undirected edge once as (smaller, larger).
     """
 
-    nodes: dict[int, dict] = field(default_factory=dict)
-    edges: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = __match_args__ = ("nodes", "edges")
+
+    def __init__(self, nodes: dict[int, dict] | None = None,
+                 edges: tuple[tuple[int, int], ...] = ()):
+        self.nodes = {} if nodes is None else nodes
+        self.edges = edges
 
 
 def build_rule_graph() -> RuleGraph:

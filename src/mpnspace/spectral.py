@@ -52,13 +52,6 @@ class Spectrum(NamedTuple):
     phases: tuple[Fraction, ...]
     cycle_lengths: tuple[int, ...]
 
-    def eigenvalues(self) -> tuple[complex, ...]:
-        """Numeric eigenvalues for display, zeros first."""
-        import cmath
-
-        roots = tuple(cmath.exp(2j * cmath.pi * p) for p in self.phases)
-        return (0j,) * self.zero_count + roots
-
 
 def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
     """Combinatorial spectrum: zeros for transients, p-th roots per cycle."""

@@ -19,10 +19,18 @@ most 4 and orbits have size 1, 2, or 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .dynamics import Rule, Variant, _default_variant, _rule_number, _rule_of_number, all_rules
+from .dynamics import (
+    Rule,
+    Variant,
+    _default_variant,
+    _FrozenRecord,
+    _rule_number,
+    _rule_of_number,
+    _setattr,
+    all_rules,
+)
 
 
 def t12(rule: Rule) -> Rule:
@@ -38,17 +46,18 @@ def gauge(rule: Rule) -> Rule:
 TRANSFORMATIONS = {"T12": t12, "G": gauge}
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(_FrozenRecord):
     """An orbit of rules under a set of generating transformations."""
 
-    representative: int
-    members: tuple[int, ...]
-    generators: frozenset[str]
+    __slots__ = _fields = __match_args__ = ("representative", "members", "generators")
 
-    def __post_init__(self):
-        if self.representative != min(self.members):
+    def __init__(self, representative: int, members: tuple[int, ...],
+                 generators: frozenset[str]):
+        if representative != min(members):
             raise ValueError("representative must be the smallest member")
+        _setattr(self, "representative", representative)
+        _setattr(self, "members", members)
+        _setattr(self, "generators", generators)
 
 
 def _orbit(rule: Rule, generators: Iterable[str]) -> frozenset[int]:

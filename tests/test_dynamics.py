@@ -23,7 +23,6 @@ from mpnspace import (
     states,
     step,
     step_async,
-    step_function,
     successor_indices,
     variant,
 )
@@ -284,14 +283,23 @@ def test_low_arity_representative_dynamics(number, expected):
     assert classify(r, variant("V6")).label == expected["v6"]
 
 
+def _step_function(rule, v):
+    """The one-step map on joint states implied by the variant's mode."""
+    if v.mode is UpdateMode.SYNCHRONOUS:
+        return lambda s: step(rule, v, s)
+    return lambda s: step_async(rule, v, v.mode, s)
+
+
 def test_step_function_matches_step():
     for r in (rule_from_number(n) for n in (1, 8, 39, 41, 81)):
         for tag in SYNC_TAGS:
             for mode in ("synchronous", "x-first", "y-first"):
                 v = variant(tag, mode)
-                f = step_function(r, v)
-                for s in states(v):
+                f = _step_function(r, v)
+                sts = states(v)
+                for s, succ in zip(sts, successor_indices(r, v)):
                     if mode == "synchronous":
                         assert f(s) == step(r, v, s)
                     else:
                         assert f(s) == step_async(r, v, mode, s)
+                    assert f(s) == sts[succ]

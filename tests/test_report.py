@@ -8,7 +8,6 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import mpnspace
 from mpnspace import emit_state_graph, emit_table, rule_from_number, variant
@@ -172,12 +171,18 @@ def test_run_all_writes_manifest_and_hashes(tmp_path):
     assert dists["all"]["counts"] == [17, 18, 20, 14, 12]
 
 
-def test_cli_classify():
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["classify", "8", "V1"])
-    assert result.exit_code == 0
-    assert "class: 4C" in result.output
-    assert "(-1, -1) -> (1, -1) -> (1, 1) -> (-1, 1)" in result.output
+def cli(capsys, *argv):
+    """(exit code, stdout) of ``mpnspace ARGV`` run in-process."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(args=list(argv), prog_name="mpnspace")
+    return exit_info.value.code, capsys.readouterr().out
+
+
+def test_cli_classify(capsys):
+    code, out = cli(capsys, "classify", "8", "V1")
+    assert code == 0
+    assert "class: 4C" in out
+    assert "(-1, -1) -> (1, -1) -> (1, 1) -> (-1, 1)" in out
 
 
 def test_python_dash_m_runs_the_cli():
@@ -189,71 +194,60 @@ def test_python_dash_m_runs_the_cli():
     assert "class: 4C" in proc.stdout
 
 
-def test_cli_usage_errors_exit_2():
-    runner = CliRunner()
-    assert runner.invoke(cli_main, ["classify", "99", "V1"]).exit_code == 2
-    assert runner.invoke(cli_main, ["classify", "8", "V9"]).exit_code == 2
-    assert runner.invoke(cli_main, ["table", "T99"]).exit_code == 2
-    assert runner.invoke(cli_main, ["table", "T1", "--format", "yaml"]).exit_code == 2
-    assert runner.invoke(
-        cli_main,
-        ["robustness", "--distribution", "--metric", "class-vs-rule-mutation"],
-    ).exit_code == 2
+def test_cli_usage_errors_exit_2(capsys):
+    assert cli(capsys, "classify", "99", "V1")[0] == 2
+    assert cli(capsys, "classify", "8", "V9")[0] == 2
+    assert cli(capsys, "table", "T99")[0] == 2
+    assert cli(capsys, "table", "T1", "--format", "yaml")[0] == 2
+    assert cli(capsys, "robustness", "--distribution",
+               "--metric", "class-vs-rule-mutation")[0] == 2
 
 
-def test_cli_table_matches_golden():
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["table", "T1"])
+def test_cli_table_matches_golden(capsys):
+    code, out = cli(capsys, "table", "T1")
     golden = (GOLDEN_DIR / "table_t1.csv").read_text(encoding="utf-8")
-    assert result.exit_code == 0
-    assert result.output == golden
+    assert code == 0
+    assert out == golden
 
 
-def test_cli_state_graph():
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["state-graph", "8", "V1"])
-    assert result.exit_code == 0
-    assert "s0 -> s2;" in result.output
+def test_cli_state_graph(capsys):
+    code, out = cli(capsys, "state-graph", "8", "V1")
+    assert code == 0
+    assert "s0 -> s2;" in out
 
 
-def test_cli_rulespace_export():
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["rulespace", "export", "--format", "csv"])
-    assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
+def test_cli_rulespace_export(capsys):
+    code, out = cli(capsys, "rulespace", "export", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
     assert lines[0] == "source,target"
     assert len(lines) == 1 + 216
 
 
-def test_cli_robustness_distribution():
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["robustness", "--distribution"])
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
+def test_cli_robustness_distribution(capsys):
+    code, out = cli(capsys, "robustness", "--distribution")
+    assert code == 0
+    payload = json.loads(out)
     assert payload["counts"] == [15, 21, 16, 11, 9]
 
 
-def test_cli_robustness_scores():
-    runner = CliRunner()
-    result = runner.invoke(
-        cli_main, ["robustness", "--metric", "state-vs-init-perturbation"])
-    assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
+def test_cli_robustness_scores(capsys):
+    code, out = cli(capsys, "robustness", "--metric", "state-vs-init-perturbation")
+    assert code == 0
+    lines = out.strip().splitlines()
     assert lines[0] == "rule,numerator,denominator,value"
     assert len(lines) == 1 + 81
 
 
-def test_cli_stats():
-    runner = CliRunner()
-    result = runner.invoke(cli_main, ["stats"])
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
+def test_cli_stats(capsys):
+    code, out = cli(capsys, "stats")
+    assert code == 0
+    payload = json.loads(out)
     assert payload["fisher"]["within_5_percent"] is True
 
 
-def test_cli_all(tmp_path):
-    runner = CliRunner()
-    out = tmp_path / "bundle"
-    result = runner.invoke(cli_main, ["all", "--out", str(out)])
-    assert result.exit_code == 0
-    assert (out / "manifest.json").exists()
+def test_cli_all(capsys, tmp_path):
+    out_dir = tmp_path / "bundle"
+    code, _ = cli(capsys, "all", "--out", str(out_dir))
+    assert code == 0
+    assert (out_dir / "manifest.json").exists()

@@ -3,13 +3,19 @@ output records are.
 
 ``import mpnspace.cli`` loads only what every command needs: the
 stdlib modules that one command or one export format uses are imported
-inside the functions that use them.  The nine frozen output records are
-``typing.NamedTuple`` classes; across the whole universe they keep the
-``Name(field=value, ...)`` repr, compare and hash by field values,
-refuse attribute assignment, and behave as the tuples of their fields.
+inside the functions that use them, and neither click nor dataclasses
+(with inspect and ast) is loaded at all.  The nine frozen output
+records are ``typing.NamedTuple`` classes; across the whole universe
+they keep the ``Name(field=value, ...)`` repr, compare and hash by
+field values, refuse attribute assignment, and behave as the tuples of
+their fields.  The five other records (``Rule``, ``Variant``,
+``EquivalenceClass``, ``TableDocument``, ``RuleGraph``) are not tuples
+but keep the same repr, equality and hashing conventions.
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from collections.abc import Mapping
@@ -26,15 +32,22 @@ from mpnspace import (
     VARIANT_TAGS,
     AttractorSet,
     DynamicsClass,
+    EquivalenceClass,
     Gate,
     Histogram,
     RobustnessScore,
+    Rule,
+    RuleGraph,
     SignPredicates,
     Spectrum,
+    TableDocument,
     TransitionCounts,
     UpdateMode,
+    Variant,
     all_rules,
     attractor_set,
+    build_rule_graph,
+    build_table,
     class_robustness,
     class_transition_counts,
     classify,
@@ -42,6 +55,7 @@ from mpnspace import (
     gate_pair,
     odds_ratio,
     pearson,
+    reduce_rules,
     robustness_distribution,
     score,
     sign_predicates,
@@ -49,12 +63,13 @@ from mpnspace import (
     spectrum,
     variant,
 )
-from mpnspace.report import quadrant_counts
+from mpnspace.report import TABLE_IDS, quadrant_counts
 
 # Bound by attribute: a test module global named Test* is collected by pytest.
 STATS_RESULT = mpnspace.TestResult
 
 DEFERRED_STDLIB = ("hashlib", "csv", "json", "cmath")
+NEVER_LOADED = ("click", "dataclasses", "inspect", "ast", "dis", "tokenize")
 
 ALL = all_rules()
 UNIVERSE = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
@@ -117,18 +132,28 @@ def _value_key(record):
                  for v in _values(record))
 
 
-def test_importing_the_cli_defers_one_command_stdlib_modules():
+def _loaded_by_cli_import(names):
+    """Those of ``names`` in ``sys.modules`` of a fresh process after
+    ``import mpnspace.cli``."""
     code = (
         "import sys\n"
         "import mpnspace.cli\n"
-        f"loaded = [m for m in {list(DEFERRED_STDLIB)!r} if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        f"print(' '.join(m for m in {list(names)!r} if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(mpnspace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_defers_one_command_stdlib_modules():
+    assert _loaded_by_cli_import(DEFERRED_STDLIB) == []
+
+
+def test_importing_the_cli_loads_neither_click_nor_dataclasses():
+    assert _loaded_by_cli_import(NEVER_LOADED) == []
 
 
 def test_all_exports_no_submodule():
@@ -173,3 +198,95 @@ def test_output_records_are_tuples_of_their_fields(cls):
     assert tuple(x) == _values(x) and x == _values(x)
     first, *_ = x
     assert first == x[0] == getattr(x, FIELDS[cls][0])
+
+
+def _record_instances():
+    """Instances of the five non-tuple records, with their field names."""
+    epsilon_variants = [variant(tag, mode, eps) for tag in ("V2", "V3") for mode in UpdateMode
+                        for eps in (Fraction(1, 2), 0.25)]
+    return {
+        Rule: (("wxx", "wxy", "wyx", "wyy"), list(ALL)),
+        Variant: (("tag", "mode", "epsilon"), UNIVERSE + epsilon_variants),
+        EquivalenceClass: (("representative", "members", "generators"),
+                           [c for gens in ({"T12"}, {"G"}, {"T12", "G"})
+                            for c in reduce_rules(gens)]),
+        TableDocument: (("table_id", "columns", "rows", "metadata"),
+                        [build_table(table_id) for table_id in TABLE_IDS]),
+        RuleGraph: (("nodes", "edges"), [build_rule_graph()]),
+    }
+
+
+@pytest.mark.parametrize("cls", [Rule, Variant, EquivalenceClass, TableDocument, RuleGraph],
+                         ids=lambda cls: cls.__name__)
+def test_record_repr_equality_hash_and_mutability(cls):
+    fields, records = _record_instances()[cls]
+    frozen = cls in (Rule, Variant, EquivalenceClass)
+    assert records and all(type(x) is cls for x in records)
+    for x in records:
+        values = tuple(getattr(x, f) for f in fields)
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+        assert repr(x) == f"{cls.__name__}({shown})"
+        twin = cls(*values)
+        assert twin == x and twin is not x and not twin != x
+        assert cls(**dict(zip(fields, values))) == x
+        assert x != values and values != x  # a record is not the tuple of its fields
+        assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
+        if cls is not Rule:  # the only ordered record
+            with pytest.raises(TypeError):
+                x < x  # noqa: B015
+        if frozen:
+            assert hash(twin) == hash(x) == hash(values)
+            for f in fields:
+                with pytest.raises(AttributeError):
+                    setattr(x, f, getattr(x, f))
+                with pytest.raises(AttributeError):
+                    delattr(x, f)
+            with pytest.raises(AttributeError):
+                x.extra = 1
+        else:
+            with pytest.raises(TypeError):
+                hash(x)
+            setattr(twin, fields[0], None)
+            assert getattr(twin, fields[0]) is None and twin != x
+    if frozen:
+        assert len(set(records)) == len(records)
+
+
+def test_rule_number_is_derived_and_rules_order_by_weights():
+    for r in ALL:
+        assert Rule(*r.weights).number == r.number and r.weights == (r.wxx, r.wxy, r.wyx, r.wyy)
+        with pytest.raises(AttributeError):
+            r.number = 1
+    assert sorted(reversed(ALL)) == sorted(ALL, key=lambda r: r.weights) == list(ALL)
+    low, high = Rule(0, 0, 0, -1), Rule(0, 0, 0, 1)
+    assert low < high and low <= high and high > low and high >= low and not high < low
+    assert low <= Rule(0, 0, 0, -1) >= low
+    with pytest.raises(TypeError):
+        low < low.weights  # noqa: B015
+
+
+def test_mutable_records_default_to_fresh_containers():
+    assert TableDocument("T1", (), []).metadata == {}
+    assert TableDocument("T1", (), []).metadata is not TableDocument("T1", (), []).metadata
+    assert (RuleGraph().nodes, RuleGraph().edges) == ({}, ())
+    assert RuleGraph().nodes is not RuleGraph().nodes
+    assert Variant("V1") == Variant("V1", UpdateMode.SYNCHRONOUS, None)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Rule(2, 0, 0, 0),
+    lambda: Rule(1.0, 0, 0, 0),
+    lambda: Rule(True, 0, 0, 0),
+    lambda: Variant("V9"),
+    lambda: Variant("v1"),
+    lambda: Variant("V1", "synchronous"),
+    lambda: Variant("V1", epsilon=Fraction(1, 2)),
+    lambda: Variant("V2", epsilon=Fraction(3, 2)),
+    lambda: Variant("V2", epsilon=1),
+    lambda: EquivalenceClass(2, (1, 2), frozenset({"T12"})),
+], ids=["rule-2", "rule-float", "rule-bool", "variant-V9", "variant-lowercase",
+        "variant-str-mode", "variant-V1-epsilon", "variant-epsilon-3/2", "variant-int-epsilon",
+        "class-representative"])
+def test_records_reject_invalid_fields(build):
+    with pytest.raises(ValueError):
+        build()
