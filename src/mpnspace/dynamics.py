@@ -422,10 +422,6 @@ class AttractorSet(NamedTuple):
     def max_transient(self) -> int:
         return max(self.steps_to_attractor.values())
 
-    def attractor_states(self) -> tuple[frozenset[int], ...]:
-        """Each attractor as an (unordered) set of state indices."""
-        return tuple(frozenset(c) for c in self.attractors)
-
 
 def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     k = cycle.index(min(cycle))

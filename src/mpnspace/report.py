@@ -239,13 +239,10 @@ def _t4_bin_headers() -> tuple[str, ...]:
             f"at_least_{e[-1]}")
 
 
-def t4_cells() -> dict[str, list[int]]:
-    """Counts of rules per (V1 class group, all-neighbor robustness bin)."""
-    return {g: list(row) for g, row in zip(T4_GROUPS, _t4_cells())}
-
-
 @functools.cache
 def _t4_cells() -> tuple[tuple[int, ...], ...]:
+    """Counts of rules per (V1 class group, all-neighbor robustness bin),
+    one row per ``T4_GROUPS`` entry."""
     edges = rb.ALL_TARGET_BIN_EDGES
     cells = {g: [0] * (len(edges) + 1) for g in T4_GROUPS}
     v1 = _default_variant("V1")
@@ -269,9 +266,10 @@ def quadrant_counts() -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def build_t4() -> TableDocument:
-    cells = t4_cells()
-    totals = [sum(col) for col in zip(*cells.values())]
-    rows = [[g, *map(str, row), str(sum(row))] for g, row in (*cells.items(), ("total", totals))]
+    cells = _t4_cells()
+    totals = [sum(col) for col in zip(*cells)]
+    rows = [[g, *map(str, row), str(sum(row))]
+            for g, row in (*zip(T4_GROUPS, cells), ("total", totals))]
     quad = quadrant_counts()
     return TableDocument(
         "T4",

@@ -6,8 +6,11 @@ an exact eigenvalue multiset readable off the functional graph: each
 transient state contributes a zero eigenvalue, and each attractor cycle
 of length p contributes all p-th roots of unity.  Eigenvalues are kept
 symbolic (a zero count plus root-of-unity phases as reduced fractions
-k/p meaning exp(2*pi*i*k/p)); an independent characteristic-polynomial
-oracle over the integers cross-checks the combinatorial spectrum.
+k/p meaning exp(2*pi*i*k/p)).  An independent characteristic-polynomial
+oracle cross-checks the combinatorial spectrum: ``charpoly_oracle``
+expands det(lambda*I - T^t) over the integers by cofactors, as a Laplace
+expansion in principal minors of the matrix entries, recomputed on every
+call and never reading the cycle structure.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from .dynamics import AttractorSet, Rule, Variant, attractor_set, successor_indi
 TransitionMatrix = tuple[tuple[int, int, int, int], ...]
 
 
+_UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def transition_matrix(rule: Rule, v: Variant) -> TransitionMatrix:
     """0/1 one-step matrix, row i marking the successor of state i."""
-    succ = successor_indices(rule, v)
-    return tuple(
-        tuple(1 if succ[i] == j else 0 for j in range(4)) for i in range(4)
-    )
+    return tuple(map(_UNIT_ROWS.__getitem__, successor_indices(rule, v)))
 
 
 def is_row_stochastic_01(T: TransitionMatrix) -> bool:
@@ -94,34 +97,50 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _poly_scale(p: list[int], k: int) -> list[int]:
-    return [k * a for a in p]
-
-
-def _det_poly(m: list[list[list[int]]]) -> list[int]:
-    """Determinant of a matrix of integer polynomials, by first-row expansion."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = [0]
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = _poly_mul(m[0][j], _det_poly(minor))
-        acc = _poly_add(acc, _poly_scale(term, (-1) ** j))
-    return acc
+def _charpoly_kernel(t):
+    """det(lambda*I - T^t) for the 16 row-major entries of T, in
+    descending powers of lambda: the coefficient of lambda^(4-k) is
+    (-1)^k times the sum of the k x k principal minors (transposing
+    leaves every principal minor unchanged).  The determinant is the
+    Laplace expansion along rows 0-1 over the six complementary pairs
+    of 2x2 minors, and the 3x3 principal minors expand over the same
+    minors.  Works on any ring elements, so tests can run it on symbols.
+    """
+    t00, t01, t02, t03, t10, t11, t12, t13, t20, t21, t22, t23, t30, t31, t32, t33 = t
+    # 2x2 minors of rows 0-1 (u) and of rows 2-3 (w), by column pair
+    u01 = t00 * t11 - t01 * t10
+    u02 = t00 * t12 - t02 * t10
+    u03 = t00 * t13 - t03 * t10
+    u12 = t01 * t12 - t02 * t11
+    u13 = t01 * t13 - t03 * t11
+    u23 = t02 * t13 - t03 * t12
+    w01 = t20 * t31 - t21 * t30
+    w02 = t20 * t32 - t22 * t30
+    w03 = t20 * t33 - t23 * t30
+    w12 = t21 * t32 - t22 * t31
+    w13 = t21 * t33 - t23 * t31
+    w23 = t22 * t33 - t23 * t32
+    trace = t00 + t11 + t22 + t33
+    minors2 = (u01 + w23 + t00 * t22 - t02 * t20 + t00 * t33 - t03 * t30
+               + t11 * t22 - t12 * t21 + t11 * t33 - t13 * t31)
+    minors3 = (t20 * u12 - t21 * u02 + t22 * u01      # states 0, 1, 2
+               + t30 * u13 - t31 * u03 + t33 * u01    # states 0, 1, 3
+               + t00 * w23 - t02 * w03 + t03 * w02    # states 0, 2, 3
+               + t11 * w23 - t12 * w13 + t13 * w12)   # states 1, 2, 3
+    det = (u01 * w23 - u02 * w13 + u03 * w12
+           + u12 * w03 - u13 * w02 + u23 * w01)
+    return [1, -trace, minors2, -minors3, det]
 
 
 def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     """Characteristic polynomial of the transpose of T, exact integers.
 
-    Expands det(lambda*I - T^t) by cofactors; returns the coefficients
-    in descending powers of lambda, leading coefficient 1.  ``T`` must be
-    a 4x4 matrix (rows as lists or tuples) of the ints 0 and 1.
+    Expands det(lambda*I - T^t) by cofactors (a Laplace expansion in
+    principal minors) from the matrix entries alone, recomputed on every
+    call and independent of the cycle route of ``charpoly_from_cycles``;
+    returns the coefficients in descending powers of lambda, leading
+    coefficient 1.  ``T`` must be a 4x4 matrix (rows as lists or tuples)
+    of the ints 0 and 1.
     """
     # Set operations over map() keep this check cheap beside the expansion.
     shape_ok = (type(T) in _SEQUENCES and len(T) == 4
@@ -129,17 +148,7 @@ def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     entries = (*T[0], *T[1], *T[2], *T[3]) if shape_ok else ()
     if not (entries and {*map(type, entries)} == {int} and _BITS.issuperset(entries)):
         raise ValueError(f"matrix must be 4x4 with 0/1 int entries, got {T!r}")
-    m = [
-        [
-            # entry (i, j) of lambda*I - T^t is -T[j][i] plus lambda on the diagonal
-            [-T[j][i], 1] if i == j else [-T[j][i]]
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
-    coeffs = _det_poly(m)
-    coeffs += [0] * (5 - len(coeffs))
-    return list(reversed(coeffs))
+    return _charpoly_kernel(entries)
 
 
 def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:

@@ -3,6 +3,9 @@
 The attractor oracle deliberately uses a different algorithm from the
 package (advance-then-extract on the functional graph instead of
 first-revisit bookkeeping) so that agreement is evidence, not an echo.
+Likewise the characteristic-polynomial reference expands recursively
+over polynomial entries, where the package writes one straight-line
+integer expansion in principal minors.
 """
 
 from __future__ import annotations
@@ -46,3 +49,55 @@ def functional_graph_attractors(next_index, n_states: int = 4):
         steps[start] = k
     ordered = tuple(sorted(cycles, key=lambda c: c[0]))
     return ordered, basin, steps
+
+
+# Integer polynomials as coefficient lists, lowest power first.
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _poly_add(p: list[int], q: list[int]) -> list[int]:
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def _poly_scale(p: list[int], k: int) -> list[int]:
+    return [k * a for a in p]
+
+
+def _det_poly(m: list[list[list[int]]]) -> list[int]:
+    """Determinant of a matrix of integer polynomials, by first-row expansion."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    acc = [0]
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = _poly_mul(m[0][j], _det_poly(minor))
+        acc = _poly_add(acc, _poly_scale(term, (-1) ** j))
+    return acc
+
+
+def recursive_charpoly(T) -> list[int]:
+    """det(lambda*I - T^t) of a 4x4 integer matrix by recursive
+    first-row cofactor expansion over polynomial entries; coefficients
+    in descending powers of lambda.  The reference for the package's
+    straight-line expansion in ``spectral.charpoly_oracle``.
+    """
+    m = [
+        [
+            # entry (i, j) of lambda*I - T^t is -T[j][i] plus lambda on the diagonal
+            [-T[j][i], 1] if i == j else [-T[j][i]]
+            for j in range(4)
+        ]
+        for i in range(4)
+    ]
+    coeffs = _det_poly(m)
+    coeffs += [0] * (5 - len(coeffs))
+    return list(reversed(coeffs))

@@ -9,6 +9,8 @@ import pytest
 import sympy
 
 from mpnspace import (
+    VARIANT_TAGS,
+    UpdateMode,
     all_rules,
     attractor_set,
     charpoly_from_cycles,
@@ -19,9 +21,12 @@ from mpnspace import (
     rule_from_number,
     spectrum,
     spectrum_from_cycles,
+    successor_indices,
     transition_matrix,
     variant,
 )
+from mpnspace.spectral import _charpoly_kernel
+from oracles import recursive_charpoly
 
 ALL = all_rules()
 SYNC_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
@@ -33,6 +38,16 @@ def test_rule8_v1_matrix_bit_exact():
                  (1, 0, 0, 0),
                  (0, 0, 0, 1),
                  (0, 1, 0, 0))
+
+
+def test_transition_matrix_equals_per_entry_build():
+    keys = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
+    keys += [variant(tag, mode, eps) for tag in ("V2", "V3") for mode in UpdateMode
+             for eps in (Fraction(1, 2), 0.25)]
+    for r, v in itertools.product(ALL, keys):
+        succ = successor_indices(r, v)
+        want = tuple(tuple(1 if succ[i] == j else 0 for j in range(4)) for i in range(4))
+        assert transition_matrix(r, v) == want, (r.number, v)
 
 
 def test_all_matrices_row_stochastic_01():
@@ -61,6 +76,28 @@ def test_charpoly_against_symbolic_algebra_v1():
         M = sympy.Matrix(4, 4, lambda i, j: T[j][i])
         want = sympy.Poly(M.charpoly(lam), lam).all_coeffs()
         assert charpoly_oracle(T) == [int(c) for c in want], r.number
+
+
+def test_charpoly_kernel_is_the_characteristic_polynomial_of_any_4x4():
+    """A polynomial identity in 16 symbolic entries, so it holds for
+    every 4x4 matrix over any commutative ring."""
+    lam = sympy.Symbol("lam")
+    t = sympy.symbols("t0:16")
+    M = sympy.Matrix(4, 4, lambda i, j: t[4 * j + i])  # the transpose
+    want = sympy.Poly(M.charpoly(lam), lam).all_coeffs()
+    got = _charpoly_kernel(t)
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert sympy.expand(g - w) == 0
+
+
+def test_charpoly_oracle_equals_recursive_expansion_on_every_successor_map():
+    """All 256 self-maps of the four states, i.e. every matrix that
+    transition_matrix can return."""
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    for succ in itertools.product(range(4), repeat=4):
+        T = tuple(unit[s] for s in succ)
+        assert charpoly_oracle(T) == recursive_charpoly(T), succ
 
 
 def test_charpoly_spot_values():

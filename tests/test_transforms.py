@@ -3,11 +3,14 @@
 import pytest
 
 from mpnspace import (
+    VARIANT_TAGS,
+    UpdateMode,
     all_rules,
     classify,
     gauge,
     reduce_rules,
     rule_from_number,
+    successor_indices,
     t12,
     variant,
 )
@@ -45,6 +48,22 @@ def test_node_swap_preserves_class_under_every_variant():
         for tag in ("V1", "V2", "V3", "V4", "V5", "V6", "V7"):
             v = variant(tag)
             assert classify(r, v).label == classify(t12(r), v).label
+
+
+def test_node_swap_conjugates_successor_maps_in_every_mode():
+    """Swapping the nodes relabels states by sigma (S1 <-> S2) and turns
+    x-first updates into y-first ones, so succ' = sigma . succ . sigma."""
+    sigma = (0, 2, 1, 3)
+    swapped_mode = {UpdateMode.SYNCHRONOUS: UpdateMode.SYNCHRONOUS,
+                    UpdateMode.X_FIRST: UpdateMode.Y_FIRST,
+                    UpdateMode.Y_FIRST: UpdateMode.X_FIRST}
+    for r in ALL:
+        for tag in VARIANT_TAGS:
+            for mode in UpdateMode:
+                succ = successor_indices(r, variant(tag, swapped_mode[mode]))
+                got = successor_indices(t12(r), variant(tag, mode))
+                assert got == tuple(sigma[succ[sigma[i]]] for i in range(4)), (
+                    r.number, tag, mode)
 
 
 def test_sign_flip_preserves_class_under_v1_only():
