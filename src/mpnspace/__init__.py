@@ -74,7 +74,6 @@ from .rulespace import (
     degree,
     edge_of_chaos,
     export_graph,
-    graph_from_csv,
     neighbors,
 )
 from .spectral import (

@@ -251,21 +251,34 @@ class Variant(_FrozenRecord):
         return Variant(self.tag, mode, self.epsilon)
 
 
+# Variants without epsilon handed out by ``variant``, keyed by its raw
+# (tag, mode) arguments: at most 14 tag spellings times 6 mode forms.
+_variants: dict[tuple[str, UpdateMode | str], Variant] = {}
+
+
 def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS,
             epsilon: Fraction | float | None = None) -> Variant:
-    """Build a :class:`Variant`, accepting lowercase tags and mode strings."""
+    """Build a :class:`Variant`, accepting lowercase tags and mode strings.
+
+    Without an epsilon, a plain-string tag with a mode string or
+    :class:`UpdateMode` member is validated once per process: every
+    call with the same (tag spelling, mode) gets one shared, immutable
+    Variant.  Epsilon variants are built afresh on every call.
+    """
+    key = (tag, mode)  # the raw arguments, before mode is parsed
+    interned = epsilon is None and type(tag) is str and type(mode) in (str, UpdateMode)
+    if interned:
+        v = _variants.get(key)
+        if v is not None:
+            return v
     if not isinstance(tag, str):
         raise ValueError(f"variant tag must be a string, got {tag!r}")
     if isinstance(mode, str):
         mode = UpdateMode(mode)
-    return Variant(tag.upper(), mode, epsilon)
-
-
-@functools.cache
-def _default_variant(tag: str) -> Variant:
-    """The synchronous variant ``tag``, built once per process on first
-    use and shared by every caller that falls back to it."""
-    return Variant(tag)
+    v = Variant(tag.upper(), mode, epsilon)
+    if interned:
+        _variants[key] = v
+    return v
 
 
 def _per_variant(memo: dict, compute, v: Variant | None, *args):
@@ -274,7 +287,7 @@ def _per_variant(memo: dict, compute, v: Variant | None, *args):
     Variant alive.  Epsilon variants are computed afresh: their epsilons
     are unbounded (the successor-tuple views below them are shared)."""
     if v is None:
-        v = _default_variant("V1")
+        v = variant("V1")
     if v.epsilon is not None:
         return compute(v, *args)
     key = (v.tag, v.mode, *args)

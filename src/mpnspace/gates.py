@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .dynamics import Rule, UpdateMode, Variant, _default_variant, successor_indices
+from .dynamics import Rule, UpdateMode, Variant, successor_indices, variant
 
 GATE_NAMES = (
     "F", "AND", "xANDnoty", "x", "notxANDy", "y", "XOR", "OR",
@@ -92,8 +92,8 @@ def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
     successor indices of its synchronous form: state index 2 * x + y holds
     the logical (x, y) bits of the next state."""
     if v.mode is not UpdateMode.SYNCHRONOUS:
-        # Without an epsilon, the synchronous form is the shared default variant.
-        v = _default_variant(v.tag) if v.epsilon is None else v.with_mode(UpdateMode.SYNCHRONOUS)
+        # Without an epsilon, the synchronous form is the interned variant(tag).
+        v = variant(v.tag) if v.epsilon is None else v.with_mode(UpdateMode.SYNCHRONOUS)
     return _gates_of(successor_indices(rule, v))
 
 

@@ -27,8 +27,6 @@ from .dynamics import (
     VARIANT_TAGS,
     Rule,
     UpdateMode,
-    Variant,
-    _default_variant,
     _Record,
     all_rules,
     attractor_set,
@@ -72,11 +70,6 @@ def _fmt_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _variant_table() -> dict[tuple[str, UpdateMode], Variant]:
-    """Every (tag, mode) variant, built once per table instead of per cell."""
-    return {(tag, mode): variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode}
-
-
 # Class columns of the dynamics tables.  A column named by several tags
 # merges those variants; a "_seq" column is the sequential form, which
 # also merges x-first and y-first.  Each merge is checked as it is read.
@@ -85,7 +78,7 @@ _T1_COLUMNS = ("v1", "v2_v3", "v1_seq", "v2_v3_seq", "v4_v7", "v5", "v6",
 _TA1_COLUMNS = ("v1", "v2_v3", "v4_v7", "v5", "v6")
 
 
-def _class_cell(rule: Rule, vt: dict, column: str, warnings: list[str]) -> str:
+def _class_cell(rule: Rule, column: str, warnings: list[str]) -> str:
     """The class label shared by a column's merged variants, with a
     warning recorded for each pair that disagrees."""
     sequential = column.endswith("_seq")
@@ -93,14 +86,14 @@ def _class_cell(rule: Rule, vt: dict, column: str, warnings: list[str]) -> str:
     if sequential:
         labels = []
         for tag in tags:
-            lx = classify(rule, vt[tag, UpdateMode.X_FIRST]).label
-            ly = classify(rule, vt[tag, UpdateMode.Y_FIRST]).label
+            lx = classify(rule, variant(tag, UpdateMode.X_FIRST)).label
+            ly = classify(rule, variant(tag, UpdateMode.Y_FIRST)).label
             if lx != ly:
                 warnings.append(f"rule {rule.number}: sequential {tag} classes depend on order "
                                 f"({lx} x-first vs {ly} y-first)")
             labels.append(lx)
     else:
-        labels = [classify(rule, vt[tag, UpdateMode.SYNCHRONOUS]).label for tag in tags]
+        labels = [classify(rule, variant(tag)).label for tag in tags]
     for tag, lab in zip(tags[1:], labels[1:]):
         if lab != labels[0]:
             pre, post = ("sequential ", "") if sequential else ("", " under synchronous updating")
@@ -130,9 +123,8 @@ def _dynamics_table(table_id: str, arities: tuple[int, ...],
     """One row per node-swap representative of the given arities: weights,
     transform images, then one class label per column of ``columns``."""
     warnings: list[str] = []
-    vt = _variant_table()
     rows = [
-        [*_rule_cells(r), *(_class_cell(r, vt, column, warnings) for column in columns)]
+        [*_rule_cells(r), *(_class_cell(r, column, warnings) for column in columns)]
         for r in _t12_representatives(arities)
     ]
     doc = TableDocument(table_id, (*_RULE_COLUMNS, *columns), rows)
@@ -153,7 +145,7 @@ _TA2_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6")
 
 
 def build_ta2() -> TableDocument:
-    variants = [_default_variant(tag) for tag in _TA2_TAGS]
+    variants = [variant(tag) for tag in _TA2_TAGS]
     rows = [[str(r.number), *(g.name for v in variants for g in gate_pair(r, v))]
             for r in _t12_representatives((2,))]
     return TableDocument(
@@ -166,7 +158,7 @@ def build_ta2() -> TableDocument:
 def build_t2() -> TableDocument:
     pool = [r for r in all_rules() if r.arity == 2]
     classes = reduce_rules({"T12", "G"}, pool)
-    v1 = _default_variant("V1")
+    v1 = variant("V1")
     rows = []
     for cls in classes:
         r = Rule.from_number(cls.representative)
@@ -197,7 +189,7 @@ def build_t2() -> TableDocument:
 
 
 def _transition_doc(table_id: str, grouping: str) -> TableDocument:
-    counts = class_transition_counts(_default_variant("V1"), grouping)
+    counts = class_transition_counts(variant("V1"), grouping)
     rows = []
     for i, lab in enumerate(counts.labels):
         rows.append([lab, *map(str, counts.matrix[i]), str(counts.row_sums[i])])
@@ -245,7 +237,7 @@ def _t4_cells() -> tuple[tuple[int, ...], ...]:
     one row per ``T4_GROUPS`` entry."""
     edges = rb.ALL_TARGET_BIN_EDGES
     cells = {g: [0] * (len(edges) + 1) for g in T4_GROUPS}
-    v1 = _default_variant("V1")
+    v1 = variant("V1")
     for r in all_rules():
         label = classify(r, v1).label
         group = _T4_ROW_OF_GROUP.get(_three_class_group(label))
@@ -285,7 +277,7 @@ def build_t4() -> TableDocument:
 
 
 def build_robustness_table() -> TableDocument:
-    v1 = _default_variant("V1")
+    v1 = variant("V1")
     rows = []
     for r in all_rules():
         rows.append([
@@ -311,7 +303,7 @@ def build_robustness_table() -> TableDocument:
 
 
 def build_spectra_table() -> TableDocument:
-    variants = [_default_variant(tag) for tag in VARIANT_TAGS]
+    variants = [variant(tag) for tag in VARIANT_TAGS]
     rows = []
     for r in all_rules():
         for v in variants:
@@ -460,7 +452,7 @@ def stats_report() -> dict:
     mut_two = [float(rb.state_robustness_rule_mutation(r, "two-input").fraction)
                for r in rules if r.arity == 2]
 
-    counts = class_transition_counts(_default_variant("V1"), "five-class")
+    counts = class_transition_counts(variant("V1"), "five-class")
     preserving = sum(counts.matrix[i][i] for i in range(len(counts.labels)))
 
     inverse = (1.0 / odds.statistic) if odds.statistic else None

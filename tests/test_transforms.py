@@ -66,6 +66,29 @@ def test_node_swap_conjugates_successor_maps_in_every_mode():
                     r.number, tag, mode)
 
 
+def test_sign_flip_conjugates_v1_successor_maps_only():
+    """Flipping the cross-weight signs negates node y under V1, which
+    relabels states by tau (S0 <-> S1, S2 <-> S3), so succ' = tau . succ
+    . tau in every mode.  Every other tag has a rule that breaks this,
+    which is why reduce_rules refuses G there."""
+    tau = (1, 0, 3, 2)
+
+    def violations(tag):
+        bad = 0
+        for r in ALL:
+            for mode in UpdateMode:
+                succ = successor_indices(r, variant(tag, mode))
+                got = successor_indices(gauge(r), variant(tag, mode))
+                bad += got != tuple(tau[succ[tau[i]]] for i in range(4))
+        return bad
+
+    assert violations("V1") == 0
+    for tag in VARIANT_TAGS[1:]:
+        assert violations(tag) > 0, tag
+        with pytest.raises(ValueError):
+            reduce_rules({"G"}, under=variant(tag))
+
+
 def test_sign_flip_preserves_class_under_v1_only():
     v1 = variant("V1")
     for r in ALL:
