@@ -29,7 +29,10 @@ Updates are synchronous by default.  The two sequential (asynchronous)
 orders update one node first and let the second node see the already
 updated value; classification of a sequential scheme uses the composed
 one-full-sweep map as the unit step, so both nodes are written exactly
-once per time index.
+once per time index.  Each map is built from node gates, the truth
+tables of one node's next value over its (own, other) inputs: the
+synchronous map pairs the gates of x and y, and a sequential map
+composes them.  ``step`` and ``step_async`` read these maps.
 """
 
 from __future__ import annotations
@@ -247,9 +250,6 @@ class Variant(_FrozenRecord):
     def zero_sum(self) -> ZeroSum:
         return _VARIANT_CONVENTIONS[self.tag][2]
 
-    def with_mode(self, mode: UpdateMode) -> "Variant":
-        return Variant(self.tag, mode, self.epsilon)
-
 
 # Variants without epsilon handed out by ``variant``, keyed by its raw
 # (tag, mode) arguments: at most 14 tag spellings times 6 mode forms.
@@ -297,20 +297,25 @@ def _per_variant(memo: dict, compute, v: Variant | None, *args):
     return result
 
 
+_STATES = {tag: ((lo, lo), (lo, hi), (hi, lo), (hi, hi))
+           for tag, (lo, hi, _) in _VARIANT_CONVENTIONS.items()}
+
+
 def states(v: Variant) -> tuple[tuple[int, int], ...]:
     """The four joint states in index order S0=(lo,lo), S1=(lo,hi),
     S2=(hi,lo), S3=(hi,hi) under the variant's value convention."""
-    lo, hi = v.low, v.high
-    return ((lo, lo), (lo, hi), (hi, lo), (hi, hi))
+    return _STATES[v.tag]
 
 
 def state_index(v: Variant, s: tuple[int, int]) -> int:
     """Index 0..3 of a joint state; rejects values outside the convention,
     including bools and floats that compare equal to an allowed int."""
-    lo, hi = v.low, v.high
-    if type(s) is tuple and len(s) == 2 and all(
-            type(c) is int and (c == lo or c == hi) for c in s):
-        return 2 * (s[0] == hi) + (s[1] == hi)
+    lo, hi, _ = _VARIANT_CONVENTIONS[v.tag]
+    if type(s) is tuple and len(s) == 2:
+        x, y = s
+        if (type(x) is int and type(y) is int
+                and (x == lo or x == hi) and (y == lo or y == hi)):
+            return 2 * (x == hi) + (y == hi)
     raise ValueError(f"state {s!r} is not valid under the {v.tag} value convention")
 
 
@@ -347,35 +352,47 @@ def _node_update(v: Variant):
     return update
 
 
-def _sweep(weights: tuple[int, int, int, int], update, mode: UpdateMode,
-           x: int, y: int) -> tuple[int, int]:
-    """One update of the joint state (x, y) under ``mode``, unvalidated."""
-    wxx, wxy, wyx, wyy = weights
+def _node_gates(v: Variant) -> dict[tuple[int, int], tuple[int, int, int, int]]:
+    """Per (w_self, w_other): the node gate, one node's next logical value
+    for its logical (own, other) inputs at index 2 * own + other."""
+    update, lo, hi = _node_update(v), v.low, v.high
+    return {(ws, wo): tuple(int(update(ws * own + wo * other, own) == hi)
+                            for own in (lo, hi) for other in (lo, hi))
+            for ws in (-1, 0, 1) for wo in (-1, 0, 1)}
+
+
+@functools.cache
+def _tag_gates(tag: str) -> dict[tuple[int, int], tuple[int, int, int, int]]:
+    return _node_gates(variant(tag))
+
+
+def _compose(gx: tuple, gy: tuple, mode: UpdateMode) -> tuple[int, int, int, int]:
+    """Successor index of each state 2 * x + y; a sequential map feeds
+    the first node's new bit to the second node's gate."""
+    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
     if mode is UpdateMode.SYNCHRONOUS:
-        return update(wxx * x + wxy * y, x), update(wyx * x + wyy * y, y)
+        return tuple(2 * gx[2 * x + y] + gy[2 * y + x] for x, y in bits)
     if mode is UpdateMode.X_FIRST:
-        x2 = update(wxx * x + wxy * y, x)
-        return x2, update(wyx * x2 + wyy * y, y)
-    y2 = update(wyx * x + wyy * y, y)
-    return update(wxx * x + wxy * y2, x), y2
+        return tuple(2 * (x2 := gx[2 * x + y]) + gy[2 * y + x2] for x, y in bits)
+    return tuple(2 * gx[2 * x + (y2 := gy[2 * y + x])] + y2 for x, y in bits)
 
 
 def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:
     """Synchronous one-step update of the joint state."""
-    state_index(v, s)  # validate the value convention
-    return _sweep(rule.weights, _node_update(v), UpdateMode.SYNCHRONOUS, *s)
+    i = state_index(v, s)
+    w = v if v.mode is UpdateMode.SYNCHRONOUS else variant(v.tag, epsilon=v.epsilon)
+    return states(v)[successor_indices(rule, w)[i]]
 
 
 def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
                s: tuple[int, int]) -> tuple[int, int]:
     """Sequential one-sweep update: the second node sees the first
     node's already updated value."""
-    if isinstance(order, str):
-        order = UpdateMode(order)
-    if order is UpdateMode.SYNCHRONOUS:
+    w = variant(v.tag, order, v.epsilon)  # interned without an epsilon
+    if w.mode is UpdateMode.SYNCHRONOUS:
         raise ValueError("order must be x-first or y-first")
-    state_index(v, s)
-    return _sweep(rule.weights, _node_update(v), order, *s)
+    i = state_index(v, s)
+    return states(v)[successor_indices(rule, w)[i]]
 
 
 # The atlas: memo tables filled on first use, never at import.  Every
@@ -389,20 +406,17 @@ _interned: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
 
 
 def _step_map(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
-    """Successor indices by stepping each of S0..S3 once, interned."""
-    w, update, mode, lo, hi = rule.weights, _node_update(v), v.mode, v.low, v.high
-    succ = []
-    for x, y in ((lo, lo), (lo, hi), (hi, lo), (hi, hi)):
-        x2, y2 = _sweep(w, update, mode, x, y)
-        succ.append(2 * (x2 == hi) + (y2 == hi))
-    succ = tuple(succ)
+    """Successor indices composed from the two node gates, interned."""
+    gates = _tag_gates(v.tag) if v.epsilon is None else _node_gates(v)
+    wxx, wxy, wyx, wyy = rule.weights
+    succ = _compose(gates[wxx, wxy], gates[wyy, wyx], v.mode)
     return _interned.setdefault(succ, succ)
 
 
 def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
     """Successor state index for each of S0..S3 under one step."""
     if v.epsilon is not None:
-        # Shifted-threshold variants keep their own stepping path and,
+        # Shifted-threshold variants keep their own node gates and,
         # with unboundedly many epsilons, are not memoised by key.
         return _step_map(rule, v)
     key = (rule.wxx, rule.wxy, rule.wyx, rule.wyy, v.tag, v.mode)

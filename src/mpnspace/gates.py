@@ -92,8 +92,7 @@ def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
     successor indices of its synchronous form: state index 2 * x + y holds
     the logical (x, y) bits of the next state."""
     if v.mode is not UpdateMode.SYNCHRONOUS:
-        # Without an epsilon, the synchronous form is the interned variant(tag).
-        v = variant(v.tag) if v.epsilon is None else v.with_mode(UpdateMode.SYNCHRONOUS)
+        v = variant(v.tag, epsilon=v.epsilon)  # interned without an epsilon
     return _gates_of(successor_indices(rule, v))
 
 

@@ -27,6 +27,7 @@ from .dynamics import (
     VARIANT_TAGS,
     Rule,
     UpdateMode,
+    _per_variant,
     _Record,
     all_rules,
     attractor_set,
@@ -386,13 +387,25 @@ def emit_table(table_id: str, fmt: str = "csv") -> str:
     return render_table(build_table(table_id), fmt)
 
 
+# Keyed by (tag, mode, rule number): see dynamics._per_variant.
+_state_graphs: dict[tuple, str] = {}
+
+
 def emit_state_graph(rule: Rule, v) -> str:
-    """DOT digraph of the one-step map on the four states."""
+    """DOT digraph of the one-step map on the four states, rendered once
+    per (rule, tag, mode)."""
+    if v is None:  # which _per_variant would read as V1
+        raise ValueError("emit_state_graph needs a variant, got None")
+    return _per_variant(_state_graphs, _render_state_graph, v, rule.number)
+
+
+def _render_state_graph(v, number: int) -> str:
+    rule = Rule.from_number(number)
     sts = states(v)
     aset = attractor_set(rule, v)
     nxt = successor_indices(rule, v)
     on_cycle = {i for cyc in aset.attractors for i in cyc}
-    lines = [f"digraph state_space_rule{rule.number}_{v.tag.lower()} {{"]
+    lines = [f"digraph state_space_rule{number}_{v.tag.lower()} {{"]
     for i, s in enumerate(sts):
         shape = "doublecircle" if i in on_cycle else "circle"
         lines.append(f'  s{i} [label="({s[0]},{s[1]})" shape={shape}];')

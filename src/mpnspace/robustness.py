@@ -178,8 +178,13 @@ def robustness_distribution(metric: str = "state-vs-rule-mutation",
     Defaults to the two-input convention over the 72 two-input rules
     with the frozen edges above; ``targets="all"`` switches to the
     all-neighbor convention over all 81 rules with its own edges.
-    Other metrics require explicit ``edges``.
+    Other metrics require explicit ``edges``: a strictly increasing
+    tuple or list of ints or Fractions.
     """
+    if edges is not None and (type(edges) not in (tuple, list) or any(
+            type(e) not in (int, Fraction) for e in edges) or sorted({*edges}) != [*edges]):
+        raise ValueError("edges must be a strictly increasing tuple or list of ints "
+                         f"or Fractions, got {edges!r}")
     if metric == "state-vs-rule-mutation":
         if edges is None:
             edges = TWO_INPUT_BIN_EDGES if targets == "two-input" else ALL_TARGET_BIN_EDGES

@@ -29,7 +29,12 @@ _UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 def transition_matrix(rule: Rule, v: Variant) -> TransitionMatrix:
     """0/1 one-step matrix, row i marking the successor of state i."""
-    return tuple(map(_UNIT_ROWS.__getitem__, successor_indices(rule, v)))
+    return _matrix_of(successor_indices(rule, v))
+
+
+@functools.cache
+def _matrix_of(succ: tuple[int, int, int, int]) -> TransitionMatrix:
+    return tuple(map(_UNIT_ROWS.__getitem__, succ))
 
 
 def is_row_stochastic_01(T: TransitionMatrix) -> bool:
@@ -83,7 +88,6 @@ def spectrum(rule: Rule, v: Variant) -> Spectrum:
 
 
 _SEQUENCES = frozenset((list, tuple))
-_BITS = frozenset((0, 1))
 
 
 # Integer polynomials as coefficient lists, lowest power first.
@@ -142,13 +146,18 @@ def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     coefficient 1.  ``T`` must be a 4x4 matrix (rows as lists or tuples)
     of the ints 0 and 1.
     """
-    # Set operations over map() keep this check cheap beside the expansion.
-    shape_ok = (type(T) in _SEQUENCES and len(T) == 4
-                and _SEQUENCES.issuperset(map(type, T)) and {*map(len, T)} == {4})
-    entries = (*T[0], *T[1], *T[2], *T[3]) if shape_ok else ()
-    if not (entries and {*map(type, entries)} == {int} and _BITS.issuperset(entries)):
-        raise ValueError(f"matrix must be 4x4 with 0/1 int entries, got {T!r}")
-    return _charpoly_kernel(entries)
+    # One pass over rows, then entries: the check costs about as much as the expansion.
+    if type(T) in _SEQUENCES and len(T) == 4:
+        r0, r1, r2, r3 = T
+        if (type(r0) in _SEQUENCES and type(r1) in _SEQUENCES and type(r2) in _SEQUENCES
+                and type(r3) in _SEQUENCES and len(r0) == len(r1) == len(r2) == len(r3) == 4):
+            entries = (*r0, *r1, *r2, *r3)
+            for e in entries:
+                if type(e) is not int or not 0 <= e <= 1:
+                    break
+            else:
+                return _charpoly_kernel(entries)
+    raise ValueError(f"matrix must be 4x4 with 0/1 int entries, got {T!r}")
 
 
 def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:

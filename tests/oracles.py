@@ -5,10 +5,59 @@ package (advance-then-extract on the functional graph instead of
 first-revisit bookkeeping) so that agreement is evidence, not an echo.
 Likewise the characteristic-polynomial reference expands recursively
 over polynomial entries, where the package writes one straight-line
-integer expansion in principal minors.
+integer expansion in principal minors, and the stepping reference
+updates the joint state as a vector, one weight row per node, where the
+package composes per-node truth tables.
 """
 
 from __future__ import annotations
+
+
+# The variant table of the ``dynamics`` module docstring: node values
+# (low, high) and what a zero weighted sum does.
+VALUES = {"V1": (-1, 1), "V2": (-1, 1), "V3": (-1, 1),
+          "V4": (0, 1), "V5": (0, 1), "V6": (0, 1), "V7": (0, 1)}
+ZERO_SUM = {"V1": "hold", "V2": "high", "V3": "low",
+            "V4": "hold", "V5": "high", "V6": "low", "V7": "increment"}
+
+
+def joint_states(tag: str):
+    """The four joint states in index order: (lo,lo), (lo,hi), (hi,lo), (hi,hi)."""
+    lo, hi = VALUES[tag]
+    return [(a, b) for a in (lo, hi) for b in (lo, hi)]
+
+
+def node_next(tag: str, total, current: int, epsilon=None) -> int:
+    """One node's next value from its weighted input sum."""
+    lo, hi = VALUES[tag]
+    if epsilon is not None:
+        # Shifted threshold: V2 adds epsilon, V3 subtracts it; plain sign.
+        return hi if (total + epsilon if tag == "V2" else total - epsilon) > 0 else lo
+    if ZERO_SUM[tag] == "increment":
+        sign = (total > 0) - (total < 0)
+        return min(max(current + sign, 0), 1)
+    if total != 0:
+        return hi if total > 0 else lo
+    return {"hold": current, "high": hi, "low": lo}[ZERO_SUM[tag]]
+
+
+def sweep(weights, tag: str, mode: str, state, epsilon=None):
+    """One update of the joint state under ``mode`` ("synchronous",
+    "x-first" or "y-first").  Node i's input is its weight row
+    (weights[2i], weights[2i+1]) dotted with the state vector; a
+    sequential mode writes the nodes one at a time into that vector."""
+    rows = (weights[0:2], weights[2:4])
+    vec = list(state)
+
+    def new_value(i, seen):
+        return node_next(tag, rows[i][0] * seen[0] + rows[i][1] * seen[1], seen[i], epsilon)
+
+    if mode == "synchronous":
+        return tuple(new_value(i, state) for i in (0, 1))
+    orders = {"x-first": (0, 1), "y-first": (1, 0)}
+    for i in orders[mode]:
+        vec[i] = new_value(i, vec)
+    return tuple(vec)
 
 
 def _canonical(cycle: list[int]) -> tuple[int, ...]:

@@ -1,14 +1,16 @@
 """The memoised atlas against the plain path, over the whole universe.
 
 Successor maps, attractor sets, classes, neighbor lists, robustness
-scores, spectra, gates and transition tallies all come from memo tables.
-Here each one is recomputed without them, from ``step``/``step_async``,
-the independent attractor oracle and the cofactor charpoly oracle, and
-must be equal on every key.  The tests also bound the work one
+scores, spectra, gates, state graphs and transition tallies all come
+from memo tables.  Here each one is recomputed without them, from the
+independent stepping oracle ``oracles.sweep`` (which imports nothing
+from the package), the independent attractor oracle and the cofactor
+charpoly oracle, and must be equal on every key.  The tests also bound the work one
 ``run_all`` does, check that importing the CLI computes nothing, and
 check that a shared result cannot be changed by one caller.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -44,16 +46,13 @@ from mpnspace import (
     state_robustness_rule_mutation,
     spectrum,
     spectrum_from_cycles,
-    states,
-    step,
-    step_async,
     successor_indices,
     t12,
     transition_matrix,
     variant,
 )
 from mpnspace import dynamics, gates, report, robustness, rulespace, spectral
-from oracles import functional_graph_attractors
+from oracles import VALUES, functional_graph_attractors, joint_states, node_next, sweep
 
 ALL = all_rules()
 UNIVERSE = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
@@ -65,9 +64,11 @@ EPSILON_VARIANTS = [
 # Every memo table of the package, as "module.name": dicts, then
 # functools caches.
 ATLAS_TABLES = ("dynamics._successors", "dynamics._interned", "dynamics._variants",
-                "robustness._class_scores", "rulespace._transition_tallies")
+                "robustness._class_scores", "rulespace._transition_tallies",
+                "report._state_graphs")
 ATLAS_MEMOS = (
     "dynamics._rule_of_number",
+    "dynamics._tag_gates",
     "dynamics._attractors_of",
     "dynamics._class_of",
     "rulespace._neighbors",
@@ -76,6 +77,7 @@ ATLAS_MEMOS = (
     "robustness._state_robustness_init_perturbation",
     "spectral._spectrum_of",
     "spectral._charpoly_of",
+    "spectral._matrix_of",
     "gates._gates_of",
     "report._t4_cells",
 )
@@ -97,14 +99,9 @@ def clear_atlas():
 
 
 def plain_successors(rule, v):
-    sts = states(v)
-
-    def nxt(s):
-        if v.mode is UpdateMode.SYNCHRONOUS:
-            return step(rule, v, s)
-        return step_async(rule, v, v.mode, s)
-
-    return tuple(sts.index(nxt(s)) for s in sts)
+    sts = joint_states(v.tag)
+    return tuple(sts.index(sweep(rule.weights, v.tag, v.mode.value, s, v.epsilon))
+                 for s in sts)
 
 
 def plain_attractors(rule, v):
@@ -134,7 +131,22 @@ def plain_limiting_sets(rule):
 
 def plain_truth_table(rule, v, pick):
     """Logical outputs of node ``pick`` (0 for x) under synchronous steps."""
-    return tuple(int(step(rule, v, s)[pick] == v.high) for s in states(v))
+    hi = VALUES[v.tag][1]
+    return tuple(int(sweep(rule.weights, v.tag, "synchronous", s, v.epsilon)[pick] == hi)
+                 for s in joint_states(v.tag))
+
+
+def plain_state_graph(rule, v):
+    """The DOT text of ``emit_state_graph``, built from the oracles."""
+    succ = plain_successors(rule, v)
+    cycles, _, _ = functional_graph_attractors(succ.__getitem__)
+    on_cycle = {i for cycle in cycles for i in cycle}
+    lines = [f"digraph state_space_rule{rule.number}_{v.tag.lower()} {{"]
+    for i, (x, y) in enumerate(joint_states(v.tag)):
+        shape = "doublecircle" if i in on_cycle else "circle"
+        lines.append(f'  s{i} [label="({x},{y})" shape={shape}];')
+    lines += [f"  s{i} -> s{j};" for i, j in enumerate(succ)]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def plain_spectrum(rule, v):
@@ -219,6 +231,72 @@ def test_memoised_transition_counts_equal_plain_tally(v, grouping):
     assert class_transition_counts(v, grouping) == expected
     # A second lookup with an equal, freshly built variant gives the same.
     assert class_transition_counts(variant(v.tag, v.mode, v.epsilon), grouping) == expected
+
+
+# Logical (x, y) inputs in state-index order 2 * x + y.
+BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+TRUTH_TABLES = tuple(itertools.product((0, 1), repeat=4))
+
+
+def test_composed_maps_equal_the_direct_update_on_every_gate_pair():
+    """All 16 x 16 pairs of node truth tables, in every mode: composing
+    the node gates gives the update defined directly on the tables."""
+    sync_maps = set()
+    for tx in TRUTH_TABLES:
+        for ty in TRUTH_TABLES:
+            # Truth tables over (x, y); a node gate reads (own, other).
+            gx, gy = tx, (ty[0], ty[2], ty[1], ty[3])
+            sync = tuple(2 * tx[2 * x + y] + ty[2 * x + y] for x, y in BITS)
+            x_first, y_first = [], []
+            for x, y in BITS:
+                x2 = tx[2 * x + y]
+                x_first.append(2 * x2 + ty[2 * x2 + y])
+                y2 = ty[2 * x + y]
+                y_first.append(2 * tx[2 * x + y2] + y2)
+            assert dynamics._compose(gx, gy, UpdateMode.SYNCHRONOUS) == sync
+            assert dynamics._compose(gx, gy, UpdateMode.X_FIRST) == tuple(x_first)
+            assert dynamics._compose(gx, gy, UpdateMode.Y_FIRST) == tuple(y_first)
+            sync_maps.add(sync)
+    assert len(sync_maps) == 4 ** 4
+
+
+@pytest.mark.parametrize("v", [variant(tag) for tag in VARIANT_TAGS] + [
+    v for v in EPSILON_VARIANTS if v.mode is UpdateMode.SYNCHRONOUS], ids=_variant_id)
+def test_node_gates_equal_the_oracle_node_update(v):
+    lo, hi = VALUES[v.tag]
+    for w_self, w_other in itertools.product((-1, 0, 1), repeat=2):
+        expected = tuple(
+            int(node_next(v.tag, w_self * own + w_other * other, own, v.epsilon) == hi)
+            for own in (lo, hi) for other in (lo, hi))
+        gates = dynamics._tag_gates(v.tag) if v.epsilon is None else dynamics._node_gates(v)
+        assert gates[w_self, w_other] == expected, (w_self, w_other)
+    assert len(dynamics._tag_gates(v.tag)) == 9
+
+
+@pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
+def test_memoised_state_graph_equals_a_fresh_render(v):
+    if v.epsilon is not None:
+        report._state_graphs.clear()
+    for rule in ALL:
+        dot = report.emit_state_graph(rule, v)
+        assert dot == report._render_state_graph(v, rule.number) == plain_state_graph(rule, v)
+        again = report.emit_state_graph(Rule(*rule.weights), variant(v.tag, v.mode, v.epsilon))
+        assert again == dot
+        if v.epsilon is None:
+            assert again is dot, (rule.number, v)
+    if v.epsilon is not None:
+        assert not report._state_graphs  # epsilon variants are rendered afresh
+    assert len(report._state_graphs) <= 81 * 7 * 3
+
+
+def test_transition_matrices_are_shared_per_successor_map():
+    shared = {}
+    for v in UNIVERSE + EPSILON_VARIANTS:
+        for rule in ALL:
+            matrix = transition_matrix(rule, v)
+            assert matrix is shared.setdefault(successor_indices(rule, v), matrix), (rule.number, v)
+            assert matrix is transition_matrix(Rule(*rule.weights), variant(v.tag, v.mode, v.epsilon))
+    assert spectral._matrix_of.cache_info().currsize <= 4 ** 4
 
 
 def test_epsilon_transition_counts_are_not_memoised_by_key():
@@ -343,6 +421,7 @@ def test_run_all_computes_each_result_once(tmp_path):
     clear_atlas()
     run_all(str(tmp_path))
     assert dynamics._attractors_of.cache_info().misses <= 170
+    assert dynamics._tag_gates.cache_info().misses <= len(VARIANT_TAGS)
     assert len(dynamics._interned) <= 170
     assert len(dynamics._successors) <= 81 * 7 * 3
     # One class score per rule (V1 only), computed only on a miss.

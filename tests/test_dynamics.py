@@ -26,7 +26,7 @@ from mpnspace import (
     successor_indices,
     variant,
 )
-from oracles import functional_graph_attractors
+from oracles import functional_graph_attractors, joint_states, sweep
 from reference_tables import t1_expected, ta1_expected
 
 ALL = all_rules()
@@ -157,10 +157,14 @@ def test_increment_form_equals_hold_form_stepwise():
     v7 = variant("V7")
     for r in ALL:
         for s in states(v4):
-            assert step(r, v4, s) == step(r, v7, s)
+            expected = sweep(r.weights, "V4", "synchronous", s)
+            assert sweep(r.weights, "V7", "synchronous", s) == expected
+            assert step(r, v4, s) == step(r, v7, s) == expected
         for order in ("x-first", "y-first"):
             for s in states(v4):
-                assert step_async(r, v4, order, s) == step_async(r, v7, order, s)
+                expected = sweep(r.weights, "V4", order, s)
+                assert sweep(r.weights, "V7", order, s) == expected
+                assert step_async(r, v4, order, s) == step_async(r, v7, order, s) == expected
 
 
 def test_force_high_and_force_low_classes_agree():
@@ -175,7 +179,9 @@ def test_epsilon_shift_matches_zero_case_forms(eps):
         shifted = variant(tag, epsilon=eps)
         for r in ALL:
             for s in states(base):
-                assert step(r, base, s) == step(r, shifted, s)
+                expected = sweep(r.weights, tag, "synchronous", s)
+                assert sweep(r.weights, tag, "synchronous", s, eps) == expected
+                assert step(r, base, s) == step(r, shifted, s) == expected
 
 
 def test_sequential_classes_are_order_independent():
@@ -194,6 +200,62 @@ def test_sequential_step_updates_second_node_with_fresh_value():
     v = variant("V1")
     assert step_async(r, v, "x-first", (1, 1)) == (-1, -1)
     assert step_async(r, v, "y-first", (1, 1)) == (-1, 1)
+    assert sweep(r.weights, "V1", "x-first", (1, 1)) == (-1, -1)
+    assert sweep(r.weights, "V1", "y-first", (1, 1)) == (-1, 1)
+
+
+EPSILONS = {"V2": (None, Fraction(1, 2), 0.25), "V3": (None, Fraction(1, 2), 0.25)}
+
+
+@pytest.mark.parametrize("tag", VARIANT_TAGS)
+def test_step_and_step_async_equal_the_oracle_sweep(tag):
+    """Every rule, state and mode against ``oracles.sweep``; ``step`` is
+    synchronous and ``step_async`` follows ``order``, whatever the
+    variant's own mode."""
+    for eps in EPSILONS.get(tag, (None,)):
+        for mode in UpdateMode:
+            v = variant(tag, mode, eps)
+            assert states(v) == tuple(joint_states(tag))
+            for r in ALL:
+                for s in states(v):
+                    assert step(r, v, s) == sweep(r.weights, tag, "synchronous", s, eps)
+                    for order in ("x-first", "y-first"):
+                        expected = sweep(r.weights, tag, order, s, eps)
+                        assert step_async(r, v, order, s) == expected, (r.number, order, s)
+                        assert step_async(r, v, UpdateMode(order), s) == expected
+
+
+# Checked in this order: the order argument, then the state.
+@pytest.mark.parametrize(("order", "state", "message"), [
+    ("z-first", (2, 2), "'z-first' is not a valid UpdateMode"),
+    ("synchronous", (2, 2), "order must be x-first or y-first"),
+    (UpdateMode.SYNCHRONOUS, (1, 1), "order must be x-first or y-first"),
+    ("x-first", (2, 2), "state (2, 2) is not valid under the {tag} value convention"),
+    (UpdateMode.Y_FIRST, (True, 1), "state (True, 1) is not valid under the {tag} value convention"),
+    ("y-first", [1, 1], "state [1, 1] is not valid under the {tag} value convention"),
+])
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)])
+def test_step_async_validation_order_and_messages(order, state, message, eps):
+    v = variant("V2", "x-first", eps)
+    with pytest.raises(ValueError) as excinfo:
+        step_async(rule_from_number(8), v, order, state)
+    assert str(excinfo.value) == message.format(tag="V2")
+
+
+@pytest.mark.parametrize("state", [(2, 2), (1.0, 1), (1,), (1, 1, 1), [1, 1], None], ids=repr)
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_step_validation_messages(state, eps):
+    with pytest.raises(ValueError) as excinfo:
+        step(rule_from_number(8), variant("V3", "y-first", eps), state)
+    assert str(excinfo.value) == f"state {state!r} is not valid under the V3 value convention"
+
+
+@pytest.mark.parametrize("order", [1, None, ["x-first"]], ids=repr)
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_step_async_rejects_an_order_that_is_not_a_mode(order, eps):
+    with pytest.raises(ValueError) as excinfo:
+        step_async(rule_from_number(8), variant("V2", epsilon=eps), order, (1, 1))
+    assert str(excinfo.value) == f"mode must be an UpdateMode, got {order!r}"
 
 
 def test_attractor_set_matches_functional_graph_oracle():

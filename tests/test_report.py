@@ -124,6 +124,11 @@ def test_state_graph_identity_rule():
         assert f"s{i} -> s{i};" in dot
 
 
+def test_state_graph_requires_a_variant():
+    with pytest.raises(ValueError, match="needs a variant"):
+        emit_state_graph(rule_from_number(8), None)
+
+
 def test_state_graph_hold_variant_funnel():
     dot = emit_state_graph(rule_from_number(8), variant("V4"))
     assert "s0 -> s0;" in dot          # (0,0) self-loop

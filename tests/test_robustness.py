@@ -116,6 +116,31 @@ def test_distribution_requires_edges_for_other_metrics():
     assert sum(hist.counts) == 81
 
 
+@pytest.mark.parametrize("edges", [
+    (Fraction(9, 10), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 2)),
+    ("a",),
+    (0.5,),
+    (True, 2),
+    (Fraction(1, 2), "1"),
+    "ab",
+    (e for e in (Fraction(1, 2),)),
+    {Fraction(1, 2): 0},
+], ids=["unsorted", "repeated", "str", "float", "bool", "mixed_str", "string", "generator", "dict"])
+@pytest.mark.parametrize("metric", ["state-vs-rule-mutation", "class-vs-rule-mutation"])
+def test_distribution_rejects_malformed_edges(metric, edges):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        robustness_distribution(metric, edges=edges)
+
+
+def test_distribution_accepts_increasing_ints_and_fractions():
+    frozen = robustness_distribution("state-vs-rule-mutation", "two-input")
+    assert robustness_distribution(edges=TWO_INPUT_BIN_EDGES) == frozen
+    assert robustness_distribution(edges=list(TWO_INPUT_BIN_EDGES)).counts == frozen.counts
+    hist = robustness_distribution("class-vs-rule-mutation", edges=[Fraction(1, 2), 1])
+    assert sum(hist.counts) == 81 and len(hist.counts) == 3
+
+
 def test_score_dispatch():
     r = rule_from_number(25)
     assert score(r, "class-vs-rule-mutation").metric == "class-vs-rule-mutation"

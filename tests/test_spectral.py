@@ -131,6 +131,82 @@ def test_charpoly_oracle_accepts_lists_and_tuples():
     assert charpoly_oracle([list(row) for row in T]) == charpoly_oracle(T) == [1, 0, 0, 0, -1]
 
 
+_SEQUENCES = frozenset((list, tuple))
+_BITS = frozenset((0, 1))
+
+
+def reference_accepts(T):
+    """The set-based input check ``charpoly_oracle`` made before its
+    one-pass check, kept as the reference predicate."""
+    shape_ok = (type(T) in _SEQUENCES and len(T) == 4
+                and _SEQUENCES.issuperset(map(type, T)) and {*map(len, T)} == {4})
+    entries = (*T[0], *T[1], *T[2], *T[3]) if shape_ok else ()
+    return bool(entries and {*map(type, entries)} == {int} and _BITS.issuperset(entries))
+
+
+def assert_oracle_agrees_with_reference(T):
+    if reference_accepts(T):
+        assert charpoly_oracle(T) == _charpoly_kernel((*T[0], *T[1], *T[2], *T[3])), T
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            charpoly_oracle(T)
+        assert str(excinfo.value) == f"matrix must be 4x4 with 0/1 int entries, got {T!r}"
+
+
+def test_charpoly_oracle_accepts_every_01_matrix_the_reference_accepts():
+    rows = list(itertools.product((0, 1), repeat=4))
+    list_rows = [list(row) for row in rows]
+    for picks in itertools.product(range(16), repeat=4):
+        T = tuple(rows[i] for i in picks)
+        assert reference_accepts(T)
+        assert_oracle_agrees_with_reference(T)
+        assert_oracle_agrees_with_reference([list_rows[i] for i in picks])
+
+
+class _Row(tuple):
+    pass
+
+
+_I = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+MALFORMED_CORPUS = {
+    "bool": [[True, 0, 0, 0], *_I[1:]],
+    "bool_row": (_I[0], _I[1], _I[2], (False, False, False, True)),
+    "float": [[1.0, 0, 0, 0], *_I[1:]],
+    "two": (_I[0], _I[1], (0, 0, 2, 0), _I[3]),
+    "minus_one": (_I[0], _I[1], _I[2], (0, 0, 0, -1)),
+    "str_entry": (_I[0], ("0", 1, 0, 0), _I[2], _I[3]),
+    "str_rows": ("1000", "0100", "0010", "0001"),
+    "str": "1000010000100001",
+    "3x4": _I[:3],
+    "4x3": tuple(row[:3] for row in _I),
+    "ragged": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "ragged_long": (_I[0], _I[1], _I[2], (0, 0, 0, 1, 0)),
+    "5_rows": _I + ((0, 0, 0, 1),),
+    "5x5": [[1 if i == j else 0 for j in range(5)] for i in range(5)],
+    "dict": dict(enumerate(_I)),
+    "dict_rows": tuple(dict(enumerate(row)) for row in _I),
+    "none": None,
+    "none_row": (_I[0], None, _I[2], _I[3]),
+    "generator": (row for row in _I),
+    "generator_row": (_I[0], _I[1], (b for b in _I[2]), _I[3]),
+    "range_row": (_I[0], _I[1], _I[2], range(4)),
+    **{f"tuple_subclass_row_{k}": tuple(_Row(row) if i == k else row for i, row in enumerate(_I))
+       for k in range(4)},
+    **{f"long_row_{k}": tuple(row + (0,) if i == k else row for i, row in enumerate(_I))
+       for k in range(4)},
+    "nested": [[list(row) for row in _I]] * 4,
+    "nested_entry": ((1, (0,), 0, 0), _I[1], _I[2], _I[3]),
+    "empty": (),
+    "int": 1,
+}
+
+
+@pytest.mark.parametrize("matrix", MALFORMED_CORPUS.values(), ids=MALFORMED_CORPUS)
+def test_charpoly_oracle_rejects_what_the_reference_rejects(matrix):
+    assert not reference_accepts(matrix)
+    assert_oracle_agrees_with_reference(matrix)
+
+
 def _eigenvalues(sp):
     """Numeric eigenvalues of a symbolic spectrum, zeros first."""
     roots = tuple(cmath.exp(2j * cmath.pi * p) for p in sp.phases)
