@@ -381,7 +381,7 @@ def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:
     """Synchronous one-step update of the joint state."""
     i = state_index(v, s)
     w = v if v.mode is UpdateMode.SYNCHRONOUS else variant(v.tag, epsilon=v.epsilon)
-    return states(v)[successor_indices(rule, w)[i]]
+    return states(v)[_record(rule, w).successors[i]]
 
 
 def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
@@ -392,38 +392,41 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
     if w.mode is UpdateMode.SYNCHRONOUS:
         raise ValueError("order must be x-first or y-first")
     i = state_index(v, s)
-    return states(v)[successor_indices(rule, w)[i]]
+    return states(v)[_record(rule, w).successors[i]]
 
 
-# The atlas: memo tables filled on first use, never at import.  Every
-# (rule, tag, mode) key maps to one of at most 4**4 successor tuples,
-# each stored once (``_interned``), and everything downstream of the
-# one-step map is keyed by that tuple.  Keys are plain ints, strings and
-# enum members, so a lookup runs no Rule or Variant __eq__ and keeps no Rule
+# The atlas: filled on first use, never at import.  Every (rule, tag,
+# mode) key maps to one of at most 4**4 successor tuples, and each tuple
+# has one _MapRecord, built once by _map_record, holding every view the
+# package derives from the map.  Keys are plain ints, strings and enum
+# members, so a lookup runs no Rule or Variant __eq__ and keeps no Rule
 # or Variant alive.  Results handed out are immutable.
-_successors: dict[tuple, tuple[int, int, int, int]] = {}
-_interned: dict[tuple[int, int, int, int], tuple[int, int, int, int]] = {}
+_successors: dict[tuple, _MapRecord] = {}
 
 
 def _step_map(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
-    """Successor indices composed from the two node gates, interned."""
+    """Successor indices composed from the two node gates."""
     gates = _tag_gates(v.tag) if v.epsilon is None else _node_gates(v)
     wxx, wxy, wyx, wyy = rule.weights
-    succ = _compose(gates[wxx, wxy], gates[wyy, wyx], v.mode)
-    return _interned.setdefault(succ, succ)
+    return _compose(gates[wxx, wxy], gates[wyy, wyx], v.mode)
+
+
+def _record(rule: Rule, v: Variant) -> _MapRecord:
+    """The record of the rule's successor map under ``v``."""
+    if v.epsilon is not None:
+        # Shifted-threshold variants keep their own node gates and,
+        # with unboundedly many epsilons, are not memoised by key.
+        return _map_record(_step_map(rule, v))
+    key = (rule.wxx, rule.wxy, rule.wyx, rule.wyy, v.tag, v.mode)
+    rec = _successors.get(key)
+    if rec is None:
+        rec = _successors[key] = _map_record(_step_map(rule, v))
+    return rec
 
 
 def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
     """Successor state index for each of S0..S3 under one step."""
-    if v.epsilon is not None:
-        # Shifted-threshold variants keep their own node gates and,
-        # with unboundedly many epsilons, are not memoised by key.
-        return _step_map(rule, v)
-    key = (rule.wxx, rule.wxy, rule.wyx, rule.wyy, v.tag, v.mode)
-    succ = _successors.get(key)
-    if succ is None:
-        succ = _successors[key] = _step_map(rule, v)
-    return succ
+    return _record(rule, v).successors
 
 
 class AttractorSet(NamedTuple):
@@ -455,30 +458,9 @@ def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-@functools.cache
-def _attractors_of(succ: tuple[int, int, int, int]) -> AttractorSet:
-    attractors: dict[tuple[int, ...], None] = {}
-    basin: dict[int, tuple[int, ...]] = {}
-    steps: dict[int, int] = {}
-    for start in range(4):
-        seen: dict[int, int] = {}
-        cur = start
-        while cur not in seen:
-            seen[cur] = len(seen)
-            cur = succ[cur]
-        entry = seen[cur]  # walk position where the cycle begins
-        walk = sorted(seen, key=seen.get)
-        cycle = _canonical_cycle(walk[entry:])
-        attractors[cycle] = None
-        basin[start] = cycle
-        steps[start] = entry
-    ordered = tuple(sorted(attractors, key=lambda c: c[0]))
-    return AttractorSet(ordered, MappingProxyType(basin), MappingProxyType(steps))
-
-
 def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
     """Iterate the map from all four states and collect its attractors."""
-    return _attractors_of(successor_indices(rule, v))
+    return _record(rule, v).attractor_set
 
 
 class DynamicsClass(NamedTuple):
@@ -517,11 +499,55 @@ def class_from_cycle_lengths(lengths: tuple[int, ...]) -> DynamicsClass:
     return DynamicsClass("+".join(str(p) for p in lengths), lengths)
 
 
-@functools.cache
-def _class_of(succ: tuple[int, int, int, int]) -> DynamicsClass:
-    return class_from_cycle_lengths(_attractors_of(succ).cycle_lengths)
-
-
 def classify(rule: Rule, v: Variant) -> DynamicsClass:
     """Classify the limiting behavior of a rule under a variant."""
-    return _class_of(successor_indices(rule, v))
+    return _record(rule, v).dynamics_class
+
+
+class _MapRecord(NamedTuple):
+    """Every view of one successor map: its attractors and class, its 0/1
+    transition matrix, spectrum and cycle-route charpoly, the gates of
+    its x and y bits, and per start state the attractor it lands in, as
+    a state set."""
+
+    successors: tuple[int, int, int, int]
+    attractor_set: AttractorSet
+    dynamics_class: DynamicsClass
+    matrix: tuple[tuple[int, int, int, int], ...]
+    spectrum: Spectrum
+    charpoly: tuple[int, ...]
+    gates: tuple[Gate, Gate]
+    landing: tuple[frozenset[int], ...]
+
+
+_UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@functools.cache
+def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
+    from .gates import identify_gate  # deferred: gates and spectral import dynamics
+    from .spectral import charpoly_from_cycles, spectrum_from_cycles
+
+    attractors: dict[tuple[int, ...], None] = {}
+    basin: dict[int, tuple[int, ...]] = {}
+    steps: dict[int, int] = {}
+    for start in range(4):
+        seen: dict[int, int] = {}
+        cur = start
+        while cur not in seen:
+            seen[cur] = len(seen)
+            cur = succ[cur]
+        entry = seen[cur]  # walk position where the cycle begins
+        walk = sorted(seen, key=seen.get)
+        cycle = _canonical_cycle(walk[entry:])
+        attractors[cycle] = None
+        basin[start] = cycle
+        steps[start] = entry
+    ordered = tuple(sorted(attractors, key=lambda c: c[0]))
+    aset = AttractorSet(ordered, MappingProxyType(basin), MappingProxyType(steps))
+    return _MapRecord(
+        succ, aset, class_from_cycle_lengths(aset.cycle_lengths),
+        tuple(map(_UNIT_ROWS.__getitem__, succ)),
+        spectrum_from_cycles(aset), tuple(charpoly_from_cycles(aset)),
+        (identify_gate(tuple(i >> 1 for i in succ)), identify_gate(tuple(i & 1 for i in succ))),
+        tuple(frozenset(basin[i]) for i in range(4)))

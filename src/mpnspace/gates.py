@@ -18,10 +18,9 @@ self-negating node are picked out by a third flag.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
-from .dynamics import Rule, UpdateMode, Variant, successor_indices, variant
+from .dynamics import Rule, UpdateMode, Variant, _record, variant
 
 GATE_NAMES = (
     "F", "AND", "xANDnoty", "x", "notxANDy", "y", "XOR", "OR",
@@ -93,13 +92,7 @@ def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
     the logical (x, y) bits of the next state."""
     if v.mode is not UpdateMode.SYNCHRONOUS:
         v = variant(v.tag, epsilon=v.epsilon)  # interned without an epsilon
-    return _gates_of(successor_indices(rule, v))
-
-
-@functools.cache
-def _gates_of(succ: tuple[int, int, int, int]) -> tuple[Gate, Gate]:
-    return (identify_gate(tuple(i >> 1 for i in succ)),
-            identify_gate(tuple(i & 1 for i in succ)))
+    return _record(rule, v).gates
 
 
 class SignPredicates(NamedTuple):

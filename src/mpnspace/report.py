@@ -28,17 +28,15 @@ from .dynamics import (
     Rule,
     UpdateMode,
     _per_variant,
+    _record,
     _Record,
     all_rules,
-    attractor_set,
     classify,
     states,
-    successor_indices,
     variant,
 )
 from .gates import gate_pair, sign_predicates
 from .rulespace import _three_class_group, build_rule_graph, class_transition_counts, export_graph
-from .spectral import charpoly_from_cycles, spectrum_from_cycles
 from .transforms import gauge, reduce_rules, t12
 
 FORMATS = ("csv", "tsv", "markdown", "json")
@@ -308,17 +306,16 @@ def build_spectra_table() -> TableDocument:
     rows = []
     for r in all_rules():
         for v in variants:
-            aset = attractor_set(r, v)
-            sp = spectrum_from_cycles(aset)
-            poly = charpoly_from_cycles(aset)
+            rec = _record(r, v)
+            sp = rec.spectrum
             rows.append([
                 str(r.number),
                 v.tag,
-                classify(r, v).label,
+                rec.dynamics_class.label,
                 str(sp.zero_count),
                 ";".join(str(p) for p in sp.phases),
                 ";".join(str(p) for p in sp.cycle_lengths),
-                " ".join(str(c) for c in poly),
+                " ".join(str(c) for c in rec.charpoly),
             ])
     return TableDocument(
         "spectra",
@@ -345,7 +342,8 @@ TABLE_IDS = tuple(_BUILDERS)
 
 
 def build_table(table_id: str) -> TableDocument:
-    key = {t.lower(): t for t in TABLE_IDS}.get(table_id.lower())
+    key = {t.lower(): t for t in TABLE_IDS}.get(
+        table_id.lower() if isinstance(table_id, str) else None)
     if key is None:
         raise ValueError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
     return _BUILDERS[key]()
@@ -393,7 +391,9 @@ _state_graphs: dict[tuple, str] = {}
 
 def emit_state_graph(rule: Rule, v) -> str:
     """DOT digraph of the one-step map on the four states, rendered once
-    per (rule, tag, mode)."""
+    per (rule, tag, mode).  The graph name carries the rule and tag but
+    not the mode or epsilon, so the maps of one (rule, tag) under the
+    three modes share a name."""
     if v is None:  # which _per_variant would read as V1
         raise ValueError("emit_state_graph needs a variant, got None")
     return _per_variant(_state_graphs, _render_state_graph, v, rule.number)
@@ -402,9 +402,9 @@ def emit_state_graph(rule: Rule, v) -> str:
 def _render_state_graph(v, number: int) -> str:
     rule = Rule.from_number(number)
     sts = states(v)
-    aset = attractor_set(rule, v)
-    nxt = successor_indices(rule, v)
-    on_cycle = {i for cyc in aset.attractors for i in cyc}
+    rec = _record(rule, v)
+    nxt = rec.successors
+    on_cycle = {i for cyc in rec.attractor_set.attractors for i in cyc}
     lines = [f"digraph state_space_rule{number}_{v.tag.lower()} {{"]
     for i, s in enumerate(sts):
         shape = "doublecircle" if i in on_cycle else "circle"

@@ -31,8 +31,8 @@ from .dynamics import (
     Rule,
     Variant,
     _per_variant,
+    _record,
     all_rules,
-    attractor_set,
     classify,
     variant,
 )
@@ -93,14 +93,6 @@ _HAMMING1_STATE_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4)
                               if i ^ j in (1, 2))
 
 
-@functools.cache
-def _limiting_state_sets(rule: Rule) -> tuple[frozenset[int], ...]:
-    """For each start-state index, the attractor reached under V4 as a
-    state set."""
-    aset = attractor_set(rule, variant("V4"))
-    return tuple(frozenset(aset.basin[i]) for i in range(4))
-
-
 def state_robustness_rule_mutation(rule: Rule,
                                    targets: str = "two-input") -> RobustnessScore:
     """Fraction of (initial state, neighbor) pairs preserving the
@@ -113,13 +105,14 @@ def state_robustness_rule_mutation(rule: Rule,
 
 @functools.cache
 def _state_robustness_rule_mutation(rule: Rule, targets: str) -> RobustnessScore:
-    own = _limiting_state_sets(rule)
+    v4 = variant("V4")
+    own = _record(rule, v4).landing  # the attractor state set per start state
     eligible = [
         nb for nb in neighbors(rule) if targets == "all" or nb.arity == 2
     ]
     hits = 0
     for nb in eligible:
-        other = _limiting_state_sets(nb)
+        other = _record(nb, v4).landing
         hits += sum(1 for i in range(4) if own[i] == other[i])
     return RobustnessScore(
         rule.number, "state-vs-rule-mutation", hits, 4 * len(eligible)
@@ -134,7 +127,7 @@ def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
 
 @functools.cache
 def _state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
-    own = _limiting_state_sets(rule)
+    own = _record(rule, variant("V4")).landing
     hits = sum(1 for i, j in _HAMMING1_STATE_PAIRS if own[i] == own[j])
     return RobustnessScore(
         rule.number, "state-vs-init-perturbation", hits, len(_HAMMING1_STATE_PAIRS)

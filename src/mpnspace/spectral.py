@@ -15,26 +15,17 @@ call and never reading the cycle structure.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import AttractorSet, Rule, Variant, attractor_set, successor_indices
+from .dynamics import AttractorSet, Rule, Variant, _record
 
 TransitionMatrix = tuple[tuple[int, int, int, int], ...]
 
 
-_UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
 def transition_matrix(rule: Rule, v: Variant) -> TransitionMatrix:
     """0/1 one-step matrix, row i marking the successor of state i."""
-    return _matrix_of(successor_indices(rule, v))
-
-
-@functools.cache
-def _matrix_of(succ: tuple[int, int, int, int]) -> TransitionMatrix:
-    return tuple(map(_UNIT_ROWS.__getitem__, succ))
+    return _record(rule, v).matrix
 
 
 def is_row_stochastic_01(T: TransitionMatrix) -> bool:
@@ -63,28 +54,16 @@ class Spectrum(NamedTuple):
 
 def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
     """Combinatorial spectrum: zeros for transients, p-th roots per cycle."""
-    return _spectrum_of(attractors.attractors)
-
-
-@functools.cache
-def _spectrum_of(cycles: tuple[tuple[int, ...], ...]) -> Spectrum:
-    phases = []
-    lengths = []
-    cycle_states = 0
-    for cycle in cycles:
-        p = len(cycle)
-        lengths.append(p)
-        cycle_states += p
-        phases.extend(Fraction(k, p) for k in range(p))
+    lengths = attractors.cycle_lengths
     return Spectrum(
-        zero_count=4 - cycle_states,
-        phases=tuple(sorted(phases)),
-        cycle_lengths=tuple(sorted(lengths)),
+        zero_count=4 - sum(lengths),
+        phases=tuple(sorted(Fraction(k, p) for p in lengths for k in range(p))),
+        cycle_lengths=lengths,
     )
 
 
 def spectrum(rule: Rule, v: Variant) -> Spectrum:
-    return _spectrum_of(attractor_set(rule, v).attractors)
+    return _record(rule, v).spectrum
 
 
 _SEQUENCES = frozenset((list, tuple))
@@ -165,15 +144,8 @@ def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:
     in descending powers: the spectrum's predicted characteristic
     polynomial, built by a route independent of the matrix oracle.
     Each call returns a new list."""
-    return list(_charpoly_of(attractors.attractors))
-
-
-@functools.cache
-def _charpoly_of(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    sp = _spectrum_of(cycles)
+    lengths = attractors.cycle_lengths
     poly = [1]
-    for p in sp.cycle_lengths:
-        factor = [-1] + [0] * (p - 1) + [1]  # lambda^p - 1, lowest first
-        poly = _poly_mul(poly, factor)
-    poly = [0] * sp.zero_count + poly  # multiply by lambda^z
-    return tuple(reversed(poly))
+    for p in lengths:
+        poly = _poly_mul(poly, [-1] + [0] * (p - 1) + [1])  # lambda^p - 1, lowest first
+    return poly[::-1] + [0] * (4 - sum(lengths))  # times lambda^z

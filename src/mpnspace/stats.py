@@ -170,8 +170,19 @@ def _corr_result(r: float, n: int) -> TestResult:
     return TestResult(r, _t_two_sided_p(t, n - 2))
 
 
+def _check_values(values: Sequence[float]) -> None:
+    """Every entry a finite int, float or Fraction, checked once per public call."""
+    for x in values:
+        # type() rather than isinstance: a bool is an int subclass.
+        if type(x) not in (int, float, Fraction) or (type(x) is float and not math.isfinite(x)):
+            raise ValueError(f"correlation inputs must be finite ints, floats or "
+                             f"Fractions, got {x!r}")
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
     """Product-moment correlation with the two-sided t-based p-value."""
+    _check_values(xs)
+    _check_values(ys)
     if len(xs) != len(ys):
         raise ValueError("vectors must have the same length")
     n = len(xs)
@@ -189,6 +200,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
 
 def rankdata(values: Sequence[float]) -> list[float]:
     """Mid-ranks (ties get the average of their rank range), 1-based."""
+    _check_values(values)
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
     i = 0
@@ -204,5 +216,6 @@ def rankdata(values: Sequence[float]) -> list[float]:
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
-    """Rank correlation: Pearson on mid-ranks, same p-value transform."""
+    """Rank correlation: Pearson on mid-ranks, same p-value transform;
+    ``rankdata`` checks each vector before ranking it."""
     return pearson(rankdata(xs), rankdata(ys))

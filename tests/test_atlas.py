@@ -52,7 +52,14 @@ from mpnspace import (
     variant,
 )
 from mpnspace import dynamics, gates, report, robustness, rulespace, spectral
-from oracles import VALUES, functional_graph_attractors, joint_states, node_next, sweep
+from oracles import (
+    VALUES,
+    functional_graph_attractors,
+    joint_states,
+    node_next,
+    recursive_charpoly,
+    sweep,
+)
 
 ALL = all_rules()
 UNIVERSE = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
@@ -63,22 +70,16 @@ EPSILON_VARIANTS = [
 
 # Every memo table of the package, as "module.name": dicts, then
 # functools caches.
-ATLAS_TABLES = ("dynamics._successors", "dynamics._interned", "dynamics._variants",
+ATLAS_TABLES = ("dynamics._successors", "dynamics._variants",
                 "robustness._class_scores", "rulespace._transition_tallies",
                 "report._state_graphs")
 ATLAS_MEMOS = (
     "dynamics._rule_of_number",
     "dynamics._tag_gates",
-    "dynamics._attractors_of",
-    "dynamics._class_of",
+    "dynamics._map_record",
     "rulespace._neighbors",
-    "robustness._limiting_state_sets",
     "robustness._state_robustness_rule_mutation",
     "robustness._state_robustness_init_perturbation",
-    "spectral._spectrum_of",
-    "spectral._charpoly_of",
-    "spectral._matrix_of",
-    "gates._gates_of",
     "report._t4_cells",
 )
 MODULES = {"dynamics": dynamics, "gates": gates, "report": report, "robustness": robustness,
@@ -151,6 +152,11 @@ def plain_state_graph(rule, v):
 
 def plain_spectrum(rule, v):
     cycles, _, _ = plain_attractors(rule, v)
+    return spectrum_of_cycles(cycles)
+
+
+def spectrum_of_cycles(cycles):
+    """Zeros for the transient states, the p-th roots per p-cycle."""
     lengths = sorted(len(c) for c in cycles)
     return Spectrum(
         zero_count=4 - sum(lengths),
@@ -289,6 +295,30 @@ def test_memoised_state_graph_equals_a_fresh_render(v):
     assert len(report._state_graphs) <= 81 * 7 * 3
 
 
+def test_every_successor_map_record_equals_its_references():
+    """All 4**4 maps of the four states to themselves, not only the 170
+    that the 1701 keys reach: every field of a record against an
+    independent reference, so the atlas is exact on any map the kernel
+    could produce."""
+    for succ in itertools.product(range(4), repeat=4):
+        rec = dynamics._map_record(succ)
+        cycles, basin, steps = functional_graph_attractors(succ.__getitem__)
+        assert rec.successors == succ
+        assert rec.attractor_set.attractors == cycles, succ
+        assert rec.attractor_set.basin == basin, succ
+        assert rec.attractor_set.steps_to_attractor == steps, succ
+        assert rec.dynamics_class == class_from_cycle_lengths(tuple(len(c) for c in cycles))
+        matrix = tuple(tuple(int(j == succ[i]) for j in range(4)) for i in range(4))
+        assert rec.matrix == matrix, succ
+        assert list(rec.charpoly) == charpoly_oracle(matrix) == recursive_charpoly(matrix), succ
+        assert rec.spectrum == spectrum_of_cycles(cycles), succ
+        x_bits = tuple(succ[i] // 2 for i in range(4))
+        y_bits = tuple(succ[i] % 2 for i in range(4))
+        assert rec.gates == (identify_gate(x_bits), identify_gate(y_bits)), succ
+        assert rec.landing == tuple(frozenset(basin[i]) for i in range(4)), succ
+    assert dynamics._map_record.cache_info().currsize == 4 ** 4
+
+
 def test_transition_matrices_are_shared_per_successor_map():
     shared = {}
     for v in UNIVERSE + EPSILON_VARIANTS:
@@ -296,7 +326,7 @@ def test_transition_matrices_are_shared_per_successor_map():
             matrix = transition_matrix(rule, v)
             assert matrix is shared.setdefault(successor_indices(rule, v), matrix), (rule.number, v)
             assert matrix is transition_matrix(Rule(*rule.weights), variant(v.tag, v.mode, v.epsilon))
-    assert spectral._matrix_of.cache_info().currsize <= 4 ** 4
+    assert dynamics._map_record.cache_info().currsize <= 4 ** 4
 
 
 def test_epsilon_transition_counts_are_not_memoised_by_key():
@@ -420,9 +450,9 @@ def test_malformed_variant_inputs_raise_and_are_not_interned(tag, mode, message)
 def test_run_all_computes_each_result_once(tmp_path):
     clear_atlas()
     run_all(str(tmp_path))
-    assert dynamics._attractors_of.cache_info().misses <= 170
+    # One record per successor map the 1701 keys reach.
+    assert dynamics._map_record.cache_info().misses <= 170
     assert dynamics._tag_gates.cache_info().misses <= len(VARIANT_TAGS)
-    assert len(dynamics._interned) <= 170
     assert len(dynamics._successors) <= 81 * 7 * 3
     # One class score per rule (V1 only), computed only on a miss.
     assert len(robustness._class_scores) == 81
@@ -431,11 +461,6 @@ def test_run_all_computes_each_result_once(tmp_path):
         info = memo.cache_info()
         assert info.misses == 81 * conventions, memo
         assert info.hits > 0, memo
-    # Views keyed by the successor tuple or by its attractor cycles.
-    assert gates._gates_of.cache_info().misses <= 170
-    distinct_cycles = len({attractor_set(r, v).attractors for r in ALL for v in UNIVERSE})
-    for memo in (spectral._spectrum_of, spectral._charpoly_of):
-        assert memo.cache_info().misses <= distinct_cycles, memo
     # T3A, T3B and the stats report share two tallies (V1, two groupings).
     assert len(rulespace._transition_tallies) == 2
     # T4 and the stats report's quadrant table share one pass over the T4

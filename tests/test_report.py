@@ -63,6 +63,14 @@ def test_unknown_table_and_format_raise():
         emit_table("T1", "yaml")
 
 
+@pytest.mark.parametrize("table_id", [None, 3, b"T1", ("T1",)], ids=repr)
+def test_non_string_table_ids_raise_the_unknown_id_error(table_id):
+    with pytest.raises(ValueError, match="unknown table id"):
+        build_table(table_id)
+    with pytest.raises(ValueError, match="unknown table id"):
+        emit_table(table_id)
+
+
 def test_render_formats():
     doc = build_table("T3B")
     csv_text = render_table(doc, "csv")

@@ -126,6 +126,22 @@ def test_rankdata_midranks():
     assert got == want
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, "1", None],
+                         ids=repr)
+@pytest.mark.parametrize("fn", [pearson, spearman])
+def test_correlations_reject_non_finite_and_non_numeric_entries(fn, bad):
+    good = [1, 2.5, Fraction(7, 2), 4]
+    for xs, ys in (([bad, 1, 2, 3], good), (good, [1, 2, bad, 3])):
+        with pytest.raises(ValueError, match="finite ints, floats or Fractions"):
+            fn(xs, ys)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1", None], ids=repr)
+def test_rankdata_rejects_non_finite_and_non_numeric_entries(bad):
+    with pytest.raises(ValueError, match="finite ints, floats or Fractions"):
+        rankdata([3, bad, 1])
+
+
 def test_correlation_input_validation():
     with pytest.raises(ValueError):
         pearson([1.0, 2.0], [1.0, 2.0])
