@@ -251,11 +251,6 @@ class Variant(_FrozenRecord):
         return _VARIANT_CONVENTIONS[self.tag][2]
 
 
-# Variants without epsilon handed out by ``variant``, keyed by its raw
-# (tag, mode) arguments: at most 14 tag spellings times 6 mode forms.
-_variants: dict[tuple[str, UpdateMode | str], Variant] = {}
-
-
 def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS,
             epsilon: Fraction | float | None = None) -> Variant:
     """Build a :class:`Variant`, accepting lowercase tags and mode strings.
@@ -265,36 +260,23 @@ def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS,
     call with the same (tag spelling, mode) gets one shared, immutable
     Variant.  Epsilon variants are built afresh on every call.
     """
-    key = (tag, mode)  # the raw arguments, before mode is parsed
-    interned = epsilon is None and type(tag) is str and type(mode) in (str, UpdateMode)
-    if interned:
-        v = _variants.get(key)
-        if v is not None:
-            return v
+    if epsilon is None and type(tag) is str and type(mode) in (str, UpdateMode):
+        return _interned_variant(tag, mode)  # keyed by the raw arguments
+    return _build_variant(tag, mode, epsilon)
+
+
+def _build_variant(tag: str, mode: UpdateMode | str,
+                   epsilon: Fraction | float | None = None) -> Variant:
     if not isinstance(tag, str):
         raise ValueError(f"variant tag must be a string, got {tag!r}")
     if isinstance(mode, str):
         mode = UpdateMode(mode)
-    v = Variant(tag.upper(), mode, epsilon)
-    if interned:
-        _variants[key] = v
-    return v
+    return Variant(tag.upper(), mode, epsilon)
 
 
-def _per_variant(memo: dict, compute, v: Variant | None, *args):
-    """``compute(v, *args)`` with ``v`` defaulting to the synchronous V1,
-    memoised in ``memo`` by (tag, mode, *args) so the memo keeps no
-    Variant alive.  Epsilon variants are computed afresh: their epsilons
-    are unbounded (the successor-tuple views below them are shared)."""
-    if v is None:
-        v = variant("V1")
-    if v.epsilon is not None:
-        return compute(v, *args)
-    key = (v.tag, v.mode, *args)
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = compute(v, *args)
-    return result
+# At most 14 tag spellings times 6 mode forms; a call that raises
+# stores nothing.
+_interned_variant = functools.cache(_build_variant)
 
 
 _STATES = {tag: ((lo, lo), (lo, hi), (hi, lo), (hi, hi))
@@ -395,15 +377,6 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
     return states(v)[_record(rule, w).successors[i]]
 
 
-# The atlas: filled on first use, never at import.  Every (rule, tag,
-# mode) key maps to one of at most 4**4 successor tuples, and each tuple
-# has one _MapRecord, built once by _map_record, holding every view the
-# package derives from the map.  Keys are plain ints, strings and enum
-# members, so a lookup runs no Rule or Variant __eq__ and keeps no Rule
-# or Variant alive.  Results handed out are immutable.
-_successors: dict[tuple, _MapRecord] = {}
-
-
 def _step_map(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
     """Successor indices composed from the two node gates."""
     gates = _tag_gates(v.tag) if v.epsilon is None else _node_gates(v)
@@ -417,11 +390,18 @@ def _record(rule: Rule, v: Variant) -> _MapRecord:
         # Shifted-threshold variants keep their own node gates and,
         # with unboundedly many epsilons, are not memoised by key.
         return _map_record(_step_map(rule, v))
-    key = (rule.wxx, rule.wxy, rule.wyx, rule.wyy, v.tag, v.mode)
-    rec = _successors.get(key)
-    if rec is None:
-        rec = _successors[key] = _map_record(_step_map(rule, v))
-    return rec
+    return _keyed_record(rule.number, v.tag, v.mode)
+
+
+# The atlas: filled on first use, never at import.  Every (rule, tag,
+# mode) key of the 1701 maps to one of at most 4**4 successor tuples,
+# and each tuple has one _MapRecord, built once by _map_record, holding
+# every view the package derives from the map.  Keys are plain ints,
+# strings and enum members, so a lookup runs no Rule or Variant __eq__
+# and keeps no Rule or Variant alive.  Results handed out are immutable.
+@functools.cache
+def _keyed_record(number: int, tag: str, mode: UpdateMode) -> _MapRecord:
+    return _map_record(_step_map(_rule_of_number(number), variant(tag, mode)))
 
 
 def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
@@ -485,8 +465,9 @@ class DynamicsClass(NamedTuple):
 
 
 def class_from_cycle_lengths(lengths: tuple[int, ...]) -> DynamicsClass:
-    if not lengths or any(type(p) is not int or p < 1 for p in lengths):
-        raise ValueError(f"cycle lengths must be positive ints, got {lengths!r}")
+    if not lengths or any(type(p) is not int or p < 1 for p in lengths) or sum(lengths) > 4:
+        raise ValueError("cycle lengths of a four-state map must be positive ints summing "
+                         f"to at most 4, got {lengths!r}")
     lengths = tuple(sorted(lengths))
     distinct = set(lengths)
     if distinct == {1}:

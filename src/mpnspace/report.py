@@ -27,7 +27,6 @@ from .dynamics import (
     VARIANT_TAGS,
     Rule,
     UpdateMode,
-    _per_variant,
     _record,
     _Record,
     all_rules,
@@ -230,30 +229,33 @@ def _t4_bin_headers() -> tuple[str, ...]:
             f"at_least_{e[-1]}")
 
 
-@functools.cache
 def _t4_cells() -> tuple[tuple[int, ...], ...]:
-    """Counts of rules per (V1 class group, all-neighbor robustness bin),
-    one row per ``T4_GROUPS`` entry."""
-    edges = rb.ALL_TARGET_BIN_EDGES
-    cells = {g: [0] * (len(edges) + 1) for g in T4_GROUPS}
+    """Counts of rules per (V1 class group, all-neighbor robustness bin): the
+    all-neighbor histogram split by group, one row per ``T4_GROUPS`` entry."""
+    hist = rb.robustness_distribution("state-vs-rule-mutation", "all")
+    cells = {g: [0] * len(hist.counts) for g in T4_GROUPS}
     v1 = variant("V1")
-    for r in all_rules():
-        label = classify(r, v1).label
-        group = _T4_ROW_OF_GROUP.get(_three_class_group(label))
-        if group is None:
-            raise ValueError(f"no count-table group for class {label!r}")
-        frac = rb.state_robustness_rule_mutation(r, "all").fraction
-        cells[group][rb._bin_index(frac, edges)] += 1
+    for b, numbers in enumerate(hist.rules_per_bin):
+        for n in numbers:
+            label = classify(Rule.from_number(n), v1).label
+            group = _T4_ROW_OF_GROUP.get(_three_class_group(label))
+            if group is None:
+                raise ValueError(f"no count-table group for class {label!r}")
+            cells[group][b] += 1
     return tuple(tuple(cells[g]) for g in T4_GROUPS)
+
+
+def _quadrants(cells) -> tuple[tuple[int, int], tuple[int, int]]:
+    fixed, *others = cells
+    rest = [sum(col) for col in zip(*others)]
+    k = _QUADRANT_EDGE + 1
+    return ((sum(fixed[:k]), sum(fixed[k:])), (sum(rest[:k]), sum(rest[k:])))
 
 
 def quadrant_counts() -> tuple[tuple[int, int], tuple[int, int]]:
     """2x2 table: (fixed-point vs not) by (robustness below 0.821 vs not),
     all-neighbor mutation metric over all 81 rules, summed from T4's cells."""
-    fixed, *others = _t4_cells()
-    rest = [sum(col) for col in zip(*others)]
-    k = _QUADRANT_EDGE + 1
-    return ((sum(fixed[:k]), sum(fixed[k:])), (sum(rest[:k]), sum(rest[k:])))
+    return _quadrants(_t4_cells())
 
 
 def build_t4() -> TableDocument:
@@ -261,7 +263,7 @@ def build_t4() -> TableDocument:
     totals = [sum(col) for col in zip(*cells)]
     rows = [[g, *map(str, row), str(sum(row))]
             for g, row in (*zip(T4_GROUPS, cells), ("total", totals))]
-    quad = quadrant_counts()
+    quad = _quadrants(cells)
     return TableDocument(
         "T4",
         ("dynamics_group", *_t4_bin_headers(), "total"),
@@ -385,21 +387,21 @@ def emit_table(table_id: str, fmt: str = "csv") -> str:
     return render_table(build_table(table_id), fmt)
 
 
-# Keyed by (tag, mode, rule number): see dynamics._per_variant.
-_state_graphs: dict[tuple, str] = {}
-
-
 def emit_state_graph(rule: Rule, v) -> str:
     """DOT digraph of the one-step map on the four states, rendered once
-    per (rule, tag, mode).  The graph name carries the rule and tag but
-    not the mode or epsilon, so the maps of one (rule, tag) under the
-    three modes share a name."""
-    if v is None:  # which _per_variant would read as V1
+    per (rule, tag, mode) and for epsilon variants on every call.  The
+    graph name carries the rule and tag but not the mode or epsilon, so
+    the maps of one (rule, tag) under the three modes share a name."""
+    if v is None:
         raise ValueError("emit_state_graph needs a variant, got None")
-    return _per_variant(_state_graphs, _render_state_graph, v, rule.number)
+    if v.epsilon is not None:
+        return _state_graph.__wrapped__(v.tag, v.mode, rule.number, v.epsilon)
+    return _state_graph(v.tag, v.mode, rule.number)
 
 
-def _render_state_graph(v, number: int) -> str:
+@functools.cache
+def _state_graph(tag: str, mode: UpdateMode, number: int, epsilon=None) -> str:
+    v = variant(tag, mode, epsilon)
     rule = Rule.from_number(number)
     sts = states(v)
     rec = _record(rule, v)

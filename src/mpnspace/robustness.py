@@ -17,8 +17,10 @@
   members reach the same attractor.
 
 Every score is a rational number stored as numerator/denominator; all
-three metrics are invariant under the node-swap transformation.  Each
-score is computed once per (rule, convention) and then shared.
+three metrics are invariant under the node-swap transformation.  Class
+scores are computed once per (rule, tag, mode) and mutation scores
+once per (rule, convention), then shared; the initial-state score reads
+one shared record per call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import NamedTuple
 from .dynamics import (
     Rule,
     Variant,
-    _per_variant,
     _record,
     all_rules,
     classify,
@@ -71,16 +72,18 @@ class RobustnessScore(NamedTuple):
         return Fraction(self.numerator, self.denominator)
 
 
-# Keyed by (tag, mode, rule): see dynamics._per_variant.
-_class_scores: dict[tuple, RobustnessScore] = {}
-
-
 def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
     """Fraction of neighbors with the same dynamics-class label."""
-    return _per_variant(_class_scores, _class_robustness, v, rule)
+    if v is None:
+        v = variant("V1")
+    if v.epsilon is not None:  # unboundedly many epsilons: never memoised
+        return _class_score.__wrapped__(v.tag, v.mode, rule, v.epsilon)
+    return _class_score(v.tag, v.mode, rule)
 
 
-def _class_robustness(v: Variant, rule: Rule) -> RobustnessScore:
+@functools.cache
+def _class_score(tag: str, mode, rule: Rule, epsilon=None) -> RobustnessScore:
+    v = variant(tag, mode, epsilon)
     own = classify(rule, v).label
     nbs = neighbors(rule)
     hits = sum(1 for nb in nbs if classify(nb, v).label == own)
@@ -122,11 +125,6 @@ def _state_robustness_rule_mutation(rule: Rule, targets: str) -> RobustnessScore
 def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
     """Fraction of Hamming-1 initial-state pairs reaching the same
     attractor under V4."""
-    return _state_robustness_init_perturbation(rule)
-
-
-@functools.cache
-def _state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
     own = _record(rule, variant("V4")).landing
     hits = sum(1 for i, j in _HAMMING1_STATE_PAIRS if own[i] == own[j])
     return RobustnessScore(

@@ -27,7 +27,6 @@ from .dynamics import (
     VARIANT_TAGS,
     Rule,
     Variant,
-    _per_variant,
     _Record,
     _rule_of_number,
     all_rules,
@@ -88,10 +87,6 @@ def _three_class_group(label: str) -> str:
     return label
 
 
-# Keyed by (tag, mode, grouping): see dynamics._per_variant.
-_transition_tallies: dict[tuple, TransitionCounts] = {}
-
-
 def class_transition_counts(v: Variant | None = None,
                             grouping: str = "five-class") -> TransitionCounts:
     """Tally neighbor pairs by the dynamics classes of their endpoints.
@@ -101,10 +96,8 @@ def class_transition_counts(v: Variant | None = None,
     """
     if grouping not in ("five-class", "three-class"):
         raise ValueError(f"unknown grouping {grouping!r}")
-    return _per_variant(_transition_tallies, _transition_counts, v, grouping)
-
-
-def _transition_counts(v: Variant, grouping: str) -> TransitionCounts:
+    if v is None:
+        v = variant("V1")
     rules = all_rules()  # rule number n sits at position n - 1
     label_of = [classify(r, v).label for r in rules]
     if grouping == "three-class":

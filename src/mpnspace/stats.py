@@ -171,12 +171,22 @@ def _corr_result(r: float, n: int) -> TestResult:
 
 
 def _check_values(values: Sequence[float]) -> None:
-    """Every entry a finite int, float or Fraction, checked once per public call."""
+    """A list or tuple of finite ints, floats or Fractions, checked once per call."""
+    if type(values) not in (list, tuple):
+        raise ValueError(f"correlation inputs must be a list or tuple, got {values!r}")
     for x in values:
         # type() rather than isinstance: a bool is an int subclass.
         if type(x) not in (int, float, Fraction) or (type(x) is float and not math.isfinite(x)):
             raise ValueError(f"correlation inputs must be finite ints, floats or "
                              f"Fractions, got {x!r}")
+
+
+def _sum(values):
+    """Left to right, as ``sum`` did before Python 3.12 compensated float sums."""
+    total = 0
+    for x in values:
+        total += x
+    return total
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
@@ -188,14 +198,19 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> TestResult:
     n = len(xs)
     if n < 3:
         raise ValueError("need at least 3 points")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0 or syy == 0:
-        raise ValueError("correlation undefined for a zero-variance vector")
-    return _corr_result(sxy / math.sqrt(sxx * syy), n)
+    try:
+        mx, my = _sum(xs) / n, _sum(ys) / n
+        sxy = _sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        sxx = _sum((x - mx) ** 2 for x in xs)
+        syy = _sum((y - my) ** 2 for y in ys)
+        if sxx == 0 or syy == 0:
+            raise ValueError("correlation undefined for a zero-variance vector")
+        r = sxy / (denominator := math.sqrt(sxx * syy))
+    except (OverflowError, ZeroDivisionError):  # beyond float range
+        denominator = r = math.nan
+    if not (0 < denominator < math.inf and math.isfinite(r)):
+        raise ValueError("correlation intermediates exceed the float range")
+    return _corr_result(r, n)
 
 
 def rankdata(values: Sequence[float]) -> list[float]:

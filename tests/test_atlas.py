@@ -2,16 +2,20 @@
 
 Successor maps, attractor sets, classes, neighbor lists, robustness
 scores, spectra, gates, state graphs and transition tallies all come
-from memo tables.  Here each one is recomputed without them, from the
-independent stepping oracle ``oracles.sweep`` (which imports nothing
-from the package), the independent attractor oracle and the cofactor
-charpoly oracle, and must be equal on every key.  The tests also bound the work one
-``run_all`` does, check that importing the CLI computes nothing, and
-check that a shared result cannot be changed by one caller.
+from caches or from cached records.  Here each one is recomputed
+without them, from the independent stepping oracle ``oracles.sweep``
+(which imports nothing from the package), the independent attractor
+oracle and the cofactor charpoly oracle, and must be equal on every
+key.  The tests also bound the work one ``run_all`` does, check that
+every cache is one the README lists and that importing the CLI fills
+none, that no hand-rolled memo exists, and that a shared result cannot
+be changed by one caller.
 """
 
+import inspect
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +23,7 @@ from fractions import Fraction
 import pytest
 
 import mpnspace
+import mpnspace.cli
 from mpnspace import (
     FIVE_CLASS_ORDER,
     THREE_CLASS_ORDER,
@@ -51,7 +56,7 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
-from mpnspace import dynamics, gates, report, robustness, rulespace, spectral
+from mpnspace import dynamics, report, robustness, rulespace
 from oracles import (
     VALUES,
     functional_graph_attractors,
@@ -68,35 +73,42 @@ EPSILON_VARIANTS = [
     for tag in ("V2", "V3") for mode in UpdateMode for eps in (Fraction(1, 2), 0.25)
 ]
 
-# Every memo table of the package, as "module.name": dicts, then
-# functools caches.
-ATLAS_TABLES = ("dynamics._successors", "dynamics._variants",
-                "robustness._class_scores", "rulespace._transition_tallies",
-                "report._state_graphs")
-ATLAS_MEMOS = (
-    "dynamics._rule_of_number",
-    "dynamics._tag_gates",
-    "dynamics._map_record",
-    "rulespace._neighbors",
-    "robustness._state_robustness_rule_mutation",
-    "robustness._state_robustness_init_perturbation",
-    "report._t4_cells",
-)
-MODULES = {"dynamics": dynamics, "gates": gates, "report": report, "robustness": robustness,
-           "rulespace": rulespace, "spectral": spectral}
 GROUPINGS = ("five-class", "three-class")
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def resolve(name):
-    module, attr = name.split(".")
-    return getattr(MODULES[module], attr)
+def package_caches():
+    """Every module-level object with ``cache_info`` defined in a loaded
+    ``mpnspace`` submodule, by "module.name"."""
+    return {f"{name.removeprefix('mpnspace.')}.{attr}": obj
+            for name, module in list(sys.modules.items()) if name.startswith("mpnspace.")
+            for attr, obj in vars(module).items()
+            if hasattr(obj, "cache_info") and obj.__module__ == name}
+
+
+def readme_inventory():
+    """The caches the README's memo inventory lists, one bullet each."""
+    with open(README, encoding="utf-8") as fh:
+        return set(re.findall(r"^\* `(\w+\.\w+)`", fh.read(), re.MULTILINE))
+
+
+def cache_sizes():
+    return {name: cache.cache_info().currsize for name, cache in package_caches().items()}
+
+
+def run_fresh(code):
+    """The stdout of ``code`` run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(mpnspace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def clear_atlas():
-    for name in ATLAS_TABLES:
-        resolve(name).clear()
-    for name in ATLAS_MEMOS:
-        resolve(name).cache_clear()
+    for cache in package_caches().values():
+        cache.cache_clear()
 
 
 def plain_successors(rule, v):
@@ -282,17 +294,18 @@ def test_node_gates_equal_the_oracle_node_update(v):
 @pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
 def test_memoised_state_graph_equals_a_fresh_render(v):
     if v.epsilon is not None:
-        report._state_graphs.clear()
+        report._state_graph.cache_clear()
     for rule in ALL:
         dot = report.emit_state_graph(rule, v)
-        assert dot == report._render_state_graph(v, rule.number) == plain_state_graph(rule, v)
+        fresh = report._state_graph.__wrapped__(v.tag, v.mode, rule.number, v.epsilon)
+        assert dot == fresh == plain_state_graph(rule, v)
         again = report.emit_state_graph(Rule(*rule.weights), variant(v.tag, v.mode, v.epsilon))
         assert again == dot
         if v.epsilon is None:
             assert again is dot, (rule.number, v)
-    if v.epsilon is not None:
-        assert not report._state_graphs  # epsilon variants are rendered afresh
-    assert len(report._state_graphs) <= 81 * 7 * 3
+    if v.epsilon is not None:  # epsilon variants are rendered afresh
+        assert report._state_graph.cache_info().currsize == 0
+    assert report._state_graph.cache_info().currsize <= 81 * 7 * 3
 
 
 def test_every_successor_map_record_equals_its_references():
@@ -331,10 +344,10 @@ def test_transition_matrices_are_shared_per_successor_map():
 
 def test_epsilon_transition_counts_are_not_memoised_by_key():
     expected = class_transition_counts(variant("V3"), "three-class")
-    before = len(rulespace._transition_tallies)
+    before = cache_sizes()
     for eps in (Fraction(1, 3), 0.125):
         assert class_transition_counts(variant("V3", epsilon=eps), "three-class") == expected
-    assert len(rulespace._transition_tallies) == before
+    assert cache_sizes() == before
 
 
 def test_charpoly_from_cycles_returns_a_fresh_list():
@@ -380,10 +393,10 @@ def test_transforms_and_neighbors_return_the_shared_rules():
 def test_epsilon_class_robustness_is_not_memoised_by_key():
     rule = rule_from_number(8)
     expected = class_robustness(rule, variant("V2"))
-    before = len(robustness._class_scores)
+    before = cache_sizes()
     for eps in (Fraction(1, 3), 0.125, 0.875):
         assert class_robustness(rule, variant("V2", epsilon=eps)) == expected
-    assert len(robustness._class_scores) == before
+    assert cache_sizes() == before
 
 
 # Every input ``variant`` interns: two spellings of each tag, and each
@@ -393,17 +406,17 @@ MODE_FORMS = (*(mode.value for mode in UpdateMode), *UpdateMode)
 
 
 def test_interned_variants_equal_the_plain_constructor():
-    dynamics._variants.clear()
+    dynamics._interned_variant.cache_clear()
     for tag in TAG_SPELLINGS:
         for mode in MODE_FORMS:
             v = variant(tag, mode)
             assert v == Variant(tag.upper(), UpdateMode(mode)), (tag, mode)
             assert variant(tag, mode) is v, (tag, mode)
-    assert len(dynamics._variants) <= len(TAG_SPELLINGS) * len(MODE_FORMS)
+    assert dynamics._interned_variant.cache_info().currsize <= len(TAG_SPELLINGS) * len(MODE_FORMS)
 
 
 def test_epsilon_variants_are_built_per_call_and_never_interned():
-    before = list(dynamics._variants.items())
+    before = dynamics._interned_variant.cache_info()
     for eps in (0.5, Fraction(1, 2)):
         for tag in ("V2", "v3"):
             for mode in MODE_FORMS:
@@ -411,18 +424,18 @@ def test_epsilon_variants_are_built_per_call_and_never_interned():
                 assert v == Variant(tag.upper(), UpdateMode(mode), eps)
                 assert type(v.epsilon) is type(eps)
                 assert variant(tag, mode, eps) is not v
-    assert list(dynamics._variants.items()) == before
+    assert dynamics._interned_variant.cache_info() == before
 
 
 def test_str_subclass_tags_are_not_interned():
     class Tag(str):
         pass
 
-    before = list(dynamics._variants.items())
+    before = dynamics._interned_variant.cache_info()
     v = variant(Tag("v4"), "x-first")
     assert v == Variant("V4", UpdateMode.X_FIRST)
     assert variant(Tag("v4"), "x-first") is not v
-    assert list(dynamics._variants.items()) == before
+    assert dynamics._interned_variant.cache_info() == before
 
 
 # The messages are those of the uninterned constructor.
@@ -439,12 +452,12 @@ def test_str_subclass_tags_are_not_interned():
     ("V1", 1, "mode must be an UpdateMode, got 1"),
 ])
 def test_malformed_variant_inputs_raise_and_are_not_interned(tag, mode, message):
-    before = list(dynamics._variants.items())
+    before = dynamics._interned_variant.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError) as excinfo:
             variant(tag, mode)
         assert str(excinfo.value) == message
-    assert list(dynamics._variants.items()) == before
+    assert dynamics._interned_variant.cache_info().currsize == before
 
 
 def test_run_all_computes_each_result_once(tmp_path):
@@ -453,36 +466,53 @@ def test_run_all_computes_each_result_once(tmp_path):
     # One record per successor map the 1701 keys reach.
     assert dynamics._map_record.cache_info().misses <= 170
     assert dynamics._tag_gates.cache_info().misses <= len(VARIANT_TAGS)
-    assert len(dynamics._successors) <= 81 * 7 * 3
+    assert dynamics._keyed_record.cache_info().currsize <= 81 * 7 * 3
     # One class score per rule (V1 only), computed only on a miss.
-    assert len(robustness._class_scores) == 81
-    for memo, conventions in ((robustness._state_robustness_rule_mutation, 2),
-                              (robustness._state_robustness_init_perturbation, 1)):
-        info = memo.cache_info()
-        assert info.misses == 81 * conventions, memo
-        assert info.hits > 0, memo
-    # T3A, T3B and the stats report share two tallies (V1, two groupings).
-    assert len(rulespace._transition_tallies) == 2
-    # T4 and the stats report's quadrant table share one pass over the T4
-    # cells, and each (tag, mode) variant is built once.
-    assert report._t4_cells.cache_info().misses == 1
-    assert len(dynamics._variants) <= len(VARIANT_TAGS) * len(UpdateMode)
+    assert robustness._class_score.cache_info().currsize == 81
+    info = robustness._state_robustness_rule_mutation.cache_info()
+    assert info.misses == 81 * 2
+    assert info.hits > 0
+    # Each (tag, mode) variant is built once.
+    assert dynamics._interned_variant.cache_info().currsize <= len(VARIANT_TAGS) * len(UpdateMode)
+
+
+def test_the_readme_inventory_names_every_cache():
+    assert set(package_caches()) == readme_inventory()
 
 
 def test_importing_the_cli_leaves_the_atlas_empty():
     code = (
-        "import mpnspace.cli\n"
-        f"from mpnspace import {', '.join(MODULES)}\n"
-        f"tables = ({', '.join(ATLAS_TABLES)},)\n"
-        f"memos = ({', '.join(ATLAS_MEMOS)},)\n"
-        "assert not any(tables), tables\n"
-        "assert not any(m.cache_info().currsize for m in memos)\n"
+        "import sys\nimport mpnspace.cli\n"
+        f"{inspect.getsource(package_caches)}\n"
+        "print(sorted(name for name, cache in package_caches().items()\n"
+        "             if cache.cache_info().currsize == 0))\n"
     )
-    src = os.path.dirname(os.path.dirname(mpnspace.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert run_fresh(code) == f"{sorted(readme_inventory())}\n"
+
+
+def test_no_module_level_container_changes_in_use(tmp_path):
+    """Every memo is a cache: ``run_all`` and one call of each query kind
+    leave every module-level dict, list and set of the package as the
+    import left it, in a fresh process."""
+    code = (
+        "import sys\n"
+        "import mpnspace as mp, mpnspace.cli\n"
+        "def containers():\n"
+        "    return {(name, attr): repr(obj) for name, module in list(sys.modules.items())\n"
+        "            if name.startswith('mpnspace') for attr, obj in vars(module).items()\n"
+        "            if not attr.startswith('__') and isinstance(obj, (dict, list, set))}\n"
+        "before = containers()\n"
+        f"mp.run_all({str(tmp_path)!r})\n"
+        "r, v = mp.rule_from_number(8), mp.variant('v2', 'x-first')\n"
+        "mp.classify(r, v), mp.attractor_set(r, v), mp.step(r, v, (1, -1))\n"
+        "mp.step_async(r, v, 'y-first', (1, 1)), mp.spectrum(r, v), mp.gate_pair(r, v)\n"
+        "mp.charpoly_oracle(mp.transition_matrix(r, v)), mp.emit_state_graph(r, v)\n"
+        "mp.class_robustness(r, v)\n"
+        "after = containers()\n"
+        "assert after.keys() == before.keys(), after.keys() ^ before.keys()\n"
+        "print(sorted(key for key in before if after[key] != before[key]))\n"
+    )
+    assert run_fresh(code) == "[]\n"
 
 
 def test_shared_attractor_set_is_read_only():

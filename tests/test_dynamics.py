@@ -83,7 +83,8 @@ def test_state_from_index_rejects_non_int_index(index):
         state_from_index(variant("V1"), index)
 
 
-@pytest.mark.parametrize("lengths", [(), (0,), (1, -2), (1.0,)], ids=repr)
+@pytest.mark.parametrize("lengths", [(), (0,), (1, -2), (1.0,), (5,), (3, 3), (1, 2, 2),
+                                     (1, 1, 1, 1, 1)], ids=repr)
 def test_class_from_cycle_lengths_rejects_empty_or_non_positive(lengths):
     with pytest.raises(ValueError):
         class_from_cycle_lengths(lengths)

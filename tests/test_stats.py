@@ -142,6 +142,41 @@ def test_rankdata_rejects_non_finite_and_non_numeric_entries(bad):
         rankdata([3, bad, 1])
 
 
+@pytest.mark.parametrize(("xs", "ys"), [
+    (None, [1, 2, 3]),
+    (5, [1, 2, 3]),
+    ([1, 2, 3], range(3)),
+    ([10**400, 1, 2], [1, 2, 3]),
+    ([1e154, -1e154, 1.0], [1e154, -1e154, 1.0]),
+    ([1e308, -1e308, 1.0], [1, 2, 3]),
+    ([1e100, -1e100, 1.0], [1e100, -1e100, 1.0]),
+    ([1e-100, 2e-100, 3e-100], [1e-100, 2e-100, 4e-100]),
+], ids=["none", "int", "range", "huge-int", "variance-overflow", "square-overflow",
+        "variance-product-overflow", "variance-product-underflow"])
+def test_pearson_rejects_non_sequences_and_float_range_escapes(xs, ys):
+    with pytest.raises(ValueError):
+        pearson(xs, ys)
+
+
+@pytest.mark.parametrize("values", [None, 5, "321", range(3)], ids=repr)
+def test_rankdata_rejects_non_sequences(values):
+    with pytest.raises(ValueError, match="list or tuple"):
+        rankdata(values)
+
+
+def test_pearson_sums_left_to_right():
+    """From Python 3.12 the builtin float ``sum`` is compensated; these
+    sums differ from left-to-right ones, and the pinned r is the
+    left-to-right one on every interpreter."""
+    xs = [0.1, 0.7, 0.3, 0.001, 0.2]
+    ys = [0.25, 0.6, 0.75, 0.75, 0.6]
+    total = 0.0
+    for x in xs:
+        total += x
+    assert total != math.fsum(xs)
+    assert pearson(xs, ys).statistic == 0.10497245230890168
+
+
 def test_correlation_input_validation():
     with pytest.raises(ValueError):
         pearson([1.0, 2.0], [1.0, 2.0])
