@@ -19,11 +19,11 @@ V6       {0, 1}      force low
 V7       {0, 1}      increment form: clip(value + sign(sum))
 =======  ==========  =====================================
 
-V2 and V3 also admit shifted-threshold formulations, where a constant
-epsilon in (0, 1) is added to (V2) or subtracted from (V3) the weighted
-sum and the plain sign is taken with no special zero case.  Both code
-paths are implemented independently so their equivalence is a checkable
-property rather than an assumption.
+V2 and V3 also admit shifted-threshold formulations: add (V2) or
+subtract (V3) a constant in (0, 1) and take the plain sign, with no zero
+case.  Weighted sums are integers, so the shifted form gives the same
+update; the package implements the zero-case form only, and the tests
+prove the two equal against an independent shifted-threshold oracle.
 
 Updates are synchronous by default.  The two sequential (asynchronous)
 orders update one node first and let the second node see the already
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -210,20 +209,13 @@ def all_rules() -> tuple[Rule, ...]:
 
 
 class Variant(_FrozenRecord):
-    """One update scheme: a tag V1..V7, an update mode, optional epsilon.
+    """One update scheme: a tag V1..V7 and an update mode."""
 
-    ``epsilon`` selects the shifted-threshold formulation and is only
-    meaningful for V2 (threshold shifted down by epsilon, so zero sums
-    fire high) and V3 (shifted up, so zero sums fall low).
-    """
+    __slots__ = _fields = __match_args__ = ("tag", "mode")
 
-    __slots__ = _fields = __match_args__ = ("tag", "mode", "epsilon")
-
-    def __init__(self, tag: str, mode: UpdateMode = UpdateMode.SYNCHRONOUS,
-                 epsilon: Fraction | float | None = None):
+    def __init__(self, tag: str, mode: UpdateMode = UpdateMode.SYNCHRONOUS):
         _setattr(self, "tag", tag)
         _setattr(self, "mode", mode)
-        _setattr(self, "epsilon", epsilon)
         self.__post_init__()
 
     def __post_init__(self):
@@ -231,12 +223,6 @@ class Variant(_FrozenRecord):
             raise ValueError(f"unknown variant tag {self.tag!r}")
         if not isinstance(self.mode, UpdateMode):
             raise ValueError(f"mode must be an UpdateMode, got {self.mode!r}")
-        if self.epsilon is not None:
-            if self.tag not in ("V2", "V3"):
-                raise ValueError("epsilon applies only to V2 and V3")
-            if not isinstance(self.epsilon, (Fraction, float)) or not 0 < self.epsilon < 1:
-                raise ValueError("epsilon must be a Fraction or float strictly "
-                                 f"between 0 and 1, got {self.epsilon!r}")
 
     @property
     def low(self) -> int:
@@ -251,27 +237,24 @@ class Variant(_FrozenRecord):
         return _VARIANT_CONVENTIONS[self.tag][2]
 
 
-def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS,
-            epsilon: Fraction | float | None = None) -> Variant:
+def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Variant:
     """Build a :class:`Variant`, accepting lowercase tags and mode strings.
 
-    Without an epsilon, a plain-string tag with a mode string or
-    :class:`UpdateMode` member is validated once per process: every
-    call with the same (tag spelling, mode) gets one shared, immutable
-    Variant.  Epsilon variants are built afresh on every call.
+    A plain-string tag with a mode string or :class:`UpdateMode` member
+    is validated once per process: every call with the same (tag
+    spelling, mode) gets one shared, immutable Variant.
     """
-    if epsilon is None and type(tag) is str and type(mode) in (str, UpdateMode):
+    if type(tag) is str and type(mode) in (str, UpdateMode):
         return _interned_variant(tag, mode)  # keyed by the raw arguments
-    return _build_variant(tag, mode, epsilon)
+    return _build_variant(tag, mode)
 
 
-def _build_variant(tag: str, mode: UpdateMode | str,
-                   epsilon: Fraction | float | None = None) -> Variant:
+def _build_variant(tag: str, mode: UpdateMode | str) -> Variant:
     if not isinstance(tag, str):
         raise ValueError(f"variant tag must be a string, got {tag!r}")
     if isinstance(mode, str):
         mode = UpdateMode(mode)
-    return Variant(tag.upper(), mode, epsilon)
+    return Variant(tag.upper(), mode)
 
 
 # At most 14 tag spellings times 6 mode forms; a call that raises
@@ -307,22 +290,17 @@ def state_from_index(v: Variant, i: int) -> tuple[int, int]:
     return states(v)[i]
 
 
-def _node_update(v: Variant):
-    """One node's new value as a function of (weighted sum, current value)
-    on plain ints; the variant's properties are read once, here."""
-    lo, hi = v.low, v.high
-    if v.epsilon is not None:
-        # Shifted-threshold formulation: plain sign of the shifted sum,
-        # no zero case (the shift keeps integer sums away from zero).
-        shift = v.epsilon if v.tag == "V2" else -v.epsilon
-        return lambda total, current: hi if total + shift > 0 else lo
-    zero = v.zero_sum
-    if zero is ZeroSum.INCREMENT:
-        # Increment form: move the current value by the sign of the sum,
-        # then clip to {0, 1} with a step that sends 0 to 0.
-        return lambda total, current: 1 if current + (total > 0) - (total < 0) > 0 else 0
+@functools.cache
+def _tag_gates(tag: str) -> dict[tuple[int, int], tuple[int, int, int, int]]:
+    """Per (w_self, w_other): the node gate, one node's next logical value
+    for its logical (own, other) inputs at index 2 * own + other."""
+    lo, hi, zero = _VARIANT_CONVENTIONS[tag]
 
     def update(total: int, current: int) -> int:
+        if zero is ZeroSum.INCREMENT:
+            # Increment form: move the current value by the sign of the
+            # sum, then clip to {0, 1} with a step that sends 0 to 0.
+            return 1 if current + (total > 0) - (total < 0) > 0 else 0
         if total > 0:
             return hi
         if total < 0:
@@ -331,21 +309,9 @@ def _node_update(v: Variant):
             return current
         return hi if zero is ZeroSum.HIGH else lo
 
-    return update
-
-
-def _node_gates(v: Variant) -> dict[tuple[int, int], tuple[int, int, int, int]]:
-    """Per (w_self, w_other): the node gate, one node's next logical value
-    for its logical (own, other) inputs at index 2 * own + other."""
-    update, lo, hi = _node_update(v), v.low, v.high
     return {(ws, wo): tuple(int(update(ws * own + wo * other, own) == hi)
                             for own in (lo, hi) for other in (lo, hi))
             for ws in (-1, 0, 1) for wo in (-1, 0, 1)}
-
-
-@functools.cache
-def _tag_gates(tag: str) -> dict[tuple[int, int], tuple[int, int, int, int]]:
-    return _node_gates(variant(tag))
 
 
 def _compose(gx: tuple, gy: tuple, mode: UpdateMode) -> tuple[int, int, int, int]:
@@ -362,34 +328,22 @@ def _compose(gx: tuple, gy: tuple, mode: UpdateMode) -> tuple[int, int, int, int
 def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:
     """Synchronous one-step update of the joint state."""
     i = state_index(v, s)
-    w = v if v.mode is UpdateMode.SYNCHRONOUS else variant(v.tag, epsilon=v.epsilon)
-    return states(v)[_record(rule, w).successors[i]]
+    return states(v)[_keyed_record(rule.number, v.tag, UpdateMode.SYNCHRONOUS).successors[i]]
 
 
 def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
                s: tuple[int, int]) -> tuple[int, int]:
     """Sequential one-sweep update: the second node sees the first
     node's already updated value."""
-    w = variant(v.tag, order, v.epsilon)  # interned without an epsilon
+    w = variant(v.tag, order)
     if w.mode is UpdateMode.SYNCHRONOUS:
         raise ValueError("order must be x-first or y-first")
     i = state_index(v, s)
     return states(v)[_record(rule, w).successors[i]]
 
 
-def _step_map(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
-    """Successor indices composed from the two node gates."""
-    gates = _tag_gates(v.tag) if v.epsilon is None else _node_gates(v)
-    wxx, wxy, wyx, wyy = rule.weights
-    return _compose(gates[wxx, wxy], gates[wyy, wyx], v.mode)
-
-
 def _record(rule: Rule, v: Variant) -> _MapRecord:
     """The record of the rule's successor map under ``v``."""
-    if v.epsilon is not None:
-        # Shifted-threshold variants keep their own node gates and,
-        # with unboundedly many epsilons, are not memoised by key.
-        return _map_record(_step_map(rule, v))
     return _keyed_record(rule.number, v.tag, v.mode)
 
 
@@ -401,7 +355,10 @@ def _record(rule: Rule, v: Variant) -> _MapRecord:
 # and keeps no Rule or Variant alive.  Results handed out are immutable.
 @functools.cache
 def _keyed_record(number: int, tag: str, mode: UpdateMode) -> _MapRecord:
-    return _map_record(_step_map(_rule_of_number(number), variant(tag, mode)))
+    """The map composed from the two node gates of the rule's weights."""
+    gates = _tag_gates(tag)
+    wxx, wxy, wyx, wyy = _rule_of_number(number).weights
+    return _map_record(_compose(gates[wxx, wxy], gates[wyy, wyx], mode))
 
 
 def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
@@ -465,7 +422,8 @@ class DynamicsClass(NamedTuple):
 
 
 def class_from_cycle_lengths(lengths: tuple[int, ...]) -> DynamicsClass:
-    if not lengths or any(type(p) is not int or p < 1 for p in lengths) or sum(lengths) > 4:
+    if (type(lengths) not in (tuple, list) or not lengths
+            or any(type(p) is not int or p < 1 for p in lengths) or sum(lengths) > 4):
         raise ValueError("cycle lengths of a four-state map must be positive ints summing "
                          f"to at most 4, got {lengths!r}")
     lengths = tuple(sorted(lengths))

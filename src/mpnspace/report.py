@@ -389,19 +389,17 @@ def emit_table(table_id: str, fmt: str = "csv") -> str:
 
 def emit_state_graph(rule: Rule, v) -> str:
     """DOT digraph of the one-step map on the four states, rendered once
-    per (rule, tag, mode) and for epsilon variants on every call.  The
-    graph name carries the rule and tag but not the mode or epsilon, so
-    the maps of one (rule, tag) under the three modes share a name."""
+    per (rule, tag, mode).  The graph name carries the rule and tag but
+    not the mode, so the maps of one (rule, tag) under the three modes
+    share a name."""
     if v is None:
         raise ValueError("emit_state_graph needs a variant, got None")
-    if v.epsilon is not None:
-        return _state_graph.__wrapped__(v.tag, v.mode, rule.number, v.epsilon)
     return _state_graph(v.tag, v.mode, rule.number)
 
 
 @functools.cache
-def _state_graph(tag: str, mode: UpdateMode, number: int, epsilon=None) -> str:
-    v = variant(tag, mode, epsilon)
+def _state_graph(tag: str, mode: UpdateMode, number: int) -> str:
+    v = variant(tag, mode)
     rule = Rule.from_number(number)
     sts = states(v)
     rec = _record(rule, v)

@@ -17,10 +17,10 @@
   members reach the same attractor.
 
 Every score is a rational number stored as numerator/denominator; all
-three metrics are invariant under the node-swap transformation.  Class
-scores are computed once per (rule, tag, mode) and mutation scores
-once per (rule, convention), then shared; the initial-state score reads
-one shared record per call.
+three metrics are invariant under the node-swap transformation.  A
+variant is its tag and mode alone, so class scores are computed once
+per (rule, tag, mode) and mutation scores once per (rule, convention),
+then shared; the initial-state score reads one shared record per call.
 """
 
 from __future__ import annotations
@@ -76,14 +76,12 @@ def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
     """Fraction of neighbors with the same dynamics-class label."""
     if v is None:
         v = variant("V1")
-    if v.epsilon is not None:  # unboundedly many epsilons: never memoised
-        return _class_score.__wrapped__(v.tag, v.mode, rule, v.epsilon)
     return _class_score(v.tag, v.mode, rule)
 
 
 @functools.cache
-def _class_score(tag: str, mode, rule: Rule, epsilon=None) -> RobustnessScore:
-    v = variant(tag, mode, epsilon)
+def _class_score(tag: str, mode, rule: Rule) -> RobustnessScore:
+    v = variant(tag, mode)
     own = classify(rule, v).label
     nbs = neighbors(rule)
     hits = sum(1 for nb in nbs if classify(nb, v).label == own)

@@ -28,15 +28,35 @@ def transition_matrix(rule: Rule, v: Variant) -> TransitionMatrix:
     return _record(rule, v).matrix
 
 
+_SEQUENCES = frozenset((list, tuple))
+
+
+def _matrix_entries(T: TransitionMatrix) -> tuple[int, ...]:
+    """The 16 row-major entries of a 4x4 matrix (rows as lists or tuples)
+    of the ints 0 and 1; any other ``T`` raises ValueError."""
+    # One pass over rows, then entries: the check costs about as much as the expansion.
+    if type(T) in _SEQUENCES and len(T) == 4:
+        r0, r1, r2, r3 = T
+        if (type(r0) in _SEQUENCES and type(r1) in _SEQUENCES and type(r2) in _SEQUENCES
+                and type(r3) in _SEQUENCES and len(r0) == len(r1) == len(r2) == len(r3) == 4):
+            entries = (*r0, *r1, *r2, *r3)
+            for e in entries:
+                if type(e) is not int or not 0 <= e <= 1:
+                    break
+            else:
+                return entries
+    raise ValueError(f"matrix must be 4x4 with 0/1 int entries, got {T!r}")
+
+
 def is_row_stochastic_01(T: TransitionMatrix) -> bool:
-    return all(sum(row) == 1 and set(row) <= {0, 1} for row in T)
+    """True when every row of ``T``, a 4x4 matrix of 0/1 ints, holds exactly one 1."""
+    entries = _matrix_entries(T)
+    return all(sum(entries[i:i + 4]) == 1 for i in (0, 4, 8, 12))
 
 
 def is_permutation_matrix(T: TransitionMatrix) -> bool:
     """True when every column, like every row, holds exactly one 1."""
-    return is_row_stochastic_01(T) and all(
-        sum(T[i][j] for i in range(4)) == 1 for j in range(4)
-    )
+    return is_row_stochastic_01(T) and all(sum(T[i][j] for i in range(4)) == 1 for j in range(4))
 
 
 class Spectrum(NamedTuple):
@@ -64,9 +84,6 @@ def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
 
 def spectrum(rule: Rule, v: Variant) -> Spectrum:
     return _record(rule, v).spectrum
-
-
-_SEQUENCES = frozenset((list, tuple))
 
 
 # Integer polynomials as coefficient lists, lowest power first.
@@ -125,18 +142,7 @@ def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     coefficient 1.  ``T`` must be a 4x4 matrix (rows as lists or tuples)
     of the ints 0 and 1.
     """
-    # One pass over rows, then entries: the check costs about as much as the expansion.
-    if type(T) in _SEQUENCES and len(T) == 4:
-        r0, r1, r2, r3 = T
-        if (type(r0) in _SEQUENCES and type(r1) in _SEQUENCES and type(r2) in _SEQUENCES
-                and type(r3) in _SEQUENCES and len(r0) == len(r1) == len(r2) == len(r3) == 4):
-            entries = (*r0, *r1, *r2, *r3)
-            for e in entries:
-                if type(e) is not int or not 0 <= e <= 1:
-                    break
-            else:
-                return _charpoly_kernel(entries)
-    raise ValueError(f"matrix must be 4x4 with 0/1 int entries, got {T!r}")
+    return _charpoly_kernel(_matrix_entries(T))
 
 
 def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:

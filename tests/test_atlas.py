@@ -6,10 +6,12 @@ from caches or from cached records.  Here each one is recomputed
 without them, from the independent stepping oracle ``oracles.sweep``
 (which imports nothing from the package), the independent attractor
 oracle and the cofactor charpoly oracle, and must be equal on every
-key.  The tests also bound the work one ``run_all`` does, check that
-every cache is one the README lists and that importing the CLI fills
-none, that no hand-rolled memo exists, and that a shared result cannot
-be changed by one caller.
+key.  The V2 and V3 keys are also checked against the oracle's
+shifted-threshold form, which the package does not implement.  The
+tests also bound the work one ``run_all`` does, check that every cache
+is one the README lists and that importing the CLI fills none, that no
+hand-rolled memo exists, and that a shared result cannot be changed by
+one caller.
 """
 
 import inspect
@@ -68,10 +70,11 @@ from oracles import (
 
 ALL = all_rules()
 UNIVERSE = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
-EPSILON_VARIANTS = [
-    variant(tag, mode, eps)
-    for tag in ("V2", "V3") for mode in UpdateMode for eps in (Fraction(1, 2), 0.25)
-]
+# (variant, epsilon) keys: the oracle steps V2 and V3 in their
+# shifted-threshold form at epsilon, or in the zero-case form at None.
+SHIFTED = [(variant(tag, mode), eps)
+           for tag in ("V2", "V3") for mode in UpdateMode for eps in (Fraction(1, 2), 0.25)]
+CASES = [(v, None) for v in UNIVERSE] + SHIFTED
 
 GROUPINGS = ("five-class", "three-class")
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -92,10 +95,6 @@ def readme_inventory():
         return set(re.findall(r"^\* `(\w+\.\w+)`", fh.read(), re.MULTILINE))
 
 
-def cache_sizes():
-    return {name: cache.cache_info().currsize for name, cache in package_caches().items()}
-
-
 def run_fresh(code):
     """The stdout of ``code`` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(mpnspace.__file__))
@@ -111,18 +110,17 @@ def clear_atlas():
         cache.cache_clear()
 
 
-def plain_successors(rule, v):
+def plain_successors(rule, v, eps=None):
     sts = joint_states(v.tag)
-    return tuple(sts.index(sweep(rule.weights, v.tag, v.mode.value, s, v.epsilon))
-                 for s in sts)
+    return tuple(sts.index(sweep(rule.weights, v.tag, v.mode.value, s, eps)) for s in sts)
 
 
-def plain_attractors(rule, v):
-    return functional_graph_attractors(plain_successors(rule, v).__getitem__)
+def plain_attractors(rule, v, eps=None):
+    return functional_graph_attractors(plain_successors(rule, v, eps).__getitem__)
 
 
-def plain_label(rule, v):
-    cycles, _, _ = plain_attractors(rule, v)
+def plain_label(rule, v, eps=None):
+    cycles, _, _ = plain_attractors(rule, v, eps)
     return class_from_cycle_lengths(tuple(len(c) for c in cycles)).label
 
 
@@ -142,16 +140,16 @@ def plain_limiting_sets(rule):
     return [frozenset(basin[i]) for i in range(4)]
 
 
-def plain_truth_table(rule, v, pick):
+def plain_truth_table(rule, v, pick, eps=None):
     """Logical outputs of node ``pick`` (0 for x) under synchronous steps."""
     hi = VALUES[v.tag][1]
-    return tuple(int(sweep(rule.weights, v.tag, "synchronous", s, v.epsilon)[pick] == hi)
+    return tuple(int(sweep(rule.weights, v.tag, "synchronous", s, eps)[pick] == hi)
                  for s in joint_states(v.tag))
 
 
-def plain_state_graph(rule, v):
+def plain_state_graph(rule, v, eps=None):
     """The DOT text of ``emit_state_graph``, built from the oracles."""
-    succ = plain_successors(rule, v)
+    succ = plain_successors(rule, v, eps)
     cycles, _, _ = functional_graph_attractors(succ.__getitem__)
     on_cycle = {i for cycle in cycles for i in cycle}
     lines = [f"digraph state_space_rule{rule.number}_{v.tag.lower()} {{"]
@@ -162,8 +160,8 @@ def plain_state_graph(rule, v):
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def plain_spectrum(rule, v):
-    cycles, _, _ = plain_attractors(rule, v)
+def plain_spectrum(rule, v, eps=None):
+    cycles, _, _ = plain_attractors(rule, v, eps)
     return spectrum_of_cycles(cycles)
 
 
@@ -177,7 +175,7 @@ def spectrum_of_cycles(cycles):
     )
 
 
-def plain_tally(v, grouping):
+def plain_tally(v, grouping, eps=None):
     """Ordered neighbor pairs tallied by endpoint class, then halved."""
     def group(label):
         if grouping == "five-class":
@@ -186,7 +184,7 @@ def plain_tally(v, grouping):
             return "F"
         return "2C+M" if label in ("2C", "M") else label
 
-    label = {r.number: group(plain_label(r, v)) for r in ALL}
+    label = {r.number: group(plain_label(r, v, eps)) for r in ALL}
     order = FIVE_CLASS_ORDER if grouping == "five-class" else THREE_CLASS_ORDER
     seen = set(label.values())
     labels = tuple(lab for lab in order if lab in seen) + tuple(sorted(seen - set(order)))
@@ -208,19 +206,19 @@ def plain_tally(v, grouping):
     return TransitionCounts(labels, matrix, two_input, preserving, low_arity)
 
 
-def _variant_id(v):
-    return f"{v.tag}-{v.mode.value}" + ("" if v.epsilon is None else f"-eps{v.epsilon}")
+def _case_ids(cases):
+    return [f"{v.tag}-{v.mode.value}" + ("" if eps is None else f"-eps{eps}") for v, eps in cases]
 
 
-@pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
-def test_memoised_dynamics_equal_plain_path(v):
+@pytest.mark.parametrize(("v", "eps"), CASES, ids=_case_ids(CASES))
+def test_memoised_dynamics_equal_plain_path(v, eps):
     for rule in ALL:
-        succ = plain_successors(rule, v)
+        succ = plain_successors(rule, v, eps)
         cycles, basin, steps = functional_graph_attractors(succ.__getitem__)
         label = class_from_cycle_lengths(tuple(len(c) for c in cycles))
         # A second lookup with freshly built, equal keys must hit the
         # same entries.
-        for r, w in ((rule, v), (Rule(*rule.weights), variant(v.tag, v.mode, v.epsilon))):
+        for r, w in ((rule, v), (Rule(*rule.weights), Variant(v.tag, v.mode))):
             assert successor_indices(r, w) == succ, (rule.number, v)
             aset = attractor_set(r, w)
             assert aset.attractors == cycles
@@ -229,13 +227,13 @@ def test_memoised_dynamics_equal_plain_path(v):
             assert classify(r, w) == label
 
 
-@pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
-def test_memoised_views_equal_plain_path(v):
+@pytest.mark.parametrize(("v", "eps"), CASES, ids=_case_ids(CASES))
+def test_memoised_views_equal_plain_path(v, eps):
     for rule in ALL:
-        truths = (plain_truth_table(rule, v, 0), plain_truth_table(rule, v, 1))
+        truths = (plain_truth_table(rule, v, 0, eps), plain_truth_table(rule, v, 1, eps))
         assert gate_pair(rule, v) == tuple(map(identify_gate, truths)), (rule.number, v)
         assert (node_truth_table(rule, v, "x"), node_truth_table(rule, v, "y")) == truths
-        expected = plain_spectrum(rule, v)
+        expected = plain_spectrum(rule, v, eps)
         assert spectrum(rule, v) == expected
         aset = attractor_set(rule, v)
         assert spectrum_from_cycles(aset) == expected
@@ -243,12 +241,12 @@ def test_memoised_views_equal_plain_path(v):
 
 
 @pytest.mark.parametrize("grouping", GROUPINGS)
-@pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
-def test_memoised_transition_counts_equal_plain_tally(v, grouping):
-    expected = plain_tally(v, grouping)
+@pytest.mark.parametrize(("v", "eps"), CASES, ids=_case_ids(CASES))
+def test_memoised_transition_counts_equal_plain_tally(v, eps, grouping):
+    expected = plain_tally(v, grouping, eps)
     assert class_transition_counts(v, grouping) == expected
     # A second lookup with an equal, freshly built variant gives the same.
-    assert class_transition_counts(variant(v.tag, v.mode, v.epsilon), grouping) == expected
+    assert class_transition_counts(Variant(v.tag, v.mode), grouping) == expected
 
 
 # Logical (x, y) inputs in state-index order 2 * x + y.
@@ -278,33 +276,29 @@ def test_composed_maps_equal_the_direct_update_on_every_gate_pair():
     assert len(sync_maps) == 4 ** 4
 
 
-@pytest.mark.parametrize("v", [variant(tag) for tag in VARIANT_TAGS] + [
-    v for v in EPSILON_VARIANTS if v.mode is UpdateMode.SYNCHRONOUS], ids=_variant_id)
-def test_node_gates_equal_the_oracle_node_update(v):
+SYNC_CASES = [c for c in CASES if c[0].mode is UpdateMode.SYNCHRONOUS]
+
+
+@pytest.mark.parametrize(("v", "eps"), SYNC_CASES, ids=_case_ids(SYNC_CASES))
+def test_node_gates_equal_the_oracle_node_update(v, eps):
     lo, hi = VALUES[v.tag]
+    gates = dynamics._tag_gates(v.tag)
     for w_self, w_other in itertools.product((-1, 0, 1), repeat=2):
         expected = tuple(
-            int(node_next(v.tag, w_self * own + w_other * other, own, v.epsilon) == hi)
+            int(node_next(v.tag, w_self * own + w_other * other, own, eps) == hi)
             for own in (lo, hi) for other in (lo, hi))
-        gates = dynamics._tag_gates(v.tag) if v.epsilon is None else dynamics._node_gates(v)
         assert gates[w_self, w_other] == expected, (w_self, w_other)
-    assert len(dynamics._tag_gates(v.tag)) == 9
+    assert len(gates) == 9
 
 
-@pytest.mark.parametrize("v", UNIVERSE + EPSILON_VARIANTS, ids=_variant_id)
-def test_memoised_state_graph_equals_a_fresh_render(v):
-    if v.epsilon is not None:
-        report._state_graph.cache_clear()
+@pytest.mark.parametrize(("v", "eps"), CASES, ids=_case_ids(CASES))
+def test_memoised_state_graph_equals_a_fresh_render(v, eps):
     for rule in ALL:
         dot = report.emit_state_graph(rule, v)
-        fresh = report._state_graph.__wrapped__(v.tag, v.mode, rule.number, v.epsilon)
-        assert dot == fresh == plain_state_graph(rule, v)
-        again = report.emit_state_graph(Rule(*rule.weights), variant(v.tag, v.mode, v.epsilon))
-        assert again == dot
-        if v.epsilon is None:
-            assert again is dot, (rule.number, v)
-    if v.epsilon is not None:  # epsilon variants are rendered afresh
-        assert report._state_graph.cache_info().currsize == 0
+        fresh = report._state_graph.__wrapped__(v.tag, v.mode, rule.number)
+        assert dot == fresh == plain_state_graph(rule, v, eps)
+        again = report.emit_state_graph(Rule(*rule.weights), Variant(v.tag, v.mode))
+        assert again is dot, (rule.number, v)
     assert report._state_graph.cache_info().currsize <= 81 * 7 * 3
 
 
@@ -334,20 +328,12 @@ def test_every_successor_map_record_equals_its_references():
 
 def test_transition_matrices_are_shared_per_successor_map():
     shared = {}
-    for v in UNIVERSE + EPSILON_VARIANTS:
+    for v in UNIVERSE:
         for rule in ALL:
             matrix = transition_matrix(rule, v)
             assert matrix is shared.setdefault(successor_indices(rule, v), matrix), (rule.number, v)
-            assert matrix is transition_matrix(Rule(*rule.weights), variant(v.tag, v.mode, v.epsilon))
+            assert matrix is transition_matrix(Rule(*rule.weights), Variant(v.tag, v.mode))
     assert dynamics._map_record.cache_info().currsize <= 4 ** 4
-
-
-def test_epsilon_transition_counts_are_not_memoised_by_key():
-    expected = class_transition_counts(variant("V3"), "three-class")
-    before = cache_sizes()
-    for eps in (Fraction(1, 3), 0.125):
-        assert class_transition_counts(variant("V3", epsilon=eps), "three-class") == expected
-    assert cache_sizes() == before
 
 
 def test_charpoly_from_cycles_returns_a_fresh_list():
@@ -390,15 +376,6 @@ def test_transforms_and_neighbors_return_the_shared_rules():
             assert image is rule_from_number(image.number), (rule.number, image)
 
 
-def test_epsilon_class_robustness_is_not_memoised_by_key():
-    rule = rule_from_number(8)
-    expected = class_robustness(rule, variant("V2"))
-    before = cache_sizes()
-    for eps in (Fraction(1, 3), 0.125, 0.875):
-        assert class_robustness(rule, variant("V2", epsilon=eps)) == expected
-    assert cache_sizes() == before
-
-
 # Every input ``variant`` interns: two spellings of each tag, and each
 # mode as its string or its UpdateMode member.
 TAG_SPELLINGS = (*VARIANT_TAGS, *(tag.lower() for tag in VARIANT_TAGS))
@@ -413,18 +390,6 @@ def test_interned_variants_equal_the_plain_constructor():
             assert v == Variant(tag.upper(), UpdateMode(mode)), (tag, mode)
             assert variant(tag, mode) is v, (tag, mode)
     assert dynamics._interned_variant.cache_info().currsize <= len(TAG_SPELLINGS) * len(MODE_FORMS)
-
-
-def test_epsilon_variants_are_built_per_call_and_never_interned():
-    before = dynamics._interned_variant.cache_info()
-    for eps in (0.5, Fraction(1, 2)):
-        for tag in ("V2", "v3"):
-            for mode in MODE_FORMS:
-                v = variant(tag, mode, eps)
-                assert v == Variant(tag.upper(), UpdateMode(mode), eps)
-                assert type(v.epsilon) is type(eps)
-                assert variant(tag, mode, eps) is not v
-    assert dynamics._interned_variant.cache_info() == before
 
 
 def test_str_subclass_tags_are_not_interned():

@@ -12,6 +12,7 @@ from mpnspace import (
     VARIANT_TAGS,
     Rule,
     UpdateMode,
+    Variant,
     all_rules,
     attractor_set,
     class_from_cycle_lengths,
@@ -84,7 +85,8 @@ def test_state_from_index_rejects_non_int_index(index):
 
 
 @pytest.mark.parametrize("lengths", [(), (0,), (1, -2), (1.0,), (5,), (3, 3), (1, 2, 2),
-                                     (1, 1, 1, 1, 1)], ids=repr)
+                                     (1, 1, 1, 1, 1), 5, 2.0, object(), None, "1", {1}],
+                         ids=lambda x: "object()" if type(x) is object else repr(x))
 def test_class_from_cycle_lengths_rejects_empty_or_non_positive(lengths):
     with pytest.raises(ValueError):
         class_from_cycle_lengths(lengths)
@@ -137,10 +139,14 @@ def test_arity_census():
 def test_variant_validation():
     with pytest.raises(ValueError):
         variant("V8")
-    with pytest.raises(ValueError):
-        variant("V1", epsilon=0.5)
-    with pytest.raises(ValueError):
-        variant("V2", epsilon=1.5)
+    # A variant is its tag and mode; the shifted-threshold form has no
+    # epsilon argument, so passing one is a signature error.
+    for build in (variant, Variant):
+        with pytest.raises(TypeError):
+            build("V2", UpdateMode.SYNCHRONOUS, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            build("V3", epsilon=0.5)
+    assert Variant._fields == ("tag", "mode")
     assert variant("v1").tag == "V1"
     assert variant("V2", "x-first").mode is UpdateMode.X_FIRST
 
@@ -173,16 +179,22 @@ def test_force_high_and_force_low_classes_agree():
         assert classify(r, variant("V2")).label == classify(r, variant("V3")).label
 
 
-@pytest.mark.parametrize("eps", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1, 2), 0.25, 0.5, 0.75, 0.999],
+                         ids=str)
 def test_epsilon_shift_matches_zero_case_forms(eps):
+    """The shifted-threshold form of V2 and V3, which only the oracle
+    implements, gives the library's successor state for every rule,
+    mode and state."""
     for tag in ("V2", "V3"):
-        base = variant(tag)
-        shifted = variant(tag, epsilon=eps)
-        for r in ALL:
-            for s in states(base):
-                expected = sweep(r.weights, tag, "synchronous", s)
-                assert sweep(r.weights, tag, "synchronous", s, eps) == expected
-                assert step(r, base, s) == step(r, shifted, s) == expected
+        for mode in UpdateMode:
+            v = variant(tag, mode)
+            sts = states(v)
+            for r in ALL:
+                succ = successor_indices(r, v)
+                for i, s in enumerate(sts):
+                    expected = sweep(r.weights, tag, mode.value, s)
+                    assert sweep(r.weights, tag, mode.value, s, eps) == expected
+                    assert sts[succ[i]] == expected, (r.number, tag, mode, s)
 
 
 def test_sequential_classes_are_order_independent():
@@ -205,25 +217,30 @@ def test_sequential_step_updates_second_node_with_fresh_value():
     assert sweep(r.weights, "V1", "y-first", (1, 1)) == (-1, 1)
 
 
-EPSILONS = {"V2": (None, Fraction(1, 2), 0.25), "V3": (None, Fraction(1, 2), 0.25)}
-
-
 @pytest.mark.parametrize("tag", VARIANT_TAGS)
 def test_step_and_step_async_equal_the_oracle_sweep(tag):
     """Every rule, state and mode against ``oracles.sweep``; ``step`` is
     synchronous and ``step_async`` follows ``order``, whatever the
     variant's own mode."""
-    for eps in EPSILONS.get(tag, (None,)):
-        for mode in UpdateMode:
-            v = variant(tag, mode, eps)
-            assert states(v) == tuple(joint_states(tag))
-            for r in ALL:
-                for s in states(v):
-                    assert step(r, v, s) == sweep(r.weights, tag, "synchronous", s, eps)
-                    for order in ("x-first", "y-first"):
-                        expected = sweep(r.weights, tag, order, s, eps)
-                        assert step_async(r, v, order, s) == expected, (r.number, order, s)
-                        assert step_async(r, v, UpdateMode(order), s) == expected
+    for mode in UpdateMode:
+        v = variant(tag, mode)
+        assert states(v) == tuple(joint_states(tag))
+        for r in ALL:
+            for s in states(v):
+                assert step(r, v, s) == sweep(r.weights, tag, "synchronous", s)
+                for order in ("x-first", "y-first"):
+                    expected = sweep(r.weights, tag, order, s)
+                    assert step_async(r, v, order, s) == expected, (r.number, order, s)
+                    assert step_async(r, v, UpdateMode(order), s) == expected
+
+
+def assert_valid_calls_step_as_the_oracle(rule, v, eps):
+    """Beside a rejected call, every valid state steps as the oracle does
+    in the zero-case form (``eps`` None) or the shifted-threshold form."""
+    for s in states(v):
+        assert step(rule, v, s) == sweep(rule.weights, v.tag, "synchronous", s, eps)
+        for order in ("x-first", "y-first"):
+            assert step_async(rule, v, order, s) == sweep(rule.weights, v.tag, order, s, eps)
 
 
 # Checked in this order: the order argument, then the state.
@@ -237,26 +254,31 @@ def test_step_and_step_async_equal_the_oracle_sweep(tag):
 ])
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)])
 def test_step_async_validation_order_and_messages(order, state, message, eps):
-    v = variant("V2", "x-first", eps)
+    rule, v = rule_from_number(8), variant("V2", "x-first")
     with pytest.raises(ValueError) as excinfo:
-        step_async(rule_from_number(8), v, order, state)
+        step_async(rule, v, order, state)
     assert str(excinfo.value) == message.format(tag="V2")
+    assert_valid_calls_step_as_the_oracle(rule, v, eps)
 
 
 @pytest.mark.parametrize("state", [(2, 2), (1.0, 1), (1,), (1, 1, 1), [1, 1], None], ids=repr)
 @pytest.mark.parametrize("eps", [None, 0.5])
 def test_step_validation_messages(state, eps):
+    rule, v = rule_from_number(8), variant("V3", "y-first")
     with pytest.raises(ValueError) as excinfo:
-        step(rule_from_number(8), variant("V3", "y-first", eps), state)
+        step(rule, v, state)
     assert str(excinfo.value) == f"state {state!r} is not valid under the V3 value convention"
+    assert_valid_calls_step_as_the_oracle(rule, v, eps)
 
 
 @pytest.mark.parametrize("order", [1, None, ["x-first"]], ids=repr)
 @pytest.mark.parametrize("eps", [None, 0.5])
 def test_step_async_rejects_an_order_that_is_not_a_mode(order, eps):
+    rule, v = rule_from_number(8), variant("V2")
     with pytest.raises(ValueError) as excinfo:
-        step_async(rule_from_number(8), variant("V2", epsilon=eps), order, (1, 1))
+        step_async(rule, v, order, (1, 1))
     assert str(excinfo.value) == f"mode must be an UpdateMode, got {order!r}"
+    assert_valid_calls_step_as_the_oracle(rule, v, eps)
 
 
 def test_attractor_set_matches_functional_graph_oracle():

@@ -7,6 +7,7 @@ import pytest
 from mpnspace import (
     GATE_NAMES,
     GATES_BY_NAME,
+    UpdateMode,
     Variant,
     all_rules,
     classify,
@@ -15,6 +16,8 @@ from mpnspace import (
     node_truth_table,
     rule_from_number,
     sign_predicates,
+    step,
+    step_async,
     variant,
 )
 from reference_tables import (
@@ -101,9 +104,14 @@ def test_no_parity_gate_under_any_variant():
 
 
 def test_sequential_gate_pair_builds_no_variant(monkeypatch):
+    """Neither ``gate_pair`` nor ``step`` on a sequential variant, nor
+    ``step_async``, builds a Variant once the shared ones exist."""
     rule, v = rule_from_number(8), variant("V2", "x-first")
     expected = gate_pair(rule, variant("V2"))
-    gate_pair(rule, v)  # first use may build the shared synchronous V2
+    stepped = step(rule, variant("V2"), (1, -1))
+    swept = step_async(rule, variant("V2"), "y-first", (1, -1))
+    # First use may build the shared sequential V2 variants.
+    gate_pair(rule, v), step(rule, v, (1, -1)), step_async(rule, v, "y-first", (1, -1))
     built = []
     post_init = Variant.__post_init__
 
@@ -113,6 +121,9 @@ def test_sequential_gate_pair_builds_no_variant(monkeypatch):
 
     monkeypatch.setattr(Variant, "__post_init__", counted)
     assert gate_pair(rule, v) == expected
+    assert step(rule, v, (1, -1)) == stepped
+    assert step_async(rule, v, "y-first", (1, -1)) == swept
+    assert step_async(rule, v, UpdateMode.Y_FIRST, (1, -1)) == swept
     assert built == []
 
 

@@ -42,8 +42,6 @@ def test_rule8_v1_matrix_bit_exact():
 
 def test_transition_matrix_equals_per_entry_build():
     keys = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
-    keys += [variant(tag, mode, eps) for tag in ("V2", "V3") for mode in UpdateMode
-             for eps in (Fraction(1, 2), 0.25)]
     for r, v in itertools.product(ALL, keys):
         succ = successor_indices(r, v)
         want = tuple(tuple(1 if succ[i] == j else 0 for j in range(4)) for i in range(4))
@@ -205,6 +203,24 @@ MALFORMED_CORPUS = {
 def test_charpoly_oracle_rejects_what_the_reference_rejects(matrix):
     assert not reference_accepts(matrix)
     assert_oracle_agrees_with_reference(matrix)
+
+
+@pytest.mark.parametrize("matrix", [*MALFORMED_CORPUS.values(), [[2]], [[1]]],
+                         ids=[*MALFORMED_CORPUS, "1x1_two", "1x1_one"])
+def test_matrix_predicates_reject_what_the_oracle_rejects(matrix):
+    for predicate in (is_row_stochastic_01, is_permutation_matrix):
+        with pytest.raises(ValueError) as excinfo:
+            predicate(matrix)
+        assert str(excinfo.value) == f"matrix must be 4x4 with 0/1 int entries, got {matrix!r}"
+
+
+def test_matrix_predicates_on_every_01_matrix():
+    rows = list(itertools.product((0, 1), repeat=4))
+    for picks in itertools.product(range(16), repeat=4):
+        T = tuple(rows[i] for i in picks)
+        stochastic = all(sum(row) == 1 for row in T)
+        assert is_row_stochastic_01(T) is stochastic, T
+        assert is_permutation_matrix(T) is (stochastic and len(set(picks)) == 4), T
 
 
 def _eigenvalues(sp):

@@ -202,11 +202,9 @@ def test_output_records_are_tuples_of_their_fields(cls):
 
 def _record_instances():
     """Instances of the five non-tuple records, with their field names."""
-    epsilon_variants = [variant(tag, mode, eps) for tag in ("V2", "V3") for mode in UpdateMode
-                        for eps in (Fraction(1, 2), 0.25)]
     return {
         Rule: (("wxx", "wxy", "wyx", "wyy"), list(ALL)),
-        Variant: (("tag", "mode", "epsilon"), UNIVERSE + epsilon_variants),
+        Variant: (("tag", "mode"), UNIVERSE),
         EquivalenceClass: (("representative", "members", "generators"),
                            [c for gens in ({"T12"}, {"G"}, {"T12", "G"})
                             for c in reduce_rules(gens)]),
@@ -270,7 +268,7 @@ def test_mutable_records_default_to_fresh_containers():
     assert TableDocument("T1", (), []).metadata is not TableDocument("T1", (), []).metadata
     assert (RuleGraph().nodes, RuleGraph().edges) == ({}, ())
     assert RuleGraph().nodes is not RuleGraph().nodes
-    assert Variant("V1") == Variant("V1", UpdateMode.SYNCHRONOUS, None)
+    assert Variant("V1") == Variant("V1", UpdateMode.SYNCHRONOUS)
 
 
 @pytest.mark.parametrize("build", [
@@ -280,13 +278,9 @@ def test_mutable_records_default_to_fresh_containers():
     lambda: Variant("V9"),
     lambda: Variant("v1"),
     lambda: Variant("V1", "synchronous"),
-    lambda: Variant("V1", epsilon=Fraction(1, 2)),
-    lambda: Variant("V2", epsilon=Fraction(3, 2)),
-    lambda: Variant("V2", epsilon=1),
     lambda: EquivalenceClass(2, (1, 2), frozenset({"T12"})),
 ], ids=["rule-2", "rule-float", "rule-bool", "variant-V9", "variant-lowercase",
-        "variant-str-mode", "variant-V1-epsilon", "variant-epsilon-3/2", "variant-int-epsilon",
-        "class-representative"])
+        "variant-str-mode", "class-representative"])
 def test_records_reject_invalid_fields(build):
     with pytest.raises(ValueError):
         build()
