@@ -42,10 +42,13 @@ from .gates import (
 from .report import (
     FORMATS,
     TABLE_IDS,
+    RuleGraph,
     TableDocument,
+    build_rule_graph,
     build_table,
     emit_state_graph,
     emit_table,
+    export_graph,
     render_table,
     run_all,
     stats_report,
@@ -67,13 +70,10 @@ from .robustness import (
 from .rulespace import (
     FIVE_CLASS_ORDER,
     THREE_CLASS_ORDER,
-    RuleGraph,
     TransitionCounts,
-    build_rule_graph,
     class_transition_counts,
     degree,
     edge_of_chaos,
-    export_graph,
     neighbors,
 )
 from .spectral import (

@@ -8,22 +8,20 @@ unexpected internal failures.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 
 from . import report
 from . import robustness as rb
 from .dynamics import (
     VARIANT_TAGS,
-    Rule,
     UpdateMode,
     all_rules,
     attractor_set,
     classify,
+    rule_from_number,
     state_from_index,
     variant,
 )
-from .rulespace import build_rule_graph, export_graph
 
 MODE_CHOICES = tuple(mode.value for mode in UpdateMode)
 
@@ -36,7 +34,7 @@ GATE_NAME_NOTE = (
 
 def classify_cmd(ns: argparse.Namespace) -> None:
     """Classify RULE (1..81) under VARIANT (V1..V7)."""
-    rule = Rule.from_number(ns.rule_number)
+    rule = rule_from_number(ns.rule_number)
     v = variant(ns.variant_tag, ns.mode)
     aset = attractor_set(rule, v)
     cls = classify(rule, v)
@@ -57,13 +55,13 @@ def table_cmd(ns: argparse.Namespace) -> None:
 
 def state_graph_cmd(ns: argparse.Namespace) -> None:
     """Emit the 4-state one-step map of RULE under VARIANT as DOT."""
-    rule = Rule.from_number(ns.rule_number)
+    rule = rule_from_number(ns.rule_number)
     print(report.emit_state_graph(rule, variant(ns.variant_tag)), end="")
 
 
 def rulespace_export_cmd(ns: argparse.Namespace) -> None:
     """Export the rule graph (nodes annotated with class and robustness)."""
-    print(export_graph(build_rule_graph(), ns.fmt), end="")
+    print(report.export_graph(report.build_rule_graph(), ns.fmt), end="")
 
 
 def robustness_cmd(ns: argparse.Namespace) -> None:
@@ -118,8 +116,6 @@ def _directory(text: str) -> str:
     return text
 
 
-# Cached for callers that run several commands in one process.
-@functools.cache
 def _parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,

@@ -57,6 +57,10 @@ class UpdateMode(Enum):
     Y_FIRST = "y-first"
 
 
+# On the query path a global reads faster than the enum attribute.
+_SYNCHRONOUS = UpdateMode.SYNCHRONOUS
+
+
 class ZeroSum(Enum):
     """Treatment of a zero weighted sum at the threshold."""
 
@@ -168,12 +172,6 @@ class Rule(_FrozenRecord):
     def __le__(self, other):
         return self.weights <= other.weights if other.__class__ is Rule else NotImplemented
 
-    @classmethod
-    def from_number(cls, r: int) -> "Rule":
-        if type(r) is not int or not 1 <= r <= 81:
-            raise ValueError(f"rule number must be an integer in 1..81, got {r!r}")
-        return _rule_of_number(r)
-
     @property
     def arity(self) -> int:
         """Number of nodes that actually feed the update.
@@ -195,7 +193,9 @@ def _rule_of_number(r: int) -> Rule:
 
 def rule_from_number(r: int) -> Rule:
     """Decode a rule number in 1..81 into its weights."""
-    return Rule.from_number(r)
+    if type(r) is not int or not 1 <= r <= 81:
+        raise ValueError(f"rule number must be an integer in 1..81, got {r!r}")
+    return _rule_of_number(r)
 
 
 def rule_to_number(rule: Rule) -> int:
@@ -327,24 +327,19 @@ def _compose(gx: tuple, gy: tuple, mode: UpdateMode) -> tuple[int, int, int, int
 
 def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:
     """Synchronous one-step update of the joint state."""
-    i = state_index(v, s)
-    return states(v)[_keyed_record(rule.number, v.tag, UpdateMode.SYNCHRONOUS).successors[i]]
+    succ = _record(rule, v, _SYNCHRONOUS).successors
+    return states(v)[succ[state_index(v, s)]]
 
 
 def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
                s: tuple[int, int]) -> tuple[int, int]:
     """Sequential one-sweep update: the second node sees the first
     node's already updated value."""
-    w = variant(v.tag, order)
-    if w.mode is UpdateMode.SYNCHRONOUS:
+    mode = variant("V1", order).mode  # the order, checked as a variant's mode
+    if mode is _SYNCHRONOUS:
         raise ValueError("order must be x-first or y-first")
-    i = state_index(v, s)
-    return states(v)[_record(rule, w).successors[i]]
-
-
-def _record(rule: Rule, v: Variant) -> _MapRecord:
-    """The record of the rule's successor map under ``v``."""
-    return _keyed_record(rule.number, v.tag, v.mode)
+    succ = _record(rule, v, mode).successors
+    return states(v)[succ[state_index(v, s)]]
 
 
 # The atlas: filled on first use, never at import.  Every (rule, tag,
@@ -359,6 +354,18 @@ def _keyed_record(number: int, tag: str, mode: UpdateMode) -> _MapRecord:
     gates = _tag_gates(tag)
     wxx, wxy, wyx, wyy = _rule_of_number(number).weights
     return _map_record(_compose(gates[wxx, wxy], gates[wyy, wyx], mode))
+
+
+def _record(rule: Rule, v: Variant, mode: UpdateMode | None = None,
+            view=_keyed_record):
+    """The record of the rule's map under ``v`` (or its ``mode`` form), or
+    what ``view``, a cache keyed like the records, holds at that key.  A
+    wrong record type raises ValueError; the ``try`` is free until it does."""
+    try:
+        return view(rule.number, v.tag, mode or v.mode)
+    except AttributeError:
+        raise ValueError("a successor map needs a variant and a rule, "
+                         f"got {v!r} and {rule!r}") from None
 
 
 def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:

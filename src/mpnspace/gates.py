@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dynamics import Rule, UpdateMode, Variant, _keyed_record
+from .dynamics import _SYNCHRONOUS, Rule, Variant, _record
 
 GATE_NAMES = (
     "F", "AND", "xANDnoty", "x", "notxANDy", "y", "XOR", "OR",
@@ -90,7 +90,7 @@ def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
     """The (x-node, y-node) gates of a rule under a variant, read off the
     successor indices of its synchronous form: state index 2 * x + y holds
     the logical (x, y) bits of the next state."""
-    return _keyed_record(rule.number, v.tag, UpdateMode.SYNCHRONOUS).gates
+    return _record(rule, v, _SYNCHRONOUS).gates
 
 
 class SignPredicates(NamedTuple):

@@ -29,13 +29,14 @@ from .dynamics import (
     UpdateMode,
     _record,
     _Record,
+    _rule_of_number,
     all_rules,
     classify,
     states,
     variant,
 )
 from .gates import gate_pair, sign_predicates
-from .rulespace import _three_class_group, build_rule_graph, class_transition_counts, export_graph
+from .rulespace import _three_class_group, class_transition_counts, neighbors
 from .transforms import gauge, reduce_rules, t12
 
 FORMATS = ("csv", "tsv", "markdown", "json")
@@ -111,9 +112,10 @@ def _rule_cells(rule: Rule) -> list[str]:
 
 
 def _t12_representatives(arities: tuple[int, ...]) -> list[Rule]:
-    """Node-swap class representatives among the rules of the given arities."""
-    pool = [r for r in all_rules() if r.arity in arities]
-    return [Rule.from_number(c.representative) for c in reduce_rules({"T12"}, pool)]
+    """Node-swap class representatives among the rules of the given arities:
+    node swap keeps the arity, and a rule represents its class when its
+    number is the smaller of its own and its image's."""
+    return [r for r in all_rules() if r.arity in arities and r.number <= t12(r).number]
 
 
 def _dynamics_table(table_id: str, arities: tuple[int, ...],
@@ -159,7 +161,7 @@ def build_t2() -> TableDocument:
     v1 = variant("V1")
     rows = []
     for cls in classes:
-        r = Rule.from_number(cls.representative)
+        r = _rule_of_number(cls.representative)
         preds = sign_predicates(r)
         cross = "positive" if preds.cross_positive else (
             "negative" if preds.cross_negative else "none"
@@ -232,12 +234,12 @@ def _t4_bin_headers() -> tuple[str, ...]:
 def _t4_cells() -> tuple[tuple[int, ...], ...]:
     """Counts of rules per (V1 class group, all-neighbor robustness bin): the
     all-neighbor histogram split by group, one row per ``T4_GROUPS`` entry."""
-    hist = rb.robustness_distribution("state-vs-rule-mutation", "all")
+    hist = rb.robustness_distribution("all")
     cells = {g: [0] * len(hist.counts) for g in T4_GROUPS}
     v1 = variant("V1")
     for b, numbers in enumerate(hist.rules_per_bin):
         for n in numbers:
-            label = classify(Rule.from_number(n), v1).label
+            label = classify(_rule_of_number(n), v1).label
             group = _T4_ROW_OF_GROUP.get(_three_class_group(label))
             if group is None:
                 raise ValueError(f"no count-table group for class {label!r}")
@@ -392,21 +394,17 @@ def emit_state_graph(rule: Rule, v) -> str:
     per (rule, tag, mode).  The graph name carries the rule and tag but
     not the mode, so the maps of one (rule, tag) under the three modes
     share a name."""
-    if v is None:
-        raise ValueError("emit_state_graph needs a variant, got None")
-    return _state_graph(v.tag, v.mode, rule.number)
+    return _record(rule, v, view=_state_graph)
 
 
 @functools.cache
-def _state_graph(tag: str, mode: UpdateMode, number: int) -> str:
+def _state_graph(number: int, tag: str, mode: UpdateMode) -> str:
     v = variant(tag, mode)
-    rule = Rule.from_number(number)
-    sts = states(v)
-    rec = _record(rule, v)
+    rec = _record(_rule_of_number(number), v)
     nxt = rec.successors
     on_cycle = {i for cyc in rec.attractor_set.attractors for i in cyc}
     lines = [f"digraph state_space_rule{number}_{v.tag.lower()} {{"]
-    for i, s in enumerate(sts):
+    for i, s in enumerate(states(v)):
         shape = "doublecircle" if i in on_cycle else "circle"
         lines.append(f'  s{i} [label="({s[0]},{s[1]})" shape={shape}];')
     for i in range(4):
@@ -415,10 +413,86 @@ def _state_graph(tag: str, mode: UpdateMode, number: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+class RuleGraph(_Record):
+    """The 81-node mutation graph with per-rule attributes.
+
+    ``nodes`` maps rule number to its attribute dict (arity, dynamics
+    class per synchronous variant, and the three robustness fractions);
+    ``edges`` lists each undirected edge once as (smaller, larger).
+    """
+
+    __slots__ = _fields = __match_args__ = ("nodes", "edges")
+
+    def __init__(self, nodes: dict[int, dict] | None = None,
+                 edges: tuple[tuple[int, int], ...] = ()):
+        self.nodes = {} if nodes is None else nodes
+        self.edges = edges
+
+
+def build_rule_graph() -> RuleGraph:
+    variants = [variant(tag) for tag in VARIANT_TAGS]
+    nodes = {}
+    for r in all_rules():
+        nodes[r.number] = {
+            "arity": r.arity,
+            "classes": {v.tag: classify(r, v).label for v in variants},
+            "robustness": {
+                "class_vs_rule_mutation": str(rb.class_robustness(r).fraction),
+                "state_vs_rule_mutation": str(rb.state_robustness_rule_mutation(r).fraction),
+                "state_vs_init_perturbation": str(
+                    rb.state_robustness_init_perturbation(r).fraction),
+            },
+        }
+    edges = sorted(
+        (r.number, nb.number)
+        for r in all_rules()
+        for nb in neighbors(r)
+        if nb.number > r.number
+    )
+    return RuleGraph(nodes=nodes, edges=tuple(edges))
+
+
+def _dot_escape(s: str) -> str:
+    return s.replace('"', '\\"')
+
+
+def export_graph(graph: RuleGraph, fmt: str) -> str:
+    """Serialize the rule graph deterministically as dot, csv, or json."""
+    if fmt == "dot":
+        lines = ["graph rulespace {"]
+        for n in sorted(graph.nodes):
+            attrs = graph.nodes[n]
+            parts = [f'arity={attrs["arity"]}']
+            for tag in sorted(attrs.get("classes", {})):
+                parts.append(f'{tag.lower()}_class="{_dot_escape(attrs["classes"][tag])}"')
+            for key in sorted(attrs.get("robustness", {})):
+                parts.append(f'{key}="{attrs["robustness"][key]}"')
+            lines.append(f'  {n} [{" ".join(parts)}];')
+        for u, w in graph.edges:
+            lines.append(f"  {u} -- {w};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        lines = ["source,target"]
+        lines.extend(f"{u},{w}" for u, w in graph.edges)
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        import json
+
+        doc = {
+            "nodes": [
+                {"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)
+            ],
+            "edges": [list(e) for e in graph.edges],
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    raise ValueError(f"unknown export format {fmt!r}")
+
+
 def distribution_payload(targets: str) -> dict:
     """The state-vs-rule-mutation histogram for ``targets`` as JSON-ready
     edges ("n/d" text), counts and rule numbers per bin."""
-    hist = rb.robustness_distribution("state-vs-rule-mutation", targets)
+    hist = rb.robustness_distribution(targets)
     return {
         "edges": [_fmt_fraction(e) for e in hist.edges],
         "counts": list(hist.counts),

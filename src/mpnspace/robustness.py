@@ -19,8 +19,9 @@
 Every score is a rational number stored as numerator/denominator; all
 three metrics are invariant under the node-swap transformation.  A
 variant is its tag and mode alone, so class scores are computed once
-per (rule, tag, mode) and mutation scores once per (rule, convention),
-then shared; the initial-state score reads one shared record per call.
+per (rule number, tag, mode) and mutation scores once per (rule,
+convention), then shared; the initial-state score reads one shared
+record per call.  Only the mutation metric is binned, at frozen edges.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .dynamics import (
     Rule,
     Variant,
     _record,
+    _rule_of_number,
     all_rules,
     classify,
     variant,
@@ -76,12 +78,12 @@ def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
     """Fraction of neighbors with the same dynamics-class label."""
     if v is None:
         v = variant("V1")
-    return _class_score(v.tag, v.mode, rule)
+    return _record(rule, v, view=_class_score)
 
 
 @functools.cache
-def _class_score(tag: str, mode, rule: Rule) -> RobustnessScore:
-    v = variant(tag, mode)
+def _class_score(number: int, tag: str, mode) -> RobustnessScore:
+    rule, v = _rule_of_number(number), variant(tag, mode)
     own = classify(rule, v).label
     nbs = neighbors(rule)
     hits = sum(1 for nb in nbs if classify(nb, v).label == own)
@@ -159,35 +161,19 @@ def _bin_index(value: Fraction, edges: tuple[Fraction, ...]) -> int:
     return len(edges)
 
 
-def robustness_distribution(metric: str = "state-vs-rule-mutation",
-                            targets: str = "two-input",
-                            edges: tuple[Fraction, ...] | None = None) -> Histogram:
-    """Five-bin histogram of the mutation-robustness scores.
-
-    Defaults to the two-input convention over the 72 two-input rules
-    with the frozen edges above; ``targets="all"`` switches to the
-    all-neighbor convention over all 81 rules with its own edges.
-    Other metrics require explicit ``edges``: a strictly increasing
-    tuple or list of ints or Fractions.
-    """
-    if edges is not None and (type(edges) not in (tuple, list) or any(
-            type(e) not in (int, Fraction) for e in edges) or sorted({*edges}) != [*edges]):
-        raise ValueError("edges must be a strictly increasing tuple or list of ints "
-                         f"or Fractions, got {edges!r}")
-    if metric == "state-vs-rule-mutation":
-        if edges is None:
-            edges = TWO_INPUT_BIN_EDGES if targets == "two-input" else ALL_TARGET_BIN_EDGES
-        pool = [r for r in all_rules() if targets == "all" or r.arity == 2]
-    else:
-        if edges is None:
-            raise ValueError(f"no canonical bin edges for metric {metric!r}")
-        pool = all_rules()
+def robustness_distribution(targets: str = "two-input") -> Histogram:
+    """Five-bin histogram of the mutation-robustness scores with the
+    frozen edges above: the two-input convention over the 72 two-input
+    rules by default, or ``targets="all"``, the all-neighbor convention
+    over all 81 rules."""
+    edges = TWO_INPUT_BIN_EDGES if targets == "two-input" else ALL_TARGET_BIN_EDGES
     bins: list[list[int]] = [[] for _ in range(len(edges) + 1)]
-    for r in pool:
-        sc = score(r, metric, targets)
-        bins[_bin_index(sc.fraction, edges)].append(r.number)
+    for r in all_rules():
+        if targets == "all" or r.arity == 2:
+            sc = state_robustness_rule_mutation(r, targets)
+            bins[_bin_index(sc.fraction, edges)].append(r.number)
     return Histogram(
-        edges=tuple(edges),
+        edges=edges,
         counts=tuple(len(b) for b in bins),
         rules_per_bin=tuple(tuple(b) for b in bins),
     )
@@ -196,5 +182,4 @@ def robustness_distribution(metric: str = "state-vs-rule-mutation",
 def superstable_rules() -> tuple[int, ...]:
     """Two-input rules whose mutation robustness (two-input convention)
     exceeds the exactly-7/8 bin: the top bin of the distribution."""
-    hist = robustness_distribution("state-vs-rule-mutation", "two-input")
-    return hist.rules_per_bin[-1]
+    return robustness_distribution("two-input").rules_per_bin[-1]

@@ -3,8 +3,8 @@
 Two rules are neighbors when exactly one weight differs by exactly 1,
 so -1 and +1 are never adjacent and a rule's degree is 4 plus its
 number of zero weights (between 4 and 8).  On top of the graph sit the
-class-transition tallies, edge-of-chaos detection, and deterministic
-DOT/CSV/JSON exports carrying per-rule attributes.
+class-transition tallies and edge-of-chaos detection; the graph's
+annotated exports live with the other emitters in ``report``.
 
 Transition tallies follow the convention that reproduces the published
 count matrix: every ordered neighbor pair over all 81 rules is tallied
@@ -24,10 +24,8 @@ from typing import NamedTuple
 
 from .dynamics import (
     _PLACE_VALUES,
-    VARIANT_TAGS,
     Rule,
     Variant,
-    _Record,
     _rule_of_number,
     all_rules,
     classify,
@@ -157,85 +155,3 @@ def edge_of_chaos(v: Variant | None = None) -> tuple[Rule, ...]:
         if any(label_of[nb.number].label == "4C" for nb in neighbors(r)):
             out.append(r)
     return tuple(out)
-
-
-class RuleGraph(_Record):
-    """The 81-node mutation graph with per-rule attributes.
-
-    ``nodes`` maps rule number to its attribute dict (arity, dynamics
-    class per synchronous variant, and the three robustness fractions);
-    ``edges`` lists each undirected edge once as (smaller, larger).
-    """
-
-    __slots__ = _fields = __match_args__ = ("nodes", "edges")
-
-    def __init__(self, nodes: dict[int, dict] | None = None,
-                 edges: tuple[tuple[int, int], ...] = ()):
-        self.nodes = {} if nodes is None else nodes
-        self.edges = edges
-
-
-def build_rule_graph() -> RuleGraph:
-    from . import robustness as _robustness  # deferred: robustness uses neighbors()
-
-    variants = [variant(tag) for tag in VARIANT_TAGS]
-    nodes = {}
-    for r in all_rules():
-        nodes[r.number] = {
-            "arity": r.arity,
-            "classes": {v.tag: classify(r, v).label for v in variants},
-            "robustness": {
-                "class_vs_rule_mutation": str(_robustness.class_robustness(r).fraction),
-                "state_vs_rule_mutation": str(
-                    _robustness.state_robustness_rule_mutation(r).fraction
-                ),
-                "state_vs_init_perturbation": str(
-                    _robustness.state_robustness_init_perturbation(r).fraction
-                ),
-            },
-        }
-    edges = sorted(
-        (r.number, nb.number)
-        for r in all_rules()
-        for nb in neighbors(r)
-        if nb.number > r.number
-    )
-    return RuleGraph(nodes=nodes, edges=tuple(edges))
-
-
-def _dot_escape(s: str) -> str:
-    return s.replace('"', '\\"')
-
-
-def export_graph(graph: RuleGraph, fmt: str) -> str:
-    """Serialize the rule graph deterministically as dot, csv, or json."""
-    if fmt == "dot":
-        lines = ["graph rulespace {"]
-        for n in sorted(graph.nodes):
-            attrs = graph.nodes[n]
-            parts = [f'arity={attrs["arity"]}']
-            for tag in sorted(attrs.get("classes", {})):
-                parts.append(f'{tag.lower()}_class="{_dot_escape(attrs["classes"][tag])}"')
-            for key in sorted(attrs.get("robustness", {})):
-                parts.append(f'{key}="{attrs["robustness"][key]}"')
-            lines.append(f'  {n} [{" ".join(parts)}];')
-        for u, w in graph.edges:
-            lines.append(f"  {u} -- {w};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        lines = ["source,target"]
-        lines.extend(f"{u},{w}" for u, w in graph.edges)
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        import json
-
-        doc = {
-            "nodes": [
-                {"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)
-            ],
-            "edges": [list(e) for e in graph.edges],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown export format {fmt!r}")
-

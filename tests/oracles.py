@@ -7,7 +7,9 @@ Likewise the characteristic-polynomial reference expands recursively
 over polynomial entries, where the package writes one straight-line
 integer expansion in principal minors, and the stepping reference
 updates the joint state as a vector, one weight row per node, where the
-package composes per-node truth tables.
+package composes per-node truth tables.  The orbit reference searches
+the weight tuples to closure under the symmetries, where the package
+reads an orbit off as the images under each subset of its generators.
 """
 
 from __future__ import annotations
@@ -150,3 +152,26 @@ def recursive_charpoly(T) -> list[int]:
     coeffs = _det_poly(m)
     coeffs += [0] * (5 - len(coeffs))
     return list(reversed(coeffs))
+
+
+# The rule-space symmetries on weight tuples (wxx, wxy, wyx, wyy): node
+# swap reverses the tuple, and the sign flip negates the cross weights.
+SYMMETRIES = {
+    "T12": lambda w: w[::-1],
+    "G": lambda w: (w[0], -w[1], -w[2], w[3]),
+}
+
+
+def closure_orbit(weights, generators) -> set:
+    """The weight tuples reachable from ``weights`` by any sequence of the
+    named symmetries, found by frontier search until nothing new appears."""
+    orbit = {tuple(weights)}
+    frontier = list(orbit)
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = SYMMETRIES[g](cur)
+            if nxt not in orbit:
+                orbit.add(nxt)
+                frontier.append(nxt)
+    return orbit

@@ -251,7 +251,7 @@ def test_criterion_09_robustness():
         assert mut[16] == Fraction(1, 2) and mut[22] == Fraction(1, 2)
         for n in (9, 72, 73, 78):
             assert mut[n] == Fraction(15, 16)
-        hist = robustness_distribution("state-vs-rule-mutation", "two-input")
+        hist = robustness_distribution("two-input")
         assert list(hist.counts) == [15, 21, 16, 11, 9]
         assert superstable_rules() == (9, 51, 53, 54, 71, 72, 73, 78, 80)
         t4 = build_t4()

@@ -295,7 +295,7 @@ def test_node_gates_equal_the_oracle_node_update(v, eps):
 def test_memoised_state_graph_equals_a_fresh_render(v, eps):
     for rule in ALL:
         dot = report.emit_state_graph(rule, v)
-        fresh = report._state_graph.__wrapped__(v.tag, v.mode, rule.number)
+        fresh = report._state_graph.__wrapped__(rule.number, v.tag, v.mode)
         assert dot == fresh == plain_state_graph(rule, v, eps)
         again = report.emit_state_graph(Rule(*rule.weights), Variant(v.tag, v.mode))
         assert again is dot, (rule.number, v)

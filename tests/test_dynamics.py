@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import mpnspace as mp
 from mpnspace import (
     VARIANT_TAGS,
     Rule,
@@ -38,7 +39,7 @@ def test_rule_numbering_round_trip():
     for n in range(1, 82):
         r = rule_from_number(n)
         assert rule_to_number(r) == n
-        assert Rule.from_number(n) == r
+        assert rule_from_number(n) is r
         assert r.number == n
 
 
@@ -65,7 +66,7 @@ def test_float_weight_rejected():
 
 def test_bool_rule_number_rejected():
     with pytest.raises(ValueError):
-        Rule.from_number(True)
+        rule_from_number(True)
 
 
 def test_state_index_rejects_float_and_bool_values():
@@ -269,6 +270,41 @@ def test_step_validation_messages(state, eps):
         step(rule, v, state)
     assert str(excinfo.value) == f"state {state!r} is not valid under the V3 value convention"
     assert_valid_calls_step_as_the_oracle(rule, v, eps)
+
+
+# Every entry that reads the record of one (rule, variant) key, as a call
+# on (rule, variant).
+RECORD_ENTRIES = {
+    "classify": mp.classify,
+    "attractor_set": mp.attractor_set,
+    "successor_indices": mp.successor_indices,
+    "step": lambda r, v: mp.step(r, v, (1, 1)),
+    "step_async": lambda r, v: mp.step_async(r, v, "x-first", (1, 1)),
+    "gate_pair": mp.gate_pair,
+    "node_truth_table": lambda r, v: mp.node_truth_table(r, v, "x"),
+    "spectrum": mp.spectrum,
+    "transition_matrix": mp.transition_matrix,
+    "class_robustness": mp.class_robustness,
+    "emit_state_graph": mp.emit_state_graph,
+    "class_transition_counts": lambda r, v: mp.class_transition_counts(v),
+    "edge_of_chaos": lambda r, v: mp.edge_of_chaos(v),
+}
+VARIANT_ONLY = ("class_transition_counts", "edge_of_chaos")
+# A variant of None means V1 for these.
+DEFAULT_V1 = ("class_robustness", *VARIANT_ONLY)
+
+
+@pytest.mark.parametrize(("name", "slot", "wrong"), [
+    (name, slot, wrong) for name in RECORD_ENTRIES for slot in ("rule", "variant")
+    for wrong in (None, "V1", 8)
+    if not (slot == "rule" and name in VARIANT_ONLY)
+    and not (slot == "variant" and wrong is None and name in DEFAULT_V1)
+], ids=repr)
+def test_a_wrong_record_type_is_a_value_error(name, slot, wrong):
+    call, rule, v = RECORD_ENTRIES[name], rule_from_number(8), variant("V1")
+    call(rule, v)
+    with pytest.raises(ValueError):
+        call(wrong, v) if slot == "rule" else call(rule, wrong)
 
 
 @pytest.mark.parametrize("order", [1, None, ["x-first"]], ids=repr)

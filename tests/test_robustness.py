@@ -86,14 +86,14 @@ def test_all_metrics_invariant_under_node_swap():
 
 
 def test_two_input_distribution_bins():
-    hist = robustness_distribution("state-vs-rule-mutation", "two-input")
+    hist = robustness_distribution("two-input")
     assert hist.edges == TWO_INPUT_BIN_EDGES
     assert list(hist.counts) == [15, 21, 16, 11, 9]
     assert sum(hist.counts) == 72
 
 
 def test_all_neighbor_distribution_bins():
-    hist = robustness_distribution("state-vs-rule-mutation", "all")
+    hist = robustness_distribution("all")
     assert hist.edges == ALL_TARGET_BIN_EDGES
     assert list(hist.counts) == [17, 18, 20, 14, 12]
     assert sum(hist.counts) == 81
@@ -106,39 +106,9 @@ def test_superstable_set():
             rule_from_number(n), "two-input").fraction >= Fraction(9, 10)
 
 
-def test_distribution_requires_edges_for_other_metrics():
-    with pytest.raises(ValueError):
-        robustness_distribution("class-vs-rule-mutation")
-    hist = robustness_distribution(
-        "class-vs-rule-mutation",
-        edges=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
-    )
-    assert sum(hist.counts) == 81
-
-
-@pytest.mark.parametrize("edges", [
-    (Fraction(9, 10), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(1, 2)),
-    ("a",),
-    (0.5,),
-    (True, 2),
-    (Fraction(1, 2), "1"),
-    "ab",
-    (e for e in (Fraction(1, 2),)),
-    {Fraction(1, 2): 0},
-], ids=["unsorted", "repeated", "str", "float", "bool", "mixed_str", "string", "generator", "dict"])
-@pytest.mark.parametrize("metric", ["state-vs-rule-mutation", "class-vs-rule-mutation"])
-def test_distribution_rejects_malformed_edges(metric, edges):
-    with pytest.raises(ValueError, match="strictly increasing"):
-        robustness_distribution(metric, edges=edges)
-
-
-def test_distribution_accepts_increasing_ints_and_fractions():
-    frozen = robustness_distribution("state-vs-rule-mutation", "two-input")
-    assert robustness_distribution(edges=TWO_INPUT_BIN_EDGES) == frozen
-    assert robustness_distribution(edges=list(TWO_INPUT_BIN_EDGES)).counts == frozen.counts
-    hist = robustness_distribution("class-vs-rule-mutation", edges=[Fraction(1, 2), 1])
-    assert sum(hist.counts) == 81 and len(hist.counts) == 3
+def test_distribution_rejects_unknown_targets():
+    with pytest.raises(ValueError, match="targets must be one of"):
+        robustness_distribution("sideways")
 
 
 def test_score_dispatch():
@@ -200,7 +170,7 @@ def test_group_medians_over_45_representatives():
 
 
 def test_rules_per_bin_are_sorted_and_disjoint():
-    hist = robustness_distribution("state-vs-rule-mutation", "two-input")
+    hist = robustness_distribution("two-input")
     seen = set()
     for bucket in hist.rules_per_bin:
         assert list(bucket) == sorted(bucket)

@@ -19,7 +19,6 @@ import pickle
 import subprocess
 import sys
 from collections.abc import Mapping
-from fractions import Fraction
 from types import ModuleType
 
 import pytest
@@ -106,11 +105,7 @@ def _instances(cls):
                  for targets in MUTATION_TARGET_CHOICES]
                 + [class_robustness(r, v) for r in ALL for v in UNIVERSE])
     if cls is Histogram:
-        edges = (Fraction(1, 2), Fraction(3, 4))
-        return [robustness_distribution("state-vs-rule-mutation", targets)
-                for targets in MUTATION_TARGET_CHOICES] + [
-                robustness_distribution(metric, targets, edges)
-                for metric in METRIC_KINDS for targets in MUTATION_TARGET_CHOICES]
+        return [robustness_distribution(targets) for targets in MUTATION_TARGET_CHOICES]
     if cls is STATS_RESULT:
         quad = quadrant_counts()
         init = [float(score(r, "state-vs-init-perturbation").fraction) for r in ALL]

@@ -4,6 +4,7 @@ import pytest
 
 from mpnspace import (
     VARIANT_TAGS,
+    Rule,
     UpdateMode,
     all_rules,
     classify,
@@ -14,7 +15,9 @@ from mpnspace import (
     t12,
     variant,
 )
-from mpnspace.transforms import EquivalenceClass
+from mpnspace.report import _t12_representatives
+from mpnspace.transforms import EquivalenceClass, _orbit
+from oracles import closure_orbit
 from reference_tables import (
     LOW_ARITY_REPRESENTATIVES,
     T12_GAUGE_REPRESENTATIVES,
@@ -160,3 +163,17 @@ def test_orbit_of_rule_8():
     classes = reduce_rules({"T12", "G"}, [r for r in ALL if r.arity == 2])
     by_rep = {c.representative: c for c in classes}
     assert by_rep[8].members == (8, 20, 34, 46)
+
+
+@pytest.mark.parametrize("generators", [(), ("T12",), ("G",), ("T12", "G")], ids=repr)
+def test_orbit_equals_the_closure_oracle(generators):
+    for r in ALL:
+        expected = {Rule(*w).number for w in closure_orbit(r.weights, generators)}
+        assert _orbit(r, generators) == expected
+
+
+@pytest.mark.parametrize("arities", [(2,), (0, 1)], ids=repr)
+def test_swap_representatives_equal_the_reduction(arities):
+    pool = [r for r in ALL if r.arity in arities]
+    reps = [c.representative for c in reduce_rules({"T12"}, pool)]
+    assert [r.number for r in _t12_representatives(arities)] == reps
