@@ -56,6 +56,11 @@ class UpdateMode(Enum):
     X_FIRST = "x-first"
     Y_FIRST = "y-first"
 
+    # Members are singletons that compare by identity, so the identity
+    # hash agrees with ==; it runs in C, where Enum.__hash__ is a Python
+    # frame in every lookup keyed on a mode.
+    __hash__ = object.__hash__
+
 
 # On the query path a global reads faster than the enum attribute.
 _SYNCHRONOUS = UpdateMode.SYNCHRONOUS
@@ -186,16 +191,16 @@ class Rule(_FrozenRecord):
         return 2
 
 
-@functools.cache
-def _rule_of_number(r: int) -> Rule:
-    return Rule(*((r - 1) // p % 3 - 1 for p in _PLACE_VALUES))
+# The 81 shared rules by rule number, built at import (slot 0 unused).
+_RULES = (None, *(Rule(*((r - 1) // p % 3 - 1 for p in _PLACE_VALUES))
+                  for r in range(1, 82)))
 
 
 def rule_from_number(r: int) -> Rule:
     """Decode a rule number in 1..81 into its weights."""
     if type(r) is not int or not 1 <= r <= 81:
         raise ValueError(f"rule number must be an integer in 1..81, got {r!r}")
-    return _rule_of_number(r)
+    return _RULES[r]
 
 
 def rule_to_number(rule: Rule) -> int:
@@ -205,7 +210,7 @@ def rule_to_number(rule: Rule) -> int:
 
 def all_rules() -> tuple[Rule, ...]:
     """All 81 rules in ascending number order."""
-    return tuple(_rule_of_number(r) for r in range(1, 82))
+    return _RULES[1:]
 
 
 class Variant(_FrozenRecord):
@@ -241,11 +246,14 @@ def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Varian
     """Build a :class:`Variant`, accepting lowercase tags and mode strings.
 
     A plain-string tag with a mode string or :class:`UpdateMode` member
-    is validated once per process: every call with the same (tag
-    spelling, mode) gets one shared, immutable Variant.
+    is read from a table built at import: every call with the same tag
+    and mode, in any accepted spelling, gets one shared, immutable Variant.
     """
     if type(tag) is str and type(mode) in (str, UpdateMode):
-        return _interned_variant(tag, mode)  # keyed by the raw arguments
+        try:
+            return _VARIANTS[tag, mode]  # keyed by the raw arguments
+        except KeyError:
+            pass  # malformed: raise as the constructor does
     return _build_variant(tag, mode)
 
 
@@ -257,9 +265,11 @@ def _build_variant(tag: str, mode: UpdateMode | str) -> Variant:
     return Variant(tag.upper(), mode)
 
 
-# At most 14 tag spellings times 6 mode forms; a call that raises
-# stores nothing.
-_interned_variant = functools.cache(_build_variant)
+# Every accepted (tag, mode) argument pair of ``variant``: 14 tag
+# spellings times 6 mode forms, onto the 21 shared variants.
+_VARIANTS = {(spelling, form): v
+             for v in (Variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode)
+             for spelling in (v.tag, v.tag.lower()) for form in (v.mode, v.mode.value)}
 
 
 _STATES = {tag: ((lo, lo), (lo, hi), (hi, lo), (hi, hi))
@@ -269,13 +279,20 @@ _STATES = {tag: ((lo, lo), (lo, hi), (hi, lo), (hi, hi))
 def states(v: Variant) -> tuple[tuple[int, int], ...]:
     """The four joint states in index order S0=(lo,lo), S1=(lo,hi),
     S2=(hi,lo), S3=(hi,hi) under the variant's value convention."""
-    return _STATES[v.tag]
+    try:
+        return _STATES[v.tag]
+    except AttributeError:
+        raise ValueError(f"joint states need a variant, got {v!r}") from None
 
 
 def state_index(v: Variant, s: tuple[int, int]) -> int:
     """Index 0..3 of a joint state; rejects values outside the convention,
-    including bools and floats that compare equal to an allowed int."""
-    lo, hi, _ = _VARIANT_CONVENTIONS[v.tag]
+    including bools and floats that compare equal to an allowed int, and a
+    non-variant ``v`` (the ``try`` is free until it raises)."""
+    try:
+        lo, hi, _ = _VARIANT_CONVENTIONS[v.tag]
+    except AttributeError:
+        raise ValueError(f"joint states need a variant, got {v!r}") from None
     if type(s) is tuple and len(s) == 2:
         x, y = s
         if (type(x) is int and type(y) is int
@@ -346,13 +363,13 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
 # mode) key of the 1701 maps to one of at most 4**4 successor tuples,
 # and each tuple has one _MapRecord, built once by _map_record, holding
 # every view the package derives from the map.  Keys are plain ints,
-# strings and enum members, so a lookup runs no Rule or Variant __eq__
-# and keeps no Rule or Variant alive.  Results handed out are immutable.
+# strings and UpdateMode members, all hashed in C, so a lookup enters no
+# Python frame and keeps no Rule or Variant alive.  Results are immutable.
 @functools.cache
 def _keyed_record(number: int, tag: str, mode: UpdateMode) -> _MapRecord:
     """The map composed from the two node gates of the rule's weights."""
     gates = _tag_gates(tag)
-    wxx, wxy, wyx, wyy = _rule_of_number(number).weights
+    wxx, wxy, wyx, wyy = _RULES[number].weights
     return _map_record(_compose(gates[wxx, wxy], gates[wyy, wyx], mode))
 
 

@@ -29,7 +29,7 @@ from .dynamics import (
     UpdateMode,
     _record,
     _Record,
-    _rule_of_number,
+    _RULES,
     all_rules,
     classify,
     states,
@@ -161,7 +161,7 @@ def build_t2() -> TableDocument:
     v1 = variant("V1")
     rows = []
     for cls in classes:
-        r = _rule_of_number(cls.representative)
+        r = _RULES[cls.representative]
         preds = sign_predicates(r)
         cross = "positive" if preds.cross_positive else (
             "negative" if preds.cross_negative else "none"
@@ -239,7 +239,7 @@ def _t4_cells() -> tuple[tuple[int, ...], ...]:
     v1 = variant("V1")
     for b, numbers in enumerate(hist.rules_per_bin):
         for n in numbers:
-            label = classify(_rule_of_number(n), v1).label
+            label = classify(_RULES[n], v1).label
             group = _T4_ROW_OF_GROUP.get(_three_class_group(label))
             if group is None:
                 raise ValueError(f"no count-table group for class {label!r}")
@@ -400,7 +400,7 @@ def emit_state_graph(rule: Rule, v) -> str:
 @functools.cache
 def _state_graph(number: int, tag: str, mode: UpdateMode) -> str:
     v = variant(tag, mode)
-    rec = _record(_rule_of_number(number), v)
+    rec = _record(_RULES[number], v)
     nxt = rec.successors
     on_cycle = {i for cyc in rec.attractor_set.attractors for i in cyc}
     lines = [f"digraph state_space_rule{number}_{v.tag.lower()} {{"]

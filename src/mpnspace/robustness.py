@@ -19,7 +19,7 @@
 Every score is a rational number stored as numerator/denominator; all
 three metrics are invariant under the node-swap transformation.  A
 variant is its tag and mode alone, so class scores are computed once
-per (rule number, tag, mode) and mutation scores once per (rule,
+per (rule number, tag, mode) and mutation scores once per (rule number,
 convention), then shared; the initial-state score reads one shared
 record per call.  Only the mutation metric is binned, at frozen edges.
 """
@@ -31,10 +31,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dynamics import (
+    _RULES,
     Rule,
     Variant,
     _record,
-    _rule_of_number,
     all_rules,
     classify,
     variant,
@@ -83,7 +83,7 @@ def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
 
 @functools.cache
 def _class_score(number: int, tag: str, mode) -> RobustnessScore:
-    rule, v = _rule_of_number(number), variant(tag, mode)
+    rule, v = _RULES[number], variant(tag, mode)
     own = classify(rule, v).label
     nbs = neighbors(rule)
     hits = sum(1 for nb in nbs if classify(nb, v).label == own)
@@ -103,12 +103,14 @@ def state_robustness_rule_mutation(rule: Rule,
     neighbor conventions."""
     if targets not in MUTATION_TARGET_CHOICES:
         raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
-    return _state_robustness_rule_mutation(rule, targets)
+    if type(rule) is not Rule:
+        raise ValueError(f"mutation robustness needs a Rule, got {rule!r}")
+    return _state_robustness_rule_mutation(rule.number, targets)
 
 
 @functools.cache
-def _state_robustness_rule_mutation(rule: Rule, targets: str) -> RobustnessScore:
-    v4 = variant("V4")
+def _state_robustness_rule_mutation(number: int, targets: str) -> RobustnessScore:
+    rule, v4 = _RULES[number], variant("V4")
     own = _record(rule, v4).landing  # the attractor state set per start state
     eligible = [
         nb for nb in neighbors(rule) if targets == "all" or nb.arity == 2
@@ -117,9 +119,7 @@ def _state_robustness_rule_mutation(rule: Rule, targets: str) -> RobustnessScore
     for nb in eligible:
         other = _record(nb, v4).landing
         hits += sum(1 for i in range(4) if own[i] == other[i])
-    return RobustnessScore(
-        rule.number, "state-vs-rule-mutation", hits, 4 * len(eligible)
-    )
+    return RobustnessScore(number, "state-vs-rule-mutation", hits, 4 * len(eligible))
 
 
 def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:

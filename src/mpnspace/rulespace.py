@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 from .dynamics import (
     _PLACE_VALUES,
+    _RULES,
     Rule,
     Variant,
-    _rule_of_number,
     all_rules,
     classify,
     variant,
@@ -38,15 +38,17 @@ THREE_CLASS_ORDER = ("F", "2C+M", "4C")
 
 def neighbors(rule: Rule) -> tuple[Rule, ...]:
     """All rules at Hamming distance 1, ascending by number."""
-    return _neighbors(rule)
+    if type(rule) is not Rule:
+        raise ValueError(f"neighbors needs a Rule, got {rule!r}")
+    return _neighbors(rule.number)
 
 
 @functools.cache
-def _neighbors(rule: Rule) -> tuple[Rule, ...]:
-    numbers = sorted(rule.number + delta * p
-                     for w, p in zip(rule.weights, _PLACE_VALUES)
+def _neighbors(number: int) -> tuple[Rule, ...]:
+    numbers = sorted(number + delta * p
+                     for w, p in zip(_RULES[number].weights, _PLACE_VALUES)
                      for delta in (-1, 1) if -1 <= w + delta <= 1)
-    return tuple(_rule_of_number(n) for n in numbers)
+    return tuple(_RULES[n] for n in numbers)
 
 
 def degree(rule: Rule) -> int:

@@ -22,11 +22,11 @@ from __future__ import annotations
 from typing import Iterable
 
 from .dynamics import (
+    _RULES,
     Rule,
     Variant,
     _FrozenRecord,
     _rule_number,
-    _rule_of_number,
     _setattr,
     all_rules,
     variant,
@@ -35,12 +35,12 @@ from .dynamics import (
 
 def t12(rule: Rule) -> Rule:
     """Swap the two node labels."""
-    return _rule_of_number(_rule_number((rule.wyy, rule.wyx, rule.wxy, rule.wxx)))
+    return _RULES[_rule_number((rule.wyy, rule.wyx, rule.wxy, rule.wxx))]
 
 
 def gauge(rule: Rule) -> Rule:
     """Flip the signs of both cross weights."""
-    return _rule_of_number(_rule_number((rule.wxx, -rule.wxy, -rule.wyx, rule.wyy)))
+    return _RULES[_rule_number((rule.wxx, -rule.wxy, -rule.wyx, rule.wyy))]
 
 
 TRANSFORMATIONS = {"T12": t12, "G": gauge}

@@ -43,6 +43,7 @@ from mpnspace import (
     class_robustness,
     class_transition_counts,
     classify,
+    emit_state_graph,
     gate_pair,
     gauge,
     identify_gate,
@@ -376,31 +377,41 @@ def test_transforms_and_neighbors_return_the_shared_rules():
             assert image is rule_from_number(image.number), (rule.number, image)
 
 
-# Every input ``variant`` interns: two spellings of each tag, and each
-# mode as its string or its UpdateMode member.
+def test_the_rule_table_equals_an_independent_decoding():
+    # Weight tuples in base-3 digit order, wxx the most significant.
+    decoded = list(itertools.product((-1, 0, 1), repeat=4))
+    assert len(dynamics._RULES) == 1 + len(decoded)
+    for number, (weights, rule) in enumerate(zip(decoded, all_rules(), strict=True), 1):
+        assert rule is dynamics._RULES[number] is rule_from_number(number), number
+        assert rule == Rule(*weights) and rule.weights == weights and rule.number == number
+
+
+# Every input ``variant`` reads from its table: two spellings of each
+# tag, and each mode as its string or its UpdateMode member.
 TAG_SPELLINGS = (*VARIANT_TAGS, *(tag.lower() for tag in VARIANT_TAGS))
 MODE_FORMS = (*(mode.value for mode in UpdateMode), *UpdateMode)
 
 
 def test_interned_variants_equal_the_plain_constructor():
-    dynamics._interned_variant.cache_clear()
+    assert len(dynamics._VARIANTS) == len(TAG_SPELLINGS) * len(MODE_FORMS)
     for tag in TAG_SPELLINGS:
         for mode in MODE_FORMS:
             v = variant(tag, mode)
             assert v == Variant(tag.upper(), UpdateMode(mode)), (tag, mode)
+            assert v is dynamics._VARIANTS[tag, mode], (tag, mode)
             assert variant(tag, mode) is v, (tag, mode)
-    assert dynamics._interned_variant.cache_info().currsize <= len(TAG_SPELLINGS) * len(MODE_FORMS)
 
 
 def test_str_subclass_tags_are_not_interned():
     class Tag(str):
         pass
 
-    before = dynamics._interned_variant.cache_info()
+    before = dict(dynamics._VARIANTS)
     v = variant(Tag("v4"), "x-first")
     assert v == Variant("V4", UpdateMode.X_FIRST)
     assert variant(Tag("v4"), "x-first") is not v
-    assert dynamics._interned_variant.cache_info() == before
+    assert v is not variant("V4", "x-first")
+    assert dynamics._VARIANTS == before
 
 
 # The messages are those of the uninterned constructor.
@@ -417,12 +428,42 @@ def test_str_subclass_tags_are_not_interned():
     ("V1", 1, "mode must be an UpdateMode, got 1"),
 ])
 def test_malformed_variant_inputs_raise_and_are_not_interned(tag, mode, message):
-    before = dynamics._interned_variant.cache_info().currsize
+    before = dict(dynamics._VARIANTS)
     for _ in range(2):
         with pytest.raises(ValueError) as excinfo:
             variant(tag, mode)
         assert str(excinfo.value) == message
-    assert dynamics._interned_variant.cache_info().currsize == before
+    assert dynamics._VARIANTS == before
+
+
+def test_a_warm_query_enters_no_python_frame_outside_its_entry_points():
+    """The table reads and every cache key's hash run in C, so a warm
+    query op enters only the package's entry functions and ``_record``."""
+    allowed = {"rule_from_number", "variant", "classify", "spectrum", "gate_pair",
+               "class_robustness", "emit_state_graph", "_record"}
+    package = os.path.dirname(mpnspace.__file__)
+
+    def query():
+        for tag, mode in (("V1", "synchronous"), ("v4", UpdateMode.X_FIRST)):
+            rule, v = rule_from_number(8), variant(tag, mode)
+            classify(rule, v)
+            spectrum(rule, v)
+            gate_pair(rule, v)
+            class_robustness(rule, v)
+            emit_state_graph(rule, v)
+
+    query()  # warm every cache the op reads
+    entered = []
+    sys.setprofile(lambda frame, event, _: event == "call" and entered.append(frame.f_code))
+    try:
+        query()
+    finally:
+        sys.setprofile(None)
+    stray = {f"{code.co_filename}:{code.co_name}" for code in entered
+             if code is not query.__code__
+             and not (os.path.dirname(code.co_filename) == package and code.co_name in allowed)}
+    assert not stray
+    assert {code.co_name for code in entered} == allowed | {"query"}
 
 
 def test_run_all_computes_each_result_once(tmp_path):
@@ -437,8 +478,6 @@ def test_run_all_computes_each_result_once(tmp_path):
     info = robustness._state_robustness_rule_mutation.cache_info()
     assert info.misses == 81 * 2
     assert info.hits > 0
-    # Each (tag, mode) variant is built once.
-    assert dynamics._interned_variant.cache_info().currsize <= len(VARIANT_TAGS) * len(UpdateMode)
 
 
 def test_the_readme_inventory_names_every_cache():

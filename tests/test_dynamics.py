@@ -85,6 +85,14 @@ def test_state_from_index_rejects_non_int_index(index):
         state_from_index(variant("V1"), index)
 
 
+@pytest.mark.parametrize("v", [None, "V1", 8], ids=repr)
+def test_state_helpers_reject_a_non_variant(v):
+    for call in (lambda: states(v), lambda: state_index(v, (1, 1)),
+                 lambda: state_from_index(v, 0)):
+        with pytest.raises(ValueError, match="joint states need a variant"):
+            call()
+
+
 @pytest.mark.parametrize("lengths", [(), (0,), (1, -2), (1.0,), (5,), (3, 3), (1, 2, 2),
                                      (1, 1, 1, 1, 1), 5, 2.0, object(), None, "1", {1}],
                          ids=lambda x: "object()" if type(x) is object else repr(x))

@@ -7,6 +7,7 @@ import pytest
 
 from mpnspace import (
     ALL_TARGET_BIN_EDGES,
+    MUTATION_TARGET_CHOICES,
     TWO_INPUT_BIN_EDGES,
     all_rules,
     class_robustness,
@@ -109,6 +110,13 @@ def test_superstable_set():
 def test_distribution_rejects_unknown_targets():
     with pytest.raises(ValueError, match="targets must be one of"):
         robustness_distribution("sideways")
+
+
+@pytest.mark.parametrize("rule", [8, None, (-1, -1, 1, 0)], ids=repr)
+@pytest.mark.parametrize("targets", MUTATION_TARGET_CHOICES)
+def test_mutation_robustness_rejects_a_non_rule(rule, targets):
+    with pytest.raises(ValueError, match="mutation robustness needs a Rule"):
+        state_robustness_rule_mutation(rule, targets)
 
 
 def test_score_dispatch():

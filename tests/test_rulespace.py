@@ -109,6 +109,12 @@ def test_two_input_edge_tally_differs_from_matrix_convention():
     assert counts.two_input_preserving != sum(counts.diagonal)
 
 
+@pytest.mark.parametrize("rule", [8, None, (-1, -1, 1, 0)], ids=repr)
+def test_neighbors_rejects_a_non_rule(rule):
+    with pytest.raises(ValueError, match="neighbors needs a Rule"):
+        neighbors(rule)
+
+
 def test_unknown_grouping_rejected():
     with pytest.raises(ValueError):
         class_transition_counts(variant("V1"), "seven-class")
