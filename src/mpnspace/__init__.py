@@ -13,13 +13,11 @@ from .dynamics import (
     Rule,
     UpdateMode,
     Variant,
-    ZeroSum,
     all_rules,
     attractor_set,
     class_from_cycle_lengths,
     classify,
     rule_from_number,
-    rule_to_number,
     state_from_index,
     state_index,
     states,
@@ -36,7 +34,6 @@ from .gates import (
     SignPredicates,
     gate_pair,
     identify_gate,
-    node_truth_table,
     sign_predicates,
 )
 from .report import (
@@ -72,7 +69,6 @@ from .rulespace import (
     THREE_CLASS_ORDER,
     TransitionCounts,
     class_transition_counts,
-    degree,
     edge_of_chaos,
     neighbors,
 )

@@ -69,11 +69,9 @@ def robustness_cmd(ns: argparse.Namespace) -> None:
     if ns.distribution:
         if ns.metric != "state-vs-rule-mutation":
             ns.usage_error("--distribution requires --metric state-vs-rule-mutation")
-        import json
-
         payload = {"metric": ns.metric, "targets": ns.targets,
                    **report.distribution_payload(ns.targets)}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(report._json(payload), end="")
         return
     print("rule,numerator,denominator,value")
     for r in all_rules():
@@ -83,9 +81,7 @@ def robustness_cmd(ns: argparse.Namespace) -> None:
 
 def stats_cmd(ns: argparse.Namespace) -> None:
     """Statistics report with reference-value comparison flags."""
-    import json
-
-    print(json.dumps(report.stats_report(), indent=2, sort_keys=True))
+    print(report._json(report.stats_report()), end="")
 
 
 def all_cmd(ns: argparse.Namespace) -> None:

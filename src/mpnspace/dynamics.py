@@ -66,24 +66,15 @@ class UpdateMode(Enum):
 _SYNCHRONOUS = UpdateMode.SYNCHRONOUS
 
 
-class ZeroSum(Enum):
-    """Treatment of a zero weighted sum at the threshold."""
-
-    HOLD = "hold"
-    HIGH = "high"
-    LOW = "low"
-    INCREMENT = "increment"
-
-
 # Per tag: the (low, high) node values and the zero-sum treatment.
 _VARIANT_CONVENTIONS = {
-    "V1": (-1, 1, ZeroSum.HOLD),
-    "V2": (-1, 1, ZeroSum.HIGH),
-    "V3": (-1, 1, ZeroSum.LOW),
-    "V4": (0, 1, ZeroSum.HOLD),
-    "V5": (0, 1, ZeroSum.HIGH),
-    "V6": (0, 1, ZeroSum.LOW),
-    "V7": (0, 1, ZeroSum.INCREMENT),
+    "V1": (-1, 1, "hold"),
+    "V2": (-1, 1, "high"),
+    "V3": (-1, 1, "low"),
+    "V4": (0, 1, "hold"),
+    "V5": (0, 1, "high"),
+    "V6": (0, 1, "low"),
+    "V7": (0, 1, "increment"),
 }
 
 # Rule numbering: the weights (wxx, wxy, wyx, wyy), each shifted to
@@ -156,7 +147,7 @@ class Rule(_FrozenRecord):
 
     def __init__(self, wxx: int, wxy: int, wyx: int, wyy: int):
         _setattr(self, "weights", (wxx, wxy, wyx, wyy))
-        self.__post_init__()
+        self.__post_init__()  # a hook, so perfbench/tracer.py can count constructions
 
     def __post_init__(self):
         for name, w in zip(self._fields, self.weights):
@@ -203,11 +194,6 @@ def rule_from_number(r: int) -> Rule:
     return _RULES[r]
 
 
-def rule_to_number(rule: Rule) -> int:
-    """Inverse of :func:`rule_from_number`."""
-    return rule.number
-
-
 def all_rules() -> tuple[Rule, ...]:
     """All 81 rules in ascending number order."""
     return _RULES[1:]
@@ -221,25 +207,13 @@ class Variant(_FrozenRecord):
     def __init__(self, tag: str, mode: UpdateMode = UpdateMode.SYNCHRONOUS):
         _setattr(self, "tag", tag)
         _setattr(self, "mode", mode)
-        self.__post_init__()
+        self.__post_init__()  # a hook, so perfbench/tracer.py can count constructions
 
     def __post_init__(self):
         if self.tag not in VARIANT_TAGS:
             raise ValueError(f"unknown variant tag {self.tag!r}")
         if not isinstance(self.mode, UpdateMode):
             raise ValueError(f"mode must be an UpdateMode, got {self.mode!r}")
-
-    @property
-    def low(self) -> int:
-        return _VARIANT_CONVENTIONS[self.tag][0]
-
-    @property
-    def high(self) -> int:
-        return _VARIANT_CONVENTIONS[self.tag][1]
-
-    @property
-    def zero_sum(self) -> ZeroSum:
-        return _VARIANT_CONVENTIONS[self.tag][2]
 
 
 def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Variant:
@@ -253,11 +227,7 @@ def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Varian
         try:
             return _VARIANTS[tag, mode]  # keyed by the raw arguments
         except KeyError:
-            pass  # malformed: raise as the constructor does
-    return _build_variant(tag, mode)
-
-
-def _build_variant(tag: str, mode: UpdateMode | str) -> Variant:
+            pass  # malformed: rejected below
     if not isinstance(tag, str):
         raise ValueError(f"variant tag must be a string, got {tag!r}")
     if isinstance(mode, str):
@@ -314,7 +284,7 @@ def _tag_gates(tag: str) -> dict[tuple[int, int], tuple[int, int, int, int]]:
     lo, hi, zero = _VARIANT_CONVENTIONS[tag]
 
     def update(total: int, current: int) -> int:
-        if zero is ZeroSum.INCREMENT:
+        if zero == "increment":
             # Increment form: move the current value by the sign of the
             # sum, then clip to {0, 1} with a step that sends 0 to 0.
             return 1 if current + (total > 0) - (total < 0) > 0 else 0
@@ -322,9 +292,9 @@ def _tag_gates(tag: str) -> dict[tuple[int, int], tuple[int, int, int, int]]:
             return hi
         if total < 0:
             return lo
-        if zero is ZeroSum.HOLD:
+        if zero == "hold":
             return current
-        return hi if zero is ZeroSum.HIGH else lo
+        return hi if zero == "high" else lo
 
     return {(ws, wo): tuple(int(update(ws * own + wo * other, own) == hi)
                             for own in (lo, hi) for other in (lo, hi))
@@ -414,11 +384,6 @@ class AttractorSet(NamedTuple):
         return max(self.steps_to_attractor.values())
 
 
-def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
-
-
 def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
     """Iterate the map from all four states and collect its attractors."""
     return _record(rule, v).attractor_set
@@ -501,8 +466,9 @@ def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
             seen[cur] = len(seen)
             cur = succ[cur]
         entry = seen[cur]  # walk position where the cycle begins
-        walk = sorted(seen, key=seen.get)
-        cycle = _canonical_cycle(walk[entry:])
+        cycle = list(seen)[entry:]  # insertion order is walk order
+        k = cycle.index(min(cycle))  # rotate the smallest index to the front
+        cycle = tuple(cycle[k:] + cycle[:k])
         attractors[cycle] = None
         basin[start] = cycle
         steps[start] = entry

@@ -74,18 +74,6 @@ def identify_gate(truth: tuple[int, int, int, int]) -> Gate:
     return GATES[i]
 
 
-def node_truth_table(rule: Rule, v: Variant, node: str) -> tuple[int, int, int, int]:
-    """Logical outputs of one node over the four input states S0..S3
-    under synchronous updating.
-
-    ``node`` is "x" or "y".  Outputs are mapped to logical 0/1 with the
-    variant's low value as 0.
-    """
-    if node not in ("x", "y"):
-        raise ValueError(f"node must be 'x' or 'y', got {node!r}")
-    return gate_pair(rule, v)[0 if node == "x" else 1].truth
-
-
 def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
     """The (x-node, y-node) gates of a rule under a variant, read off the
     successor indices of its synchronous form: state index 2 * x + y holds
@@ -102,6 +90,8 @@ class SignPredicates(NamedTuple):
 
 
 def sign_predicates(rule: Rule) -> SignPredicates:
+    if type(rule) is not Rule:
+        raise ValueError(f"sign predicates need a Rule, got {rule!r}")
     cross = rule.wxy * rule.wyx
     return SignPredicates(
         cross_positive=cross > 0,

@@ -6,8 +6,9 @@ edges re-exported from the robustness module, and the external
 reference values the statistics report compares against.  Merged
 columns (V2=V3, V4=V7, and the matching sequential-update pairs) are
 emitted merged only after the equality they assert has been rechecked
-during the build; if a pair ever disagreed the table would fall back to
-split columns and carry a warning in its metadata.
+during the build; if a pair ever disagreed, the merged column would keep
+the first variant's label and the table's ``metadata["warnings"]`` would
+name the rule and the two labels.
 
 All emitters are deterministic: rows are keyed by ascending rule
 number, JSON is serialized with sorted keys, and no timestamps or
@@ -370,19 +371,17 @@ def render_table(doc: TableDocument, fmt: str) -> str:
         lines.extend("| " + " | ".join(row) + " |" for row in doc.rows)
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        import json
-
-        return json.dumps(
-            {
-                "table": doc.table_id,
-                "columns": list(doc.columns),
-                "rows": doc.rows,
-                "metadata": doc.metadata,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        return _json({"table": doc.table_id, "columns": list(doc.columns),
+                      "rows": doc.rows, "metadata": doc.metadata})
     raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+
+
+def _json(obj) -> str:
+    """Every JSON document the package emits: sorted keys, a two-space
+    indent and one trailing newline."""
+    import json
+
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def emit_table(table_id: str, fmt: str = "csv") -> str:
@@ -477,15 +476,8 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
         lines.extend(f"{u},{w}" for u, w in graph.edges)
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        import json
-
-        doc = {
-            "nodes": [
-                {"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)
-            ],
-            "edges": [list(e) for e in graph.edges],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json({"nodes": [{"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)],
+                      "edges": [list(e) for e in graph.edges]})
     raise ValueError(f"unknown export format {fmt!r}")
 
 
@@ -606,7 +598,6 @@ def stats_report() -> dict:
 def run_all(out_dir: str) -> dict:
     """Emit every document into ``out_dir`` and return the manifest."""
     import hashlib
-    import json
 
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
@@ -626,15 +617,10 @@ def run_all(out_dir: str) -> dict:
         write(f"rulespace.{ext}", export_graph(graph, fmt))
 
     dists = {targets: distribution_payload(targets) for targets in rb.MUTATION_TARGET_CHOICES}
-    write("robustness_distributions.json",
-          json.dumps(dists, indent=2, sort_keys=True) + "\n")
-
-    write("stats_report.json",
-          json.dumps(stats_report(), indent=2, sort_keys=True) + "\n")
+    write("robustness_distributions.json", _json(dists))
+    write("stats_report.json", _json(stats_report()))
 
     manifest = {"file_count": len(files), "files": dict(sorted(files.items()))}
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write(_json(manifest))
     return manifest

@@ -51,11 +51,6 @@ def _neighbors(number: int) -> tuple[Rule, ...]:
     return tuple(_RULES[n] for n in numbers)
 
 
-def degree(rule: Rule) -> int:
-    """4 plus the number of zero weights."""
-    return 4 + sum(1 for w in rule.weights if w == 0)
-
-
 class TransitionCounts(NamedTuple):
     """Class-transition count matrix plus the sidecar tallies."""
 

@@ -33,14 +33,21 @@ from .dynamics import (
 )
 
 
+# Both run in the table builders' row loops: the ``try`` is free until it raises.
 def t12(rule: Rule) -> Rule:
     """Swap the two node labels."""
-    return _RULES[_rule_number((rule.wyy, rule.wyx, rule.wxy, rule.wxx))]
+    try:
+        return _RULES[_rule_number((rule.wyy, rule.wyx, rule.wxy, rule.wxx))]
+    except AttributeError:
+        raise ValueError(f"node swap needs a Rule, got {rule!r}") from None
 
 
 def gauge(rule: Rule) -> Rule:
     """Flip the signs of both cross weights."""
-    return _RULES[_rule_number((rule.wxx, -rule.wxy, -rule.wyx, rule.wyy))]
+    try:
+        return _RULES[_rule_number((rule.wxx, -rule.wxy, -rule.wyx, rule.wyy))]
+    except AttributeError:
+        raise ValueError(f"sign flip needs a Rule, got {rule!r}") from None
 
 
 TRANSFORMATIONS = {"T12": t12, "G": gauge}
@@ -81,18 +88,22 @@ def reduce_rules(generators: Iterable[str],
     refused, because the cross-weight sign flip is a dynamics symmetry
     only for the hold-at-zero sign variant.
     """
-    generators = frozenset(generators)
+    try:
+        generators = frozenset(generators)
+    except TypeError:
+        raise ValueError(f"generators must be an iterable of names, got {generators!r}") from None
     unknown = generators - TRANSFORMATIONS.keys()
     if unknown:
         raise ValueError(f"unknown transformations: {sorted(unknown)}")
-    if under is None:
-        under = variant("V1")
+    under = variant("V1") if under is None else under
+    pool = all_rules() if rules is None else tuple(rules)
+    if type(under) is not Variant or any(type(r) is not Rule for r in pool):
+        raise ValueError(f"reduce_rules needs Rules and a Variant, got {rules!r} and {under!r}")
     if "G" in generators and under.tag != "V1":
         raise ValueError(
             "the cross-weight sign flip preserves dynamics only under V1; "
             f"refusing to reduce {under.tag} with it"
         )
-    pool = tuple(all_rules()) if rules is None else tuple(rules)
     numbers = {r.number for r in pool}
     classes: dict[int, EquivalenceClass] = {}
     for r in pool:

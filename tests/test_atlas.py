@@ -47,7 +47,6 @@ from mpnspace import (
     gate_pair,
     gauge,
     identify_gate,
-    node_truth_table,
     rule_from_number,
     run_all,
     state_robustness_init_perturbation,
@@ -233,7 +232,7 @@ def test_memoised_views_equal_plain_path(v, eps):
     for rule in ALL:
         truths = (plain_truth_table(rule, v, 0, eps), plain_truth_table(rule, v, 1, eps))
         assert gate_pair(rule, v) == tuple(map(identify_gate, truths)), (rule.number, v)
-        assert (node_truth_table(rule, v, "x"), node_truth_table(rule, v, "y")) == truths
+        assert tuple(g.truth for g in gate_pair(rule, v)) == truths
         expected = plain_spectrum(rule, v, eps)
         assert spectrum(rule, v) == expected
         aset = attractor_set(rule, v)

@@ -15,6 +15,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import mpnspace
 from mpnspace import run_all
 
@@ -58,3 +60,23 @@ def test_query_worker_calls_stay_exported():
     for name in sorted(called):
         assert name in mpnspace.__all__, name
         assert callable(getattr(mpnspace, name)), name
+
+
+def test_constructing_a_rule_or_variant_calls_the_hook_the_tracer_counts(monkeypatch):
+    """The tracer counts ``dynamics.objects_built`` by wrapping
+    ``__post_init__`` on ``Rule`` and ``Variant``, so each construction,
+    rejected ones included, must call that hook."""
+    tracer = (PERFBENCH / "tracer.py").read_text()
+    assert "dynamics.Rule, dynamics.Variant" in tracer and "__post_init__" in tracer
+    built = []
+    for cls in (mpnspace.Rule, mpnspace.Variant):
+        hook = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda obj, hook=hook: built.append(type(obj)) or hook(obj))
+    mpnspace.Rule(-1, 0, 1, 0)
+    mpnspace.Variant("V4", mpnspace.UpdateMode.X_FIRST)
+    with pytest.raises(ValueError):
+        mpnspace.Rule(2, 0, 0, 0)
+    with pytest.raises(ValueError):
+        mpnspace.Variant("V9")
+    assert built == [mpnspace.Rule, mpnspace.Variant] * 2

@@ -19,7 +19,6 @@ from mpnspace import (
     class_from_cycle_lengths,
     classify,
     rule_from_number,
-    rule_to_number,
     state_from_index,
     state_index,
     states,
@@ -38,7 +37,6 @@ SYNC_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
 def test_rule_numbering_round_trip():
     for n in range(1, 82):
         r = rule_from_number(n)
-        assert rule_to_number(r) == n
         assert rule_from_number(n) is r
         assert r.number == n
 
@@ -123,7 +121,7 @@ def test_non_int_weight_is_rejected(position, value):
        hs.integers(0, 1), NON_INTS)
 def test_non_int_state_value_is_rejected(tag, mode, position, value):
     v = variant(tag)
-    s = [v.low, v.high]
+    s = list(states(v)[1])
     s[position] = value
     s = tuple(s)
     with pytest.raises(ValueError):
@@ -280,8 +278,8 @@ def test_step_validation_messages(state, eps):
     assert_valid_calls_step_as_the_oracle(rule, v, eps)
 
 
-# Every entry that reads the record of one (rule, variant) key, as a call
-# on (rule, variant).
+# Every entry that reads the record of one (rule, variant) key, and every
+# entry that takes a rule, a variant or both, as a call on (rule, variant).
 RECORD_ENTRIES = {
     "classify": mp.classify,
     "attractor_set": mp.attractor_set,
@@ -289,23 +287,29 @@ RECORD_ENTRIES = {
     "step": lambda r, v: mp.step(r, v, (1, 1)),
     "step_async": lambda r, v: mp.step_async(r, v, "x-first", (1, 1)),
     "gate_pair": mp.gate_pair,
-    "node_truth_table": lambda r, v: mp.node_truth_table(r, v, "x"),
     "spectrum": mp.spectrum,
     "transition_matrix": mp.transition_matrix,
     "class_robustness": mp.class_robustness,
     "emit_state_graph": mp.emit_state_graph,
     "class_transition_counts": lambda r, v: mp.class_transition_counts(v),
     "edge_of_chaos": lambda r, v: mp.edge_of_chaos(v),
+    "t12": lambda r, v: mp.t12(r),
+    "gauge": lambda r, v: mp.gauge(r),
+    "sign_predicates": lambda r, v: mp.sign_predicates(r),
+    # The rule joins a pool closed under G, reduced under the variant.
+    "reduce_rules": lambda r, v: mp.reduce_rules({"G"}, (*mp.all_rules(), r), v),
 }
 VARIANT_ONLY = ("class_transition_counts", "edge_of_chaos")
+RULE_ONLY = ("t12", "gauge", "sign_predicates")
 # A variant of None means V1 for these.
-DEFAULT_V1 = ("class_robustness", *VARIANT_ONLY)
+DEFAULT_V1 = ("class_robustness", "reduce_rules", *VARIANT_ONLY)
 
 
 @pytest.mark.parametrize(("name", "slot", "wrong"), [
     (name, slot, wrong) for name in RECORD_ENTRIES for slot in ("rule", "variant")
     for wrong in (None, "V1", 8)
     if not (slot == "rule" and name in VARIANT_ONLY)
+    and not (slot == "variant" and name in RULE_ONLY)
     and not (slot == "variant" and wrong is None and name in DEFAULT_V1)
 ], ids=repr)
 def test_a_wrong_record_type_is_a_value_error(name, slot, wrong):

@@ -13,7 +13,6 @@ from mpnspace import (
     classify,
     gate_pair,
     identify_gate,
-    node_truth_table,
     rule_from_number,
     sign_predicates,
     step,
@@ -64,8 +63,7 @@ def test_truth_table_convention():
     # rule 39 under V4 copies each node: x' = x has truth (0,0,1,1)
     # over inputs (0,0),(0,1),(1,0),(1,1)
     r = rule_from_number(39)
-    assert node_truth_table(r, variant("V4"), "x") == (0, 0, 1, 1)
-    assert node_truth_table(r, variant("V4"), "y") == (0, 1, 0, 1)
+    assert tuple(g.truth for g in gate_pair(r, variant("V4"))) == ((0, 0, 1, 1), (0, 1, 0, 1))
 
 
 @pytest.mark.parametrize("number,expected", sorted(ta2_expected().items()))

@@ -12,7 +12,15 @@ import sys
 import pytest
 
 import mpnspace
-from mpnspace import emit_state_graph, emit_table, rule_from_number, variant
+from mpnspace import (
+    DynamicsClass,
+    UpdateMode,
+    emit_state_graph,
+    emit_table,
+    report,
+    rule_from_number,
+    variant,
+)
 from mpnspace.cli import main as cli_main
 from mpnspace.report import (
     REFERENCE,
@@ -43,6 +51,27 @@ def test_golden_rows_spot_checked_against_fixtures():
     t3a = [r.split(",") for r in emit_table("T3A", "csv").splitlines()[1:]]
     diagonal = [int(row[1 + i]) for i, row in enumerate(t3a)]
     assert diagonal == [24, 40, 8, 24, 8]
+
+
+def test_a_disagreeing_merge_keeps_the_column_and_warns(monkeypatch):
+    """If synchronous V3 ever disagreed with V2, T1 would keep its merged
+    v2_v3 column with V2's label and name each rule in a warning."""
+    expected = build_table("T1")
+    assert "warnings" not in expected.metadata
+    classify = report.classify
+
+    def v3_disagrees(rule, v):
+        if v.tag == "V3" and v.mode is UpdateMode.SYNCHRONOUS:
+            return DynamicsClass("X", (1,))
+        return classify(rule, v)
+
+    monkeypatch.setattr(report, "classify", v3_disagrees)
+    doc = build_table("T1")
+    assert (doc.columns, doc.rows) == (expected.columns, expected.rows)
+    v2 = doc.columns.index("v2_v3")
+    assert doc.metadata["warnings"] == [
+        f"rule {row[0]}: V2 and V3 disagree ({row[v2]} vs X) under synchronous updating"
+        for row in expected.rows]
 
 
 def test_rows_ordered_by_ascending_rule_number():

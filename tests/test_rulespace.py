@@ -11,7 +11,6 @@ from mpnspace import (
     build_rule_graph,
     class_transition_counts,
     classify,
-    degree,
     edge_of_chaos,
     export_graph,
     neighbors,
@@ -38,9 +37,9 @@ T3B_EXPECTED = {
 def test_degree_formula():
     for r in ALL:
         zeros = sum(1 for w in r.weights if w == 0)
-        assert degree(r) == 4 + zeros == len(neighbors(r))
-    assert degree(rule_from_number(41)) == 8
-    assert degree(rule_from_number(1)) == 4
+        assert len(neighbors(r)) == 4 + zeros
+    assert len(neighbors(rule_from_number(41))) == 8
+    assert len(neighbors(rule_from_number(1))) == 4
 
 
 def test_neighbor_relation_is_symmetric_single_step():
@@ -65,7 +64,7 @@ def test_graph_has_216_undirected_edges():
         for m in neighbors(r)
     }
     assert len(edges) == 216
-    assert sum(degree(r) for r in ALL) == 2 * 216
+    assert sum(len(neighbors(r)) for r in ALL) == 2 * 216
 
 
 def test_five_class_transition_matrix():

@@ -25,8 +25,9 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
+from mpnspace import dynamics
 from mpnspace.spectral import _charpoly_kernel
-from oracles import recursive_charpoly
+from oracles import functional_graph_attractors, recursive_charpoly
 
 ALL = all_rules()
 SYNC_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
@@ -292,6 +293,26 @@ def test_mixed_class_spectrum_is_v1_scoped():
     assert classify(rule_from_number(2), variant("V2")).label == "M"
     z, phases = _phase_counter(2, "V2")
     assert z == 1 and phases == Counter({Fraction(0): 2, Fraction(1, 2): 1})
+
+
+def test_cycle_type_phases_and_class_determine_each_other_on_every_map():
+    """Over all 256 self-maps of the four states, so under every variant
+    and mode, the cycle type (read off the oracle's cycles), the multiset
+    of nonzero-eigenvalue phases and the dynamics class correspond one to
+    one: 11 of each.  The phases alone fix the label, which names 9."""
+    triples = set()
+    for succ in itertools.product(range(4), repeat=4):
+        rec = dynamics._map_record(succ)
+        cycles, _, _ = functional_graph_attractors(succ.__getitem__)
+        cycle_type = tuple(sorted(len(c) for c in cycles))
+        phases = tuple(sorted(rec.spectrum.phases))  # the multiset, as a sorted tuple
+        triples.add((cycle_type, phases, rec.dynamics_class))
+    # Each projection takes 11 values on the 11 triples: all are one to one.
+    assert len(triples) == 11
+    for k in range(3):
+        assert len({t[k] for t in triples}) == 11
+    label_of = {phases: cls.label for _, phases, cls in triples}
+    assert len(label_of) == 11 and len(set(label_of.values())) == 9
 
 
 def test_rules_12_and_18_have_double_plus_minus_one_pair():

@@ -140,6 +140,8 @@ def test_default_pool_is_all_81():
 def test_reduce_rejects_unknown_generator():
     with pytest.raises(ValueError):
         reduce_rules({"T12", "mirror"})
+    with pytest.raises(ValueError):
+        reduce_rules(None)
 
 
 def test_reduce_refuses_sign_flip_for_non_v1_dynamics():
