@@ -331,10 +331,10 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
 
 # The atlas: filled on first use, never at import.  Every (rule, tag,
 # mode) key of the 1701 maps to one of at most 4**4 successor tuples,
-# and each tuple has one _MapRecord, built once by _map_record, holding
-# every view the package derives from the map.  Keys are plain ints,
-# strings and UpdateMode members, all hashed in C, so a lookup enters no
-# Python frame and keeps no Rule or Variant alive.  Results are immutable.
+# and each tuple has one _MapRecord, built once by _map_record, which
+# shares the views its cycle type fixes.  Keys are plain ints, strings
+# and UpdateMode members, all hashed in C, so a lookup enters no Python
+# frame and keeps no Rule or Variant alive.  Results are immutable.
 @functools.cache
 def _keyed_record(number: int, tag: str, mode: UpdateMode) -> _MapRecord:
     """The map composed from the two node gates of the rule's weights."""
@@ -433,28 +433,34 @@ def classify(rule: Rule, v: Variant) -> DynamicsClass:
 
 
 class _MapRecord(NamedTuple):
-    """Every view of one successor map: its attractors and class, its 0/1
-    transition matrix, spectrum and cycle-route charpoly, the gates of
-    its x and y bits, and per start state the attractor it lands in, as
-    a state set."""
+    """Every view of one successor map.  Per map: its attractors, 0/1 transition
+    matrix, the gates of its x and y bits, and per start state the attractor it
+    lands in, as a state set.  Per cycle type, as fields 2 to 4: the class, spectrum
+    and cycle-route charpoly, the very objects of the type's canonical record."""
 
     successors: tuple[int, int, int, int]
     attractor_set: AttractorSet
     dynamics_class: DynamicsClass
-    matrix: tuple[tuple[int, int, int, int], ...]
     spectrum: Spectrum
     charpoly: tuple[int, ...]
+    matrix: tuple[tuple[int, int, int, int], ...]
     gates: tuple[Gate, Gate]
     landing: tuple[frozenset[int], ...]
 
 
 _UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
+# One canonical map per cycle type (sorted cycle lengths), each reached by some
+# (rule, tag, mode) key but that of (1, 3), which no key has: sharing adds no record.
+_CANONICAL_MAPS = {
+    (1,): (0, 0, 0, 0), (1, 1): (0, 1, 0, 0), (1, 1, 1): (0, 1, 2, 0), (1, 1, 1, 1): (0, 1, 2, 3),
+    (1, 1, 2): (0, 2, 1, 3), (1, 2): (0, 2, 1, 0), (1, 3): (0, 2, 3, 1), (2,): (1, 0, 0, 0),
+    (2, 2): (1, 0, 3, 2), (3,): (1, 2, 0, 0), (4,): (1, 3, 0, 2)}
+
 
 @functools.cache
 def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
-    from .gates import identify_gate  # deferred: gates and spectral import dynamics
-    from .spectral import charpoly_from_cycles, spectrum_from_cycles
+    from .gates import GATES  # deferred: gates and spectral import dynamics
 
     attractors: dict[tuple[int, ...], None] = {}
     basin: dict[int, tuple[int, ...]] = {}
@@ -474,9 +480,15 @@ def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
         steps[start] = entry
     ordered = tuple(sorted(attractors, key=lambda c: c[0]))
     aset = AttractorSet(ordered, MappingProxyType(basin), MappingProxyType(steps))
-    return _MapRecord(
-        succ, aset, class_from_cycle_lengths(aset.cycle_lengths),
-        tuple(map(_UNIT_ROWS.__getitem__, succ)),
-        spectrum_from_cycles(aset), tuple(charpoly_from_cycles(aset)),
-        (identify_gate(tuple(i >> 1 for i in succ)), identify_gate(tuple(i & 1 for i in succ))),
-        tuple(frozenset(basin[i]) for i in range(4)))
+    lengths = aset.cycle_lengths
+    if succ == _CANONICAL_MAPS[lengths]:
+        from .spectral import charpoly_from_cycles, spectrum_from_cycles
+        shared = (class_from_cycle_lengths(lengths), spectrum_from_cycles(aset),
+                  tuple(charpoly_from_cycles(aset)))
+    else:
+        shared = _map_record(_CANONICAL_MAPS[lengths])[2:5]
+    x = y = 0  # the truth tables of the x and y bits, as gate indices
+    for i in succ:
+        x, y = 2 * x + (i >> 1), 2 * y + (i & 1)
+    return _MapRecord(succ, aset, *shared, tuple(map(_UNIT_ROWS.__getitem__, succ)),
+                      (GATES[x], GATES[y]), tuple(frozenset(basin[i]) for i in range(4)))

@@ -54,13 +54,9 @@ class Gate(NamedTuple):
         raise ValueError(f"gate {self.name!r} missing from the tier table")
 
 
-def _truth_from_index(i: int) -> tuple[int, int, int, int]:
-    return ((i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1)
-
-
-GATES: tuple[Gate, ...] = tuple(
-    Gate(GATE_NAMES[i], _truth_from_index(i)) for i in range(16)
-)
+# Gate i has the truth table of the four bits of i, most significant first.
+GATES: tuple[Gate, ...] = tuple(Gate(name, (i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1))
+                                for i, name in enumerate(GATE_NAMES))
 
 GATES_BY_NAME = {g.name: g for g in GATES}
 

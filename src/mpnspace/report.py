@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import os
-from fractions import Fraction
+from math import gcd
 
 from . import robustness as rb
 from . import stats as st
@@ -66,8 +66,10 @@ class TableDocument(_Record):
         self.metadata = {} if metadata is None else metadata
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _fmt_fraction(f) -> str:
+    """A Fraction or a RobustnessScore in lowest terms as "n/d", with no Fraction built."""
+    g = gcd(f.numerator, f.denominator)
+    return f"{f.numerator // g}/{f.denominator // g}"
 
 
 # Class columns of the dynamics tables.  A column named by several tags
@@ -282,17 +284,12 @@ def build_t4() -> TableDocument:
 
 def build_robustness_table() -> TableDocument:
     v1 = variant("V1")
-    rows = []
-    for r in all_rules():
-        rows.append([
-            str(r.number),
-            str(r.arity),
-            classify(r, v1).label,
-            _fmt_fraction(rb.class_robustness(r).fraction),
-            _fmt_fraction(rb.state_robustness_rule_mutation(r, "two-input").fraction),
-            _fmt_fraction(rb.state_robustness_rule_mutation(r, "all").fraction),
-            _fmt_fraction(rb.state_robustness_init_perturbation(r).fraction),
-        ])
+    rows = [[str(r.number), str(r.arity), classify(r, v1).label,
+             *map(_fmt_fraction, (rb.class_robustness(r),
+                                  rb.state_robustness_rule_mutation(r, "two-input"),
+                                  rb.state_robustness_rule_mutation(r, "all"),
+                                  rb.state_robustness_init_perturbation(r)))]
+            for r in all_rules()]
     return TableDocument(
         "robustness",
         ("rule", "arity", "class_v1", "class_vs_rule_mutation",
@@ -308,20 +305,18 @@ def build_robustness_table() -> TableDocument:
 
 def build_spectra_table() -> TableDocument:
     variants = [variant(tag) for tag in VARIANT_TAGS]
+    tails = {}  # the five cells after rule and variant, per cycle type
     rows = []
     for r in all_rules():
         for v in variants:
             rec = _record(r, v)
-            sp = rec.spectrum
-            rows.append([
-                str(r.number),
-                v.tag,
-                rec.dynamics_class.label,
-                str(sp.zero_count),
-                ";".join(str(p) for p in sp.phases),
-                ";".join(str(p) for p in sp.cycle_lengths),
-                " ".join(str(c) for c in rec.charpoly),
-            ])
+            tail = tails.get(rec.dynamics_class)
+            if tail is None:
+                sp = rec.spectrum
+                tail = tails[rec.dynamics_class] = (
+                    rec.dynamics_class.label, str(sp.zero_count), ";".join(map(str, sp.phases)),
+                    ";".join(map(str, sp.cycle_lengths)), " ".join(map(str, rec.charpoly)))
+            rows.append([str(r.number), v.tag, *tail])
     return TableDocument(
         "spectra",
         ("rule", "variant", "class", "zero_count", "phases",
@@ -355,6 +350,8 @@ def build_table(table_id: str) -> TableDocument:
 
 
 def render_table(doc: TableDocument, fmt: str) -> str:
+    if not isinstance(doc, TableDocument):
+        raise ValueError(f"render_table needs a TableDocument, got {doc!r}")
     if fmt in ("csv", "tsv"):
         import csv
         import io
@@ -430,24 +427,17 @@ class RuleGraph(_Record):
 
 def build_rule_graph() -> RuleGraph:
     variants = [variant(tag) for tag in VARIANT_TAGS]
-    nodes = {}
-    for r in all_rules():
-        nodes[r.number] = {
-            "arity": r.arity,
-            "classes": {v.tag: classify(r, v).label for v in variants},
-            "robustness": {
-                "class_vs_rule_mutation": str(rb.class_robustness(r).fraction),
-                "state_vs_rule_mutation": str(rb.state_robustness_rule_mutation(r).fraction),
-                "state_vs_init_perturbation": str(
-                    rb.state_robustness_init_perturbation(r).fraction),
-            },
-        }
-    edges = sorted(
-        (r.number, nb.number)
-        for r in all_rules()
-        for nb in neighbors(r)
-        if nb.number > r.number
-    )
+    # Each score as str(Fraction) gives it: "n/d", or "n" when d is 1.
+    nodes = {r.number: {
+        "arity": r.arity,
+        "classes": {v.tag: classify(r, v).label for v in variants},
+        "robustness": {key: _fmt_fraction(sc).removesuffix("/1") for key, sc in (
+            ("class_vs_rule_mutation", rb.class_robustness(r)),
+            ("state_vs_rule_mutation", rb.state_robustness_rule_mutation(r)),
+            ("state_vs_init_perturbation", rb.state_robustness_init_perturbation(r)))},
+    } for r in all_rules()}
+    edges = sorted((r.number, nb.number)
+                   for r in all_rules() for nb in neighbors(r) if nb.number > r.number)
     return RuleGraph(nodes=nodes, edges=tuple(edges))
 
 
@@ -457,6 +447,8 @@ def _dot_escape(s: str) -> str:
 
 def export_graph(graph: RuleGraph, fmt: str) -> str:
     """Serialize the rule graph deterministically as dot, csv, or json."""
+    if not isinstance(graph, RuleGraph):
+        raise ValueError(f"export_graph needs a RuleGraph, got {graph!r}")
     if fmt == "dot":
         lines = ["graph rulespace {"]
         for n in sorted(graph.nodes):
@@ -493,24 +485,12 @@ def distribution_payload(targets: str) -> dict:
 
 
 def _corr_block(pool_desc: str, xs, ys) -> dict:
-    pe = st.pearson(xs, ys)
-    sp = st.spearman(xs, ys)
-    return {
-        "dataset": pool_desc,
-        "n": len(xs),
-        "pearson": {
-            "r": pe.statistic,
-            "p_value": pe.p_value,
-            "reference_p": REFERENCE["pearson_p"],
-            "within_0.03": abs(pe.p_value - REFERENCE["pearson_p"]) <= 0.03,
-        },
-        "spearman": {
-            "r": sp.statistic,
-            "p_value": sp.p_value,
-            "reference_p": REFERENCE["spearman_p"],
-            "within_0.03": abs(sp.p_value - REFERENCE["spearman_p"]) <= 0.03,
-        },
-    }
+    block = {"dataset": pool_desc, "n": len(xs)}
+    for name, test in (("pearson", st.pearson), ("spearman", st.spearman)):
+        res, ref = test(xs, ys), REFERENCE[f"{name}_p"]
+        block[name] = {"r": res.statistic, "p_value": res.p_value, "reference_p": ref,
+                       "within_0.03": abs(res.p_value - ref) <= 0.03}
+    return block
 
 
 def stats_report() -> dict:
@@ -525,11 +505,14 @@ def stats_report() -> dict:
 
     # Per-rule scores in rule order: all 81 rules, then the 72 two-input rules.
     rules = all_rules()
-    init_all = [float(rb.state_robustness_init_perturbation(r).fraction) for r in rules]
-    mut_all = [float(rb.state_robustness_rule_mutation(r, "all").fraction) for r in rules]
+    # n / d is float(Fraction(n, d)): int true division is correctly rounded.
+    init_all = [(sc := rb.state_robustness_init_perturbation(r)).numerator / sc.denominator
+                for r in rules]
+    mut_all = [(sc := rb.state_robustness_rule_mutation(r, "all")).numerator / sc.denominator
+               for r in rules]
     init_two = [x for r, x in zip(rules, init_all) if r.arity == 2]
-    mut_two = [float(rb.state_robustness_rule_mutation(r, "two-input").fraction)
-               for r in rules if r.arity == 2]
+    mut_two = [(sc := rb.state_robustness_rule_mutation(r, "two-input")).numerator
+               / sc.denominator for r in rules if r.arity == 2]
 
     counts = class_transition_counts(variant("V1"), "five-class")
     preserving = sum(counts.matrix[i][i] for i in range(len(counts.labels)))
@@ -599,6 +582,8 @@ def run_all(out_dir: str) -> dict:
     """Emit every document into ``out_dir`` and return the manifest."""
     import hashlib
 
+    if not isinstance(out_dir, (str, os.PathLike)):
+        raise ValueError(f"out_dir must be a str or os.PathLike, got {out_dir!r}")
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
 

@@ -154,9 +154,9 @@ class Histogram(NamedTuple):
     rules_per_bin: tuple[tuple[int, ...], ...]
 
 
-def _bin_index(value: Fraction, edges: tuple[Fraction, ...]) -> int:
+def _bin_index(numerator: int, denominator: int, edges: tuple[Fraction, ...]) -> int:
     for i, edge in enumerate(edges):
-        if value < edge:
+        if numerator * edge.denominator < edge.numerator * denominator:
             return i
     return len(edges)
 
@@ -171,7 +171,7 @@ def robustness_distribution(targets: str = "two-input") -> Histogram:
     for r in all_rules():
         if targets == "all" or r.arity == 2:
             sc = state_robustness_rule_mutation(r, targets)
-            bins[_bin_index(sc.fraction, edges)].append(r.number)
+            bins[_bin_index(sc.numerator, sc.denominator, edges)].append(r.number)
     return Histogram(
         edges=edges,
         counts=tuple(len(b) for b in bins),

@@ -74,6 +74,8 @@ class Spectrum(NamedTuple):
 
 def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
     """Combinatorial spectrum: zeros for transients, p-th roots per cycle."""
+    if type(attractors) is not AttractorSet:
+        raise ValueError(f"a spectrum needs an AttractorSet, got {attractors!r}")
     lengths = attractors.cycle_lengths
     return Spectrum(
         zero_count=4 - sum(lengths),
@@ -150,6 +152,8 @@ def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:
     in descending powers: the spectrum's predicted characteristic
     polynomial, built by a route independent of the matrix oracle.
     Each call returns a new list."""
+    if type(attractors) is not AttractorSet:
+        raise ValueError(f"a charpoly needs an AttractorSet, got {attractors!r}")
     lengths = attractors.cycle_lengths
     poly = [1]
     for p in lengths:

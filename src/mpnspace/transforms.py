@@ -96,7 +96,10 @@ def reduce_rules(generators: Iterable[str],
     if unknown:
         raise ValueError(f"unknown transformations: {sorted(unknown)}")
     under = variant("V1") if under is None else under
-    pool = all_rules() if rules is None else tuple(rules)
+    try:
+        pool = all_rules() if rules is None else tuple(rules)
+    except TypeError:
+        raise ValueError(f"rules must be an iterable of Rules, got {rules!r}") from None
     if type(under) is not Variant or any(type(r) is not Rule for r in pool):
         raise ValueError(f"reduce_rules needs Rules and a Variant, got {rules!r} and {under!r}")
     if "G" in generators and under.tag != "V1":

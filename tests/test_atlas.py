@@ -8,6 +8,8 @@ without them, from the independent stepping oracle ``oracles.sweep``
 oracle and the cofactor charpoly oracle, and must be equal on every
 key.  The V2 and V3 keys are also checked against the oracle's
 shifted-threshold form, which the package does not implement.  The
+class, spectrum and charpoly that the records share per cycle type are
+checked for each of the 11 types and on every one of the 256 maps.  The
 tests also bound the work one ``run_all`` does, check that every cache
 is one the README lists and that importing the CLI fills none, that no
 hand-rolled memo exists, and that a shared result cannot be changed by
@@ -58,7 +60,7 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
-from mpnspace import dynamics, report, robustness, rulespace
+from mpnspace import dynamics, report, robustness, rulespace, spectral
 from oracles import (
     VALUES,
     functional_graph_attractors,
@@ -326,6 +328,47 @@ def test_every_successor_map_record_equals_its_references():
     assert dynamics._map_record.cache_info().currsize == 4 ** 4
 
 
+CYCLE_TYPES = sorted(dynamics._CANONICAL_MAPS)
+
+
+@pytest.mark.parametrize("lengths", CYCLE_TYPES, ids=repr)
+def test_the_shared_parts_of_each_cycle_type_equal_their_references(lengths):
+    """The class, spectrum and charpoly of a cycle type, built once by the
+    record of its canonical map, against the three public builders."""
+    rec = dynamics._map_record(dynamics._CANONICAL_MAPS[lengths])
+    aset = rec.attractor_set
+    assert aset.cycle_lengths == lengths
+    assert rec.dynamics_class == class_from_cycle_lengths(lengths)
+    assert rec.spectrum == spectrum_from_cycles(aset) == spectrum_of_cycles(aset.attractors)
+    assert list(rec.charpoly) == charpoly_from_cycles(aset) == charpoly_oracle(rec.matrix)
+
+
+def test_every_map_carries_its_cycle_type_and_shares_its_parts():
+    """All 4**4 maps: the cycle type a record carries is the one read off
+    the oracle's cycles, and its class, spectrum and charpoly are the very
+    objects of its type's canonical record.  The 11 types are the table's."""
+    seen = set()
+    for succ in itertools.product(range(4), repeat=4):
+        cycles, _, _ = functional_graph_attractors(succ.__getitem__)
+        lengths = tuple(sorted(len(c) for c in cycles))
+        rec = dynamics._map_record(succ)
+        assert rec.dynamics_class.cycle_lengths == rec.spectrum.cycle_lengths == lengths, succ
+        canonical = dynamics._map_record(dynamics._CANONICAL_MAPS[lengths])
+        assert rec.dynamics_class is canonical.dynamics_class, succ
+        assert rec.spectrum is canonical.spectrum, succ
+        assert rec.charpoly is canonical.charpoly, succ
+        seen.add(lengths)
+    assert seen == set(CYCLE_TYPES) and len(seen) == 11
+
+
+def test_the_canonical_map_of_each_reached_cycle_type_is_reached():
+    """So sharing adds no record beyond the maps the 1701 keys reach."""
+    reached = {successor_indices(rule, v) for rule in ALL for v in UNIVERSE}
+    types = {attractor_set(rule, v).cycle_lengths for rule in ALL for v in UNIVERSE}
+    assert types == set(CYCLE_TYPES) - {(1, 3)}
+    assert {dynamics._CANONICAL_MAPS[t] for t in types} <= reached
+
+
 def test_transition_matrices_are_shared_per_successor_map():
     shared = {}
     for v in UNIVERSE:
@@ -465,9 +508,23 @@ def test_a_warm_query_enters_no_python_frame_outside_its_entry_points():
     assert {code.co_name for code in entered} == allowed | {"query"}
 
 
-def test_run_all_computes_each_result_once(tmp_path):
+def test_run_all_computes_each_result_once(tmp_path, monkeypatch):
+    calls = {}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    # The records read both builders off the module when they first need them.
+    for name in ("spectrum_from_cycles", "charpoly_from_cycles"):
+        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
     clear_atlas()
     run_all(str(tmp_path))
+    # At most once per cycle type.
+    assert 0 < calls["spectrum_from_cycles"] <= 11
+    assert 0 < calls["charpoly_from_cycles"] <= 11
     # One record per successor map the 1701 keys reach.
     assert dynamics._map_record.cache_info().misses <= 170
     assert dynamics._tag_gates.cache_info().misses <= len(VARIANT_TAGS)

@@ -319,6 +319,36 @@ def test_a_wrong_record_type_is_a_value_error(name, slot, wrong):
         call(wrong, v) if slot == "rule" else call(rule, wrong)
 
 
+# Entries that take one package record (or, for run_all, a path) in their
+# first slot, with a valid argument and the malformed ones each must reject.
+ONE_ARGUMENT_ENTRIES = [
+    ("spectrum_from_cycles", mp.spectrum_from_cycles,
+     lambda tmp: attractor_set(rule_from_number(8), variant("V1")),
+     (None, "V1", 8, classify(rule_from_number(8), variant("V1")),
+      mp.spectrum(rule_from_number(8), variant("V1")))),
+    ("charpoly_from_cycles", mp.charpoly_from_cycles,
+     lambda tmp: attractor_set(rule_from_number(8), variant("V1")),
+     (None, "V1", 8, classify(rule_from_number(8), variant("V1")),
+      mp.spectrum(rule_from_number(8), variant("V1")))),
+    ("render_table", lambda doc: mp.render_table(doc, "csv"),
+     lambda tmp: mp.build_table("T3A"), (None, "V1", 8, mp.RuleGraph())),
+    ("export_graph", lambda graph: mp.export_graph(graph, "csv"),
+     lambda tmp: mp.build_rule_graph(), (None, "V1", 8, mp.build_table("T3A"))),
+    ("run_all", mp.run_all, lambda tmp: tmp, (None, 8, [1, 2], b"bundle")),
+    ("reduce_rules", lambda rules: mp.reduce_rules({"T12"}, rules),
+     lambda tmp: [rule_from_number(8), mp.t12(rule_from_number(8))], (5, 2.5, True)),
+]
+
+
+@pytest.mark.parametrize(("name", "call", "valid", "wrongs"), ONE_ARGUMENT_ENTRIES,
+                         ids=[row[0] for row in ONE_ARGUMENT_ENTRIES])
+def test_a_malformed_argument_is_a_value_error(name, call, valid, wrongs, tmp_path):
+    call(valid(tmp_path))
+    for wrong in wrongs:
+        with pytest.raises(ValueError):
+            call(wrong)
+
+
 @pytest.mark.parametrize("order", [1, None, ["x-first"]], ids=repr)
 @pytest.mark.parametrize("eps", [None, 0.5])
 def test_step_async_rejects_an_order_that_is_not_a_mode(order, eps):

@@ -156,6 +156,14 @@ def test_reduce_rejects_non_closed_pool():
         reduce_rules({"T12"}, [rule_from_number(8)])
 
 
+def test_a_pool_that_is_exactly_one_orbit_reduces_to_it():
+    # The pool equals the orbit, so the closure check must accept equality.
+    pool = [rule_from_number(8), t12(rule_from_number(8))]
+    (cls,) = reduce_rules({"T12"}, pool)
+    assert cls.members == (8, 46)
+    assert cls.representative == 8
+
+
 def test_equivalence_class_validates_representative():
     with pytest.raises(ValueError):
         EquivalenceClass(9, (8, 9), frozenset({"T12"}))
