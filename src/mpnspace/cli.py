@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 from . import report
 from . import robustness as rb
@@ -18,6 +19,7 @@ from .dynamics import (
     all_rules,
     attractor_set,
     classify,
+    emit_state_graph,
     rule_from_number,
     state_from_index,
     variant,
@@ -56,7 +58,7 @@ def table_cmd(ns: argparse.Namespace) -> None:
 def state_graph_cmd(ns: argparse.Namespace) -> None:
     """Emit the 4-state one-step map of RULE under VARIANT as DOT."""
     rule = rule_from_number(ns.rule_number)
-    print(report.emit_state_graph(rule, variant(ns.variant_tag)), end="")
+    print(emit_state_graph(rule, variant(ns.variant_tag)), end="")
 
 
 def rulespace_export_cmd(ns: argparse.Namespace) -> None:
@@ -112,64 +114,73 @@ def _directory(text: str) -> str:
     return text
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
+def _parser(prog: str, args: list[str]) -> argparse.ArgumentParser:
+    """Every command with its help, but only the one named by the first
+    non-option token of ``args`` gets its arguments: the others would
+    read constants of layers that this command never runs."""
+    named = next((arg for arg in args if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Enumerate, simulate, and classify the 81 two-node threshold "
                     "network rules under seven update variants.")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    def command(name: str, run, group=commands, **kwargs) -> argparse.ArgumentParser:
+    def command(name: str, run, group=commands, **kwargs) -> argparse.ArgumentParser | None:
+        """Register ``name``; its parser, to add arguments to, unless another command is named."""
         sub = group.add_parser(name, help=run.__doc__, description=run.__doc__,
                                allow_abbrev=False, **kwargs)
         sub.set_defaults(run=run)
-        return sub
+        return sub if group is not commands or name == named else None
 
     def rule_and_variant(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("rule_number", type=_rule_number, metavar="RULE")
         sub.add_argument("variant_tag", type=_any_case(VARIANT_TAGS), choices=VARIANT_TAGS,
                          metavar="VARIANT")
 
-    sub = command("classify", classify_cmd)
-    rule_and_variant(sub)
-    sub.add_argument("--mode", choices=MODE_CHOICES, default="synchronous",
-                     help="Update order within one time step (default: %(default)s).")
+    if sub := command("classify", classify_cmd):
+        rule_and_variant(sub)
+        sub.add_argument("--mode", choices=MODE_CHOICES, default="synchronous",
+                         help="Update order within one time step (default: %(default)s).")
 
-    sub = command("table", table_cmd, epilog=GATE_NAME_NOTE)
-    sub.add_argument("table_id", type=_any_case(report.TABLE_IDS), choices=report.TABLE_IDS,
-                     metavar="ID")
-    sub.add_argument("--format", dest="fmt", choices=report.FORMATS, default="csv",
-                     help="Output format (default: %(default)s).")
+    if sub := command("table", table_cmd, epilog=GATE_NAME_NOTE):
+        sub.add_argument("table_id", type=_any_case(report.TABLE_IDS),
+                         choices=report.TABLE_IDS, metavar="ID")
+        sub.add_argument("--format", dest="fmt", choices=report.FORMATS, default="csv",
+                         help="Output format (default: %(default)s).")
 
-    rule_and_variant(command("state-graph", state_graph_cmd))
+    if sub := command("state-graph", state_graph_cmd):
+        rule_and_variant(sub)
 
     sub = commands.add_parser("rulespace", help="Operations on the 81-node rule graph.",
                               allow_abbrev=False)
-    actions = sub.add_subparsers(dest="action", metavar="ACTION", required=True)
-    sub = command("export", rulespace_export_cmd, actions)
-    sub.add_argument("--format", dest="fmt", choices=("dot", "csv", "json"), default="dot",
-                     help="Output format (default: %(default)s).")
+    if named == "rulespace":
+        actions = sub.add_subparsers(dest="action", metavar="ACTION", required=True)
+        command("export", rulespace_export_cmd, actions).add_argument(
+            "--format", dest="fmt", choices=("dot", "csv", "json"), default="dot",
+            help="Output format (default: %(default)s).")
 
-    sub = command("robustness", robustness_cmd)
-    sub.add_argument("--metric", choices=rb.METRIC_KINDS, default="state-vs-rule-mutation",
-                     help="Robustness metric (default: %(default)s).")
-    sub.add_argument("--targets", choices=rb.MUTATION_TARGET_CHOICES, default="two-input",
-                     help="Mutation pool for the state-vs-rule-mutation metric "
-                          "(default: %(default)s).")
-    sub.add_argument("--distribution", action="store_true",
-                     help="Print the binned distribution (state-vs-rule-mutation only) "
-                          "instead of per-rule scores.")
-    sub.set_defaults(usage_error=sub.error)
+    if sub := command("robustness", robustness_cmd):
+        sub.add_argument("--metric", choices=rb.METRIC_KINDS, default="state-vs-rule-mutation",
+                         help="Robustness metric (default: %(default)s).")
+        sub.add_argument("--targets", choices=rb.MUTATION_TARGET_CHOICES, default="two-input",
+                         help="Mutation pool for the state-vs-rule-mutation metric "
+                              "(default: %(default)s).")
+        sub.add_argument("--distribution", action="store_true",
+                         help="Print the binned distribution (state-vs-rule-mutation only) "
+                              "instead of per-rule scores.")
+        sub.set_defaults(usage_error=sub.error)
 
     command("stats", stats_cmd)
-    command("all", all_cmd).add_argument("--out", dest="out_dir", required=True,
-                                         type=_directory, metavar="DIR")
+    if sub := command("all", all_cmd):
+        sub.add_argument("--out", dest="out_dir", required=True, type=_directory,
+                         metavar="DIR")
     return parser
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command; always ends by raising ``SystemExit``."""
-    ns = _parser(prog_name or "mpnspace").parse_args(args)
+    args = sys.argv[1:] if args is None else args
+    ns = _parser(prog_name or "mpnspace", args).parse_args(args)
     ns.run(ns)
     raise SystemExit(0)
 

@@ -32,7 +32,8 @@ one-full-sweep map as the unit step, so both nodes are written exactly
 once per time index.  Each map is built from node gates, the truth
 tables of one node's next value over its (own, other) inputs: the
 synchronous map pairs the gates of x and y, and a sequential map
-composes them.  ``step`` and ``step_async`` read these maps.
+composes them.  ``step`` and ``step_async`` read these maps, and
+``emit_state_graph`` renders one as Graphviz DOT.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+# Both import this module, but the package registers them to run on first
+# use before this module runs, so binding them here runs neither.
+from . import gates, spectral
 
 VARIANT_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
 
@@ -338,9 +342,9 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
 @functools.cache
 def _keyed_record(number: int, tag: str, mode: UpdateMode) -> _MapRecord:
     """The map composed from the two node gates of the rule's weights."""
-    gates = _tag_gates(tag)
+    node = _tag_gates(tag)
     wxx, wxy, wyx, wyy = _RULES[number].weights
-    return _map_record(_compose(gates[wxx, wxy], gates[wyy, wyx], mode))
+    return _map_record(_compose(node[wxx, wxy], node[wyy, wyx], mode))
 
 
 def _record(rule: Rule, v: Variant, mode: UpdateMode | None = None,
@@ -460,8 +464,6 @@ _CANONICAL_MAPS = {
 
 @functools.cache
 def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
-    from .gates import GATES  # deferred: gates and spectral import dynamics
-
     attractors: dict[tuple[int, ...], None] = {}
     basin: dict[int, tuple[int, ...]] = {}
     steps: dict[int, int] = {}
@@ -482,13 +484,37 @@ def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
     aset = AttractorSet(ordered, MappingProxyType(basin), MappingProxyType(steps))
     lengths = aset.cycle_lengths
     if succ == _CANONICAL_MAPS[lengths]:
-        from .spectral import charpoly_from_cycles, spectrum_from_cycles
-        shared = (class_from_cycle_lengths(lengths), spectrum_from_cycles(aset),
-                  tuple(charpoly_from_cycles(aset)))
+        shared = (class_from_cycle_lengths(lengths), spectral.spectrum_from_cycles(aset),
+                  tuple(spectral.charpoly_from_cycles(aset)))
     else:
         shared = _map_record(_CANONICAL_MAPS[lengths])[2:5]
     x = y = 0  # the truth tables of the x and y bits, as gate indices
     for i in succ:
         x, y = 2 * x + (i >> 1), 2 * y + (i & 1)
     return _MapRecord(succ, aset, *shared, tuple(map(_UNIT_ROWS.__getitem__, succ)),
-                      (GATES[x], GATES[y]), tuple(frozenset(basin[i]) for i in range(4)))
+                      (gates.GATES[x], gates.GATES[y]),
+                      tuple(frozenset(basin[i]) for i in range(4)))
+
+
+def emit_state_graph(rule: Rule, v) -> str:
+    """DOT digraph of the one-step map on the four states, rendered once
+    per (rule, tag, mode).  The graph name carries the rule and tag but
+    not the mode, so the maps of one (rule, tag) under the three modes
+    share a name."""
+    return _record(rule, v, view=_state_graph)
+
+
+@functools.cache
+def _state_graph(number: int, tag: str, mode: UpdateMode) -> str:
+    v = variant(tag, mode)
+    rec = _record(_RULES[number], v)
+    nxt = rec.successors
+    on_cycle = {i for cyc in rec.attractor_set.attractors for i in cyc}
+    lines = [f"digraph state_space_rule{number}_{v.tag.lower()} {{"]
+    for i, s in enumerate(states(v)):
+        shape = "doublecircle" if i in on_cycle else "circle"
+        lines.append(f'  s{i} [label="({s[0]},{s[1]})" shape={shape}];')
+    for i in range(4):
+        lines.append(f"  s{i} -> s{nxt[i]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

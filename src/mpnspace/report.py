@@ -18,7 +18,6 @@ byte-identical documents.
 
 from __future__ import annotations
 
-import functools
 import os
 from math import gcd
 
@@ -33,7 +32,6 @@ from .dynamics import (
     _RULES,
     all_rules,
     classify,
-    states,
     variant,
 )
 from .gates import gate_pair, sign_predicates
@@ -383,30 +381,6 @@ def _json(obj) -> str:
 
 def emit_table(table_id: str, fmt: str = "csv") -> str:
     return render_table(build_table(table_id), fmt)
-
-
-def emit_state_graph(rule: Rule, v) -> str:
-    """DOT digraph of the one-step map on the four states, rendered once
-    per (rule, tag, mode).  The graph name carries the rule and tag but
-    not the mode, so the maps of one (rule, tag) under the three modes
-    share a name."""
-    return _record(rule, v, view=_state_graph)
-
-
-@functools.cache
-def _state_graph(number: int, tag: str, mode: UpdateMode) -> str:
-    v = variant(tag, mode)
-    rec = _record(_RULES[number], v)
-    nxt = rec.successors
-    on_cycle = {i for cyc in rec.attractor_set.attractors for i in cyc}
-    lines = [f"digraph state_space_rule{number}_{v.tag.lower()} {{"]
-    for i, s in enumerate(states(v)):
-        shape = "doublecircle" if i in on_cycle else "circle"
-        lines.append(f'  s{i} [label="({s[0]},{s[1]})" shape={shape}];')
-    for i in range(4):
-        lines.append(f"  s{i} -> s{nxt[i]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 class RuleGraph(_Record):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import AttractorSet, Rule, Variant, _record
+from .dynamics import AttractorSet, Rule, Variant, _record, class_from_cycle_lengths
 
 TransitionMatrix = tuple[tuple[int, int, int, int], ...]
 
@@ -72,11 +72,20 @@ class Spectrum(NamedTuple):
     cycle_lengths: tuple[int, ...]
 
 
+def _cycle_lengths(attractors: AttractorSet, what: str) -> tuple[int, ...]:
+    """The sorted cycle lengths of an AttractorSet, checked as
+    ``class_from_cycle_lengths`` checks them; anything else is a ValueError."""
+    if type(attractors) is not AttractorSet:
+        raise ValueError(f"a {what} needs an AttractorSet, got {attractors!r}")
+    try:
+        return class_from_cycle_lengths(attractors.cycle_lengths).cycle_lengths
+    except TypeError:
+        raise ValueError(f"a {what} needs cycles of states, got {attractors!r}") from None
+
+
 def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
     """Combinatorial spectrum: zeros for transients, p-th roots per cycle."""
-    if type(attractors) is not AttractorSet:
-        raise ValueError(f"a spectrum needs an AttractorSet, got {attractors!r}")
-    lengths = attractors.cycle_lengths
+    lengths = _cycle_lengths(attractors, "spectrum")
     return Spectrum(
         zero_count=4 - sum(lengths),
         phases=tuple(sorted(Fraction(k, p) for p in lengths for k in range(p))),
@@ -152,9 +161,7 @@ def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:
     in descending powers: the spectrum's predicted characteristic
     polynomial, built by a route independent of the matrix oracle.
     Each call returns a new list."""
-    if type(attractors) is not AttractorSet:
-        raise ValueError(f"a charpoly needs an AttractorSet, got {attractors!r}")
-    lengths = attractors.cycle_lengths
+    lengths = _cycle_lengths(attractors, "charpoly")
     poly = [1]
     for p in lengths:
         poly = _poly_mul(poly, [-1] + [0] * (p - 1) + [1])  # lambda^p - 1, lowest first

@@ -60,7 +60,7 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
-from mpnspace import dynamics, report, robustness, rulespace, spectral
+from mpnspace import dynamics, robustness, rulespace, spectral
 from oracles import (
     VALUES,
     functional_graph_attractors,
@@ -296,12 +296,12 @@ def test_node_gates_equal_the_oracle_node_update(v, eps):
 @pytest.mark.parametrize(("v", "eps"), CASES, ids=_case_ids(CASES))
 def test_memoised_state_graph_equals_a_fresh_render(v, eps):
     for rule in ALL:
-        dot = report.emit_state_graph(rule, v)
-        fresh = report._state_graph.__wrapped__(rule.number, v.tag, v.mode)
+        dot = dynamics.emit_state_graph(rule, v)
+        fresh = dynamics._state_graph.__wrapped__(rule.number, v.tag, v.mode)
         assert dot == fresh == plain_state_graph(rule, v, eps)
-        again = report.emit_state_graph(Rule(*rule.weights), Variant(v.tag, v.mode))
+        again = dynamics.emit_state_graph(Rule(*rule.weights), Variant(v.tag, v.mode))
         assert again is dot, (rule.number, v)
-    assert report._state_graph.cache_info().currsize <= 81 * 7 * 3
+    assert dynamics._state_graph.cache_info().currsize <= 81 * 7 * 3
 
 
 def test_every_successor_map_record_equals_its_references():
@@ -553,10 +553,12 @@ def test_importing_the_cli_leaves_the_atlas_empty():
 def test_no_module_level_container_changes_in_use(tmp_path):
     """Every memo is a cache: ``run_all`` and one call of each query kind
     leave every module-level dict, list and set of the package as the
-    import left it, in a fresh process."""
+    import left it, in a fresh process.  The import ends with the first
+    read of an export, which binds every export in the package namespace."""
     code = (
         "import sys\n"
         "import mpnspace as mp, mpnspace.cli\n"
+        "mp.run_all\n"
         "def containers():\n"
         "    return {(name, attr): repr(obj) for name, module in list(sys.modules.items())\n"
         "            if name.startswith('mpnspace') for attr, obj in vars(module).items()\n"

@@ -3,7 +3,8 @@
 Every argv runs in-process through ``main(args=..., prog_name=...)``,
 which always ends in ``SystemExit``.  For each command, the stdout and
 exit code of all its argvs hash into one sha256, so any change to any
-output byte of any command shows here.  Malformed argvs must be usage
+output byte of any command shows here; so is the ``--help`` text of the
+top level and of every command, at a fixed width of 80 columns.  Malformed argvs must be usage
 errors: exit code 2, nothing on stdout and no traceback.
 """
 
@@ -147,3 +148,19 @@ def test_table_help_lists_the_gate_names(capsys):
     code, out, _ = run(capsys, ["table", "--help"])
     assert code == 0
     assert GATE_NAME_NOTE in " ".join(out.split())  # however the help wraps it
+
+
+HELP_ARGVS = ([], ["classify"], ["table"], ["state-graph"], ["rulespace"],
+              ["rulespace", "export"], ["robustness"], ["stats"], ["all"])
+# sha256 over (argv, exit code, stdout) of each ``ARGV --help`` above, in order.
+HELP_PINNED = "495f93b7285098660f37d96853113a7147d369e8836e3443393b64b3426b9d7c"
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in HELP_ARGVS:
+        code, out, _ = run(capsys, [*argv, "--help"])
+        assert code == 0 and out.startswith(f"usage: {' '.join(['mpnspace', *argv])} ")
+        digest.update(f"{' '.join(argv)}\0{code}\0{out}\0".encode())
+    assert digest.hexdigest() == HELP_PINNED, digest.hexdigest()

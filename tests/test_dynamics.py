@@ -330,6 +330,13 @@ ONE_ARGUMENT_ENTRIES = [
      lambda tmp: attractor_set(rule_from_number(8), variant("V1")),
      (None, "V1", 8, classify(rule_from_number(8), variant("V1")),
       mp.spectrum(rule_from_number(8), variant("V1")))),
+    # An AttractorSet whose cycles hold more than four states, or whose attractors are no cycles.
+    ("spectrum_from_cycles-malformed-set", mp.spectrum_from_cycles,
+     lambda tmp: attractor_set(rule_from_number(8), variant("V1")),
+     (mp.AttractorSet(((0, 1, 2, 3, 4),), {}, {}), mp.AttractorSet(5, {}, {}))),
+    ("charpoly_from_cycles-malformed-set", mp.charpoly_from_cycles,
+     lambda tmp: attractor_set(rule_from_number(8), variant("V1")),
+     (mp.AttractorSet(((0, 1, 2, 3, 4),), {}, {}), mp.AttractorSet(5, {}, {}))),
     ("render_table", lambda doc: mp.render_table(doc, "csv"),
      lambda tmp: mp.build_table("T3A"), (None, "V1", 8, mp.RuleGraph())),
     ("export_graph", lambda graph: mp.export_graph(graph, "csv"),

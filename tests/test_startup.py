@@ -1,10 +1,16 @@
 """What importing the package costs, what it exports, and what its
 output records are.
 
-``import mpnspace.cli`` loads only what every command needs: the
-stdlib modules that one command or one export format uses are imported
-inside the functions that use them, and neither click nor dataclasses
-(with inspect and ast) is loaded at all.  The nine frozen output
+``import mpnspace`` registers the eight layer modules to run on first
+use, and a command runs only the layers it calls: ``classify`` and
+``state-graph`` run ``dynamics``, ``gates`` and ``spectral``, and
+``all`` runs all eight.  The first read of an export binds every export
+in the package namespace, each the very object of its home module, and
+removes the module ``__getattr__`` that did so.  ``import mpnspace.cli``
+loads only what every command needs: the stdlib modules that one
+command or one export format uses are imported inside the functions
+that use them, and neither click nor dataclasses (with inspect and ast)
+is loaded at all.  The nine frozen output
 records are ``typing.NamedTuple`` classes; across the whole universe
 they keep the ``Name(field=value, ...)`` repr, compare and hash by
 field values, refuse attribute assignment, and behave as the tuples of
@@ -67,6 +73,24 @@ from mpnspace.report import TABLE_IDS, quadrant_counts
 # Bound by attribute: a test module global named Test* is collected by pytest.
 STATS_RESULT = mpnspace.TestResult
 
+LAYERS = ("dynamics", "gates", "report", "robustness", "rulespace", "spectral", "stats",
+          "transforms")
+# mpnspace.__all__, unchanged by the lazy loading of the layers.
+EXPORTS = """
+    ALL_TARGET_BIN_EDGES AttractorSet CLASS_LABELS DynamicsClass EquivalenceClass
+    FIVE_CLASS_ORDER FORMATS GATES GATES_BY_NAME GATE_NAMES Gate Histogram METRIC_KINDS
+    MUTATION_TARGET_CHOICES RobustnessScore Rule RuleGraph SignPredicates Spectrum TABLE_IDS
+    THREE_CLASS_ORDER TRANSFORMATIONS TWO_INPUT_BIN_EDGES TableDocument TestResult
+    TransitionCounts UpdateMode VARIANT_TAGS Variant all_rules attractor_set build_rule_graph
+    build_table charpoly_from_cycles charpoly_oracle class_from_cycle_lengths class_robustness
+    class_transition_counts classify edge_of_chaos emit_state_graph emit_table export_graph
+    fisher_exact gate_pair gauge identify_gate is_permutation_matrix is_row_stochastic_01
+    neighbors odds_ratio pearson rankdata reduce_rules render_table robustness_distribution
+    rule_from_number run_all score sign_predicates spearman spectrum spectrum_from_cycles
+    state_from_index state_index state_robustness_init_perturbation
+    state_robustness_rule_mutation states stats_report step step_async successor_indices
+    superstable_rules t12 transition_matrix variant
+""".split()
 DEFERRED_STDLIB = ("hashlib", "csv", "json", "cmath")
 NEVER_LOADED = ("click", "dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -127,20 +151,63 @@ def _value_key(record):
                  for v in _values(record))
 
 
-def _loaded_by_cli_import(names):
-    """Those of ``names`` in ``sys.modules`` of a fresh process after
-    ``import mpnspace.cli``."""
-    code = (
-        "import sys\n"
-        "import mpnspace.cli\n"
-        f"print(' '.join(m for m in {list(names)!r} if m in sys.modules))\n"
-    )
+def _run_fresh(code):
+    """The stdout of ``code`` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(mpnspace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout
+
+
+@pytest.mark.parametrize(("argv", "executed"), [
+    (["classify", "8", "V1"], ["dynamics", "gates", "spectral"]),
+    (["state-graph", "8", "V1"], ["dynamics", "gates", "spectral"]),
+    (["all", "--out", "{tmp}"], list(LAYERS)),
+], ids=["classify", "state-graph", "all"])
+def test_a_command_runs_only_the_layers_it_calls(argv, executed, tmp_path):
+    """A layer that has not run is still the LazyLoader's module subclass,
+    which any attribute read would run, so the check reads only types."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = (
+        "import sys, types\n"
+        "from mpnspace.cli import main\n"
+        f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n"
+        f"print([m for m in {list(LAYERS)!r}\n"
+        "       if type(sys.modules['mpnspace.' + m]) is types.ModuleType])\n"
+    )
+    assert _run_fresh(code).splitlines()[-1] == repr(executed)
+
+
+def test_each_export_is_the_object_of_its_home_layer():
+    assert mpnspace.__all__ == EXPORTS
+    for name in EXPORTS:
+        obj, home = getattr(mpnspace, name), mpnspace._EXPORTS[name]
+        assert obj is getattr(sys.modules[f"mpnspace.{home}"], name), name
+        assert getattr(obj, "__module__", f"mpnspace.{home}") == f"mpnspace.{home}", name
+
+
+def test_the_first_export_read_binds_every_export_and_removes_getattr():
+    code = (
+        "import sys, mpnspace\n"
+        "namespace = vars(mpnspace)\n"
+        "assert '__getattr__' in namespace and 'classify' not in namespace\n"
+        "assert mpnspace.run_all is sys.modules['mpnspace.report'].run_all\n"
+        "assert '__getattr__' not in namespace\n"
+        "assert set(mpnspace.__all__) <= namespace.keys()\n"
+        "print(mpnspace.classify.__module__)\n"
+    )
+    assert _run_fresh(code) == "mpnspace.dynamics\n"
+
+
+def _loaded_by_cli_import(names):
+    """Those of ``names`` in ``sys.modules`` of a fresh process after
+    ``import mpnspace.cli``."""
+    return _run_fresh("import sys\n"
+                      "import mpnspace.cli\n"
+                      f"print(' '.join(m for m in {list(names)!r} if m in sys.modules))\n"
+                      ).split()
 
 
 def test_importing_the_cli_defers_one_command_stdlib_modules():
