@@ -43,10 +43,6 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-# Both import this module, but the package registers them to run on first
-# use before this module runs, so binding them here runs neither.
-from . import gates, spectral
-
 VARIANT_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
 
 # Taxonomy labels used by the classification tables.
@@ -336,7 +332,7 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
 # The atlas: filled on first use, never at import.  Every (rule, tag,
 # mode) key of the 1701 maps to one of at most 4**4 successor tuples,
 # and each tuple has one _MapRecord, built once by _map_record, which
-# shares the views its cycle type fixes.  Keys are plain ints, strings
+# shares the class its cycle type fixes.  Keys are plain ints, strings
 # and UpdateMode members, all hashed in C, so a lookup enters no Python
 # frame and keeps no Rule or Variant alive.  Results are immutable.
 @functools.cache
@@ -436,30 +432,25 @@ def classify(rule: Rule, v: Variant) -> DynamicsClass:
     return _record(rule, v).dynamics_class
 
 
+# The 11 cycle types of a map on four states (the partitions of 1 to 4),
+# each with the one class every map of that type shares.
+_CLASSES = {c.cycle_lengths: c for c in map(class_from_cycle_lengths, (
+    (1,), (1, 1), (2,), (1, 1, 1), (1, 2), (3,), (1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)))}
+
+
 class _MapRecord(NamedTuple):
-    """Every view of one successor map.  Per map: its attractors, 0/1 transition
-    matrix, the gates of its x and y bits, and per start state the attractor it
-    lands in, as a state set.  Per cycle type, as fields 2 to 4: the class, spectrum
-    and cycle-route charpoly, the very objects of the type's canonical record."""
+    """The dynamics of one successor map: its attractors, the class of its cycle
+    type, its 0/1 transition matrix and, per start state, the attractor it lands
+    in, as a state set."""
 
     successors: tuple[int, int, int, int]
     attractor_set: AttractorSet
     dynamics_class: DynamicsClass
-    spectrum: Spectrum
-    charpoly: tuple[int, ...]
     matrix: tuple[tuple[int, int, int, int], ...]
-    gates: tuple[Gate, Gate]
     landing: tuple[frozenset[int], ...]
 
 
 _UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-# One canonical map per cycle type (sorted cycle lengths), each reached by some
-# (rule, tag, mode) key but that of (1, 3), which no key has: sharing adds no record.
-_CANONICAL_MAPS = {
-    (1,): (0, 0, 0, 0), (1, 1): (0, 1, 0, 0), (1, 1, 1): (0, 1, 2, 0), (1, 1, 1, 1): (0, 1, 2, 3),
-    (1, 1, 2): (0, 2, 1, 3), (1, 2): (0, 2, 1, 0), (1, 3): (0, 2, 3, 1), (2,): (1, 0, 0, 0),
-    (2, 2): (1, 0, 3, 2), (3,): (1, 2, 0, 0), (4,): (1, 3, 0, 2)}
 
 
 @functools.cache
@@ -482,17 +473,8 @@ def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
         steps[start] = entry
     ordered = tuple(sorted(attractors, key=lambda c: c[0]))
     aset = AttractorSet(ordered, MappingProxyType(basin), MappingProxyType(steps))
-    lengths = aset.cycle_lengths
-    if succ == _CANONICAL_MAPS[lengths]:
-        shared = (class_from_cycle_lengths(lengths), spectral.spectrum_from_cycles(aset),
-                  tuple(spectral.charpoly_from_cycles(aset)))
-    else:
-        shared = _map_record(_CANONICAL_MAPS[lengths])[2:5]
-    x = y = 0  # the truth tables of the x and y bits, as gate indices
-    for i in succ:
-        x, y = 2 * x + (i >> 1), 2 * y + (i & 1)
-    return _MapRecord(succ, aset, *shared, tuple(map(_UNIT_ROWS.__getitem__, succ)),
-                      (gates.GATES[x], gates.GATES[y]),
+    return _MapRecord(succ, aset, _CLASSES[aset.cycle_lengths],
+                      tuple(map(_UNIT_ROWS.__getitem__, succ)),
                       tuple(frozenset(basin[i]) for i in range(4)))
 
 

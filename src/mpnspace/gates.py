@@ -60,6 +60,11 @@ GATES: tuple[Gate, ...] = tuple(Gate(name, (i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, 
 
 GATES_BY_NAME = {g.name: g for g in GATES}
 
+# The gate pair of each of the 4**4 successor tuples: state index 2 * x + y
+# of the next state holds the outputs of the x gate and the y gate.
+_GATE_PAIRS = {tuple(2 * x + y for x, y in zip(gx.truth, gy.truth)): (gx, gy)
+               for gx in GATES for gy in GATES}
+
 
 def identify_gate(truth: tuple[int, int, int, int]) -> Gate:
     """Match a 4-row logical truth table against the 16 gates."""
@@ -74,7 +79,7 @@ def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
     """The (x-node, y-node) gates of a rule under a variant, read off the
     successor indices of its synchronous form: state index 2 * x + y holds
     the logical (x, y) bits of the next state."""
-    return _record(rule, v, _SYNCHRONOUS).gates
+    return _GATE_PAIRS[_record(rule, v, _SYNCHRONOUS).successors]
 
 
 class SignPredicates(NamedTuple):

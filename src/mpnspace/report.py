@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .gates import gate_pair, sign_predicates
 from .rulespace import _three_class_group, class_transition_counts, neighbors
+from .spectral import charpoly_from_cycles, spectrum
 from .transforms import gauge, reduce_rules, t12
 
 FORMATS = ("csv", "tsv", "markdown", "json")
@@ -310,10 +311,11 @@ def build_spectra_table() -> TableDocument:
             rec = _record(r, v)
             tail = tails.get(rec.dynamics_class)
             if tail is None:
-                sp = rec.spectrum
+                sp = spectrum(r, v)
                 tail = tails[rec.dynamics_class] = (
                     rec.dynamics_class.label, str(sp.zero_count), ";".join(map(str, sp.phases)),
-                    ";".join(map(str, sp.cycle_lengths)), " ".join(map(str, rec.charpoly)))
+                    ";".join(map(str, sp.cycle_lengths)),
+                    " ".join(map(str, charpoly_from_cycles(rec.attractor_set))))
             rows.append([str(r.number), v.tag, *tail])
     return TableDocument(
         "spectra",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import AttractorSet, Rule, Variant, _record, class_from_cycle_lengths
+from .dynamics import _CLASSES, AttractorSet, Rule, Variant, _record, class_from_cycle_lengths
 
 TransitionMatrix = tuple[tuple[int, int, int, int], ...]
 
@@ -83,18 +83,22 @@ def _cycle_lengths(attractors: AttractorSet, what: str) -> tuple[int, ...]:
         raise ValueError(f"a {what} needs cycles of states, got {attractors!r}") from None
 
 
+def _spectrum(lengths: tuple[int, ...]) -> Spectrum:
+    phases = tuple(sorted(Fraction(k, p) for p in lengths for k in range(p)))
+    return Spectrum(zero_count=4 - sum(lengths), phases=phases, cycle_lengths=lengths)
+
+
 def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
     """Combinatorial spectrum: zeros for transients, p-th roots per cycle."""
-    lengths = _cycle_lengths(attractors, "spectrum")
-    return Spectrum(
-        zero_count=4 - sum(lengths),
-        phases=tuple(sorted(Fraction(k, p) for p in lengths for k in range(p))),
-        cycle_lengths=lengths,
-    )
+    return _spectrum(_cycle_lengths(attractors, "spectrum"))
+
+
+# The spectrum of each of the 11 cycle types, shared by every map of the type.
+_SPECTRA = {lengths: _spectrum(lengths) for lengths in _CLASSES}
 
 
 def spectrum(rule: Rule, v: Variant) -> Spectrum:
-    return _record(rule, v).spectrum
+    return _SPECTRA[_record(rule, v).dynamics_class.cycle_lengths]
 
 
 # Integer polynomials as coefficient lists, lowest power first.

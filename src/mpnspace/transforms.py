@@ -60,8 +60,14 @@ class EquivalenceClass(_FrozenRecord):
 
     def __init__(self, representative: int, members: tuple[int, ...],
                  generators: frozenset[str]):
-        if representative != min(members):
-            raise ValueError("representative must be the smallest member")
+        if not (type(members) is tuple and type(representative) is int
+                and all(type(m) is int and 1 <= m <= 81 for m in members)
+                and members[:1] == (representative,) and members == tuple(sorted(set(members)))):
+            raise ValueError("members must be distinct rule numbers in 1..81 ascending from the "
+                             f"representative, got {representative!r} and {members!r}")
+        if type(generators) is not frozenset or not generators <= TRANSFORMATIONS.keys():
+            raise ValueError(f"generators must be a frozenset of {sorted(TRANSFORMATIONS)}, "
+                             f"got {generators!r}")
         _setattr(self, "representative", representative)
         _setattr(self, "members", members)
         _setattr(self, "generators", generators)

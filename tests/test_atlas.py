@@ -2,14 +2,15 @@
 
 Successor maps, attractor sets, classes, neighbor lists, robustness
 scores, spectra, gates, state graphs and transition tallies all come
-from caches or from cached records.  Here each one is recomputed
-without them, from the independent stepping oracle ``oracles.sweep``
-(which imports nothing from the package), the independent attractor
-oracle and the cofactor charpoly oracle, and must be equal on every
-key.  The V2 and V3 keys are also checked against the oracle's
-shifted-threshold form, which the package does not implement.  The
-class, spectrum and charpoly that the records share per cycle type are
-checked for each of the 11 types and on every one of the 256 maps.  The
+from caches, cached records or tables built at import.  Here each one is
+recomputed without them, from the independent stepping oracle
+``oracles.sweep`` (which imports nothing from the package), the
+independent attractor oracle and the cofactor charpoly oracle, and must
+be equal on every key.  The V2 and V3 keys are also checked against the
+oracle's shifted-threshold form, which the package does not implement.
+The class and spectrum tables (one entry per cycle type), the gate-pair
+table (one per successor map) and the cycle-route charpoly are checked
+for each of the 11 types and on every one of the 256 maps.  The
 tests also bound the work one ``run_all`` does, check that every cache
 is one the README lists and that importing the CLI fills none, that no
 hand-rolled memo exists, and that a shared result cannot be changed by
@@ -60,7 +61,7 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
-from mpnspace import dynamics, robustness, rulespace, spectral
+from mpnspace import dynamics, gates, report, robustness, rulespace, spectral
 from oracles import (
     VALUES,
     functional_graph_attractors,
@@ -284,13 +285,13 @@ SYNC_CASES = [c for c in CASES if c[0].mode is UpdateMode.SYNCHRONOUS]
 @pytest.mark.parametrize(("v", "eps"), SYNC_CASES, ids=_case_ids(SYNC_CASES))
 def test_node_gates_equal_the_oracle_node_update(v, eps):
     lo, hi = VALUES[v.tag]
-    gates = dynamics._tag_gates(v.tag)
+    node = dynamics._tag_gates(v.tag)
     for w_self, w_other in itertools.product((-1, 0, 1), repeat=2):
         expected = tuple(
             int(node_next(v.tag, w_self * own + w_other * other, own, eps) == hi)
             for own in (lo, hi) for other in (lo, hi))
-        assert gates[w_self, w_other] == expected, (w_self, w_other)
-    assert len(gates) == 9
+        assert node[w_self, w_other] == expected, (w_self, w_other)
+    assert len(node) == 9
 
 
 @pytest.mark.parametrize(("v", "eps"), CASES, ids=_case_ids(CASES))
@@ -304,12 +305,27 @@ def test_memoised_state_graph_equals_a_fresh_render(v, eps):
     assert dynamics._state_graph.cache_info().currsize <= 81 * 7 * 3
 
 
+MAPS = list(itertools.product(range(4), repeat=4))
+
+
+def cycle_type(succ):
+    """The sorted cycle lengths of a map, read off the oracle's cycles."""
+    cycles, _, _ = functional_graph_attractors(succ.__getitem__)
+    return tuple(sorted(len(c) for c in cycles))
+
+
+# One map of each cycle type (the last in product order), by the oracle.
+MAP_OF_TYPE = {cycle_type(succ): succ for succ in MAPS}
+CYCLE_TYPES = sorted(MAP_OF_TYPE)
+
+
 def test_every_successor_map_record_equals_its_references():
     """All 4**4 maps of the four states to themselves, not only the 170
-    that the 1701 keys reach: every field of a record against an
+    that the 1701 keys reach: every field of a record, the spectrum of its
+    cycle type, its cycle-route charpoly and its gate pair against an
     independent reference, so the atlas is exact on any map the kernel
     could produce."""
-    for succ in itertools.product(range(4), repeat=4):
+    for succ in MAPS:
         rec = dynamics._map_record(succ)
         cycles, basin, steps = functional_graph_attractors(succ.__getitem__)
         assert rec.successors == succ
@@ -319,54 +335,57 @@ def test_every_successor_map_record_equals_its_references():
         assert rec.dynamics_class == class_from_cycle_lengths(tuple(len(c) for c in cycles))
         matrix = tuple(tuple(int(j == succ[i]) for j in range(4)) for i in range(4))
         assert rec.matrix == matrix, succ
-        assert list(rec.charpoly) == charpoly_oracle(matrix) == recursive_charpoly(matrix), succ
-        assert rec.spectrum == spectrum_of_cycles(cycles), succ
+        charpoly = charpoly_from_cycles(rec.attractor_set)
+        assert charpoly == charpoly_oracle(matrix) == recursive_charpoly(matrix), succ
+        lengths = rec.dynamics_class.cycle_lengths
+        assert spectral._SPECTRA[lengths] == spectrum_of_cycles(cycles), succ
         x_bits = tuple(succ[i] // 2 for i in range(4))
         y_bits = tuple(succ[i] % 2 for i in range(4))
-        assert rec.gates == (identify_gate(x_bits), identify_gate(y_bits)), succ
+        assert gates._GATE_PAIRS[succ] == (identify_gate(x_bits), identify_gate(y_bits)), succ
         assert rec.landing == tuple(frozenset(basin[i]) for i in range(4)), succ
-    assert dynamics._map_record.cache_info().currsize == 4 ** 4
-
-
-CYCLE_TYPES = sorted(dynamics._CANONICAL_MAPS)
+    assert dynamics._map_record.cache_info().currsize == len(gates._GATE_PAIRS) == 4 ** 4
 
 
 @pytest.mark.parametrize("lengths", CYCLE_TYPES, ids=repr)
 def test_the_shared_parts_of_each_cycle_type_equal_their_references(lengths):
-    """The class, spectrum and charpoly of a cycle type, built once by the
-    record of its canonical map, against the three public builders."""
-    rec = dynamics._map_record(dynamics._CANONICAL_MAPS[lengths])
+    """The class and spectrum of a cycle type, built once at import, and the
+    cycle-route charpoly, against the public builders and the references."""
+    rec = dynamics._map_record(MAP_OF_TYPE[lengths])
     aset = rec.attractor_set
     assert aset.cycle_lengths == lengths
-    assert rec.dynamics_class == class_from_cycle_lengths(lengths)
-    assert rec.spectrum == spectrum_from_cycles(aset) == spectrum_of_cycles(aset.attractors)
-    assert list(rec.charpoly) == charpoly_from_cycles(aset) == charpoly_oracle(rec.matrix)
+    assert dynamics._CLASSES[lengths] == class_from_cycle_lengths(lengths)
+    assert spectral._SPECTRA[lengths] == spectrum_from_cycles(aset) == spectrum_of_cycles(
+        aset.attractors)
+    assert charpoly_from_cycles(aset) == charpoly_oracle(rec.matrix) == recursive_charpoly(
+        rec.matrix)
 
 
 def test_every_map_carries_its_cycle_type_and_shares_its_parts():
     """All 4**4 maps: the cycle type a record carries is the one read off
-    the oracle's cycles, and its class, spectrum and charpoly are the very
-    objects of its type's canonical record.  The 11 types are the table's."""
-    seen = set()
-    for succ in itertools.product(range(4), repeat=4):
-        cycles, _, _ = functional_graph_attractors(succ.__getitem__)
-        lengths = tuple(sorted(len(c) for c in cycles))
-        rec = dynamics._map_record(succ)
-        assert rec.dynamics_class.cycle_lengths == rec.spectrum.cycle_lengths == lengths, succ
-        canonical = dynamics._map_record(dynamics._CANONICAL_MAPS[lengths])
-        assert rec.dynamics_class is canonical.dynamics_class, succ
-        assert rec.spectrum is canonical.spectrum, succ
-        assert rec.charpoly is canonical.charpoly, succ
-        seen.add(lengths)
-    assert seen == set(CYCLE_TYPES) and len(seen) == 11
+    the oracle's cycles, and its class is the very object of its type in
+    the class table.  The 11 types are the keys of the class and spectrum
+    tables."""
+    for succ in MAPS:
+        lengths, cls = cycle_type(succ), dynamics._map_record(succ).dynamics_class
+        assert cls.cycle_lengths == lengths and cls is dynamics._CLASSES[lengths], succ
+    assert sorted(dynamics._CLASSES) == sorted(spectral._SPECTRA) == CYCLE_TYPES
+    assert len(CYCLE_TYPES) == 11
 
 
-def test_the_canonical_map_of_each_reached_cycle_type_is_reached():
-    """So sharing adds no record beyond the maps the 1701 keys reach."""
-    reached = {successor_indices(rule, v) for rule in ALL for v in UNIVERSE}
-    types = {attractor_set(rule, v).cycle_lengths for rule in ALL for v in UNIVERSE}
+def test_every_key_reads_the_shared_views_of_its_map():
+    """Every (rule, variant) key: its class and spectrum are the very
+    objects of its cycle type, and its gate pair the very object of its
+    synchronous map.  The keys reach every cycle type but (1, 3)."""
+    types = set()
+    for rule in ALL:
+        for v in UNIVERSE:
+            lengths = attractor_set(rule, v).cycle_lengths
+            assert classify(rule, v) is dynamics._CLASSES[lengths], (rule.number, v)
+            assert spectrum(rule, v) is spectral._SPECTRA[lengths], (rule.number, v)
+            sync = successor_indices(rule, variant(v.tag))
+            assert gate_pair(rule, v) is gates._GATE_PAIRS[sync], (rule.number, v)
+            types.add(lengths)
     assert types == set(CYCLE_TYPES) - {(1, 3)}
-    assert {dynamics._CANONICAL_MAPS[t] for t in types} <= reached
 
 
 def test_transition_matrices_are_shared_per_successor_map():
@@ -517,13 +536,15 @@ def test_run_all_computes_each_result_once(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    # The records read both builders off the module when they first need them.
-    for name in ("spectrum_from_cycles", "charpoly_from_cycles"):
-        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
+    # The two builders of spectral, and the one the spectra table binds.
+    for module, name in ((spectral, "spectrum_from_cycles"), (spectral, "charpoly_from_cycles"),
+                         (report, "charpoly_from_cycles")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     clear_atlas()
     run_all(str(tmp_path))
-    # At most once per cycle type.
-    assert 0 < calls["spectrum_from_cycles"] <= 11
+    # The spectra are built at import; the spectra table builds the charpoly
+    # at most once per cycle type.
+    assert "spectrum_from_cycles" not in calls
     assert 0 < calls["charpoly_from_cycles"] <= 11
     # One record per successor map the 1701 keys reach.
     assert dynamics._map_record.cache_info().misses <= 170

@@ -4,10 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,6 +208,54 @@ def test_stats_report_reference_comparisons():
     assert transitions["two_input_preserving"] == 76
     assert transitions["two_input_total"] == 168
     assert "convention" in transitions["note"]
+
+
+def _flags(monkeypatch, reference, *, fisher_p=Fraction(1, 2), odds=None, corr_p=0.5):
+    """The stats report over stand-in statistics with the given results,
+    against the given reference values: only the flag logic is real."""
+    monkeypatch.setattr(report, "REFERENCE", {**REFERENCE, **reference})
+    monkeypatch.setattr(report, "st", SimpleNamespace(
+        fisher_exact=lambda table: mpnspace.TestResult(None, fisher_p),
+        odds_ratio=lambda table: mpnspace.TestResult(odds, None),
+        pearson=lambda xs, ys: mpnspace.TestResult(0.0, corr_p),
+        spearman=lambda xs, ys: mpnspace.TestResult(0.0, corr_p)))
+    return stats_report()
+
+
+@pytest.mark.parametrize(("p", "within"), [
+    (0.0, True), (0.03, True), (math.nextafter(0.03, 1.0), False), (0.5, False),
+], ids=["equal", "at-edge", "past-edge", "far"])
+def test_the_within_0_03_flag_holds_up_to_its_edge(monkeypatch, p, within):
+    # Against a reference of 0, the difference is p itself, exactly.
+    sr = _flags(monkeypatch, {"pearson_p": 0.0, "spearman_p": 0.0}, corr_p=p)
+    for block in ("primary", "two_input_restriction"):
+        for name in ("pearson", "spearman"):
+            assert sr["correlations"][block][name]["within_0.03"] is within, (block, name)
+
+
+@pytest.mark.parametrize(("p", "within"), [
+    (Fraction(5, 8), True), (Fraction(21, 32), True), (Fraction(19, 32), True),
+    (Fraction(21, 32) + Fraction(1, 2 ** 20), False),
+    (Fraction(19, 32) - Fraction(1, 2 ** 20), False),
+], ids=["equal", "at-upper-edge", "at-lower-edge", "past-upper-edge", "past-lower-edge"])
+def test_the_within_5_percent_flag_holds_up_to_its_edge(monkeypatch, p, within):
+    # 1/32 off a reference of 5/8 is 5% exactly; every value here is a binary fraction.
+    sr = _flags(monkeypatch, {"fisher_p": 0.625}, fisher_p=p)
+    assert sr["fisher"]["within_5_percent"] is within
+
+
+@pytest.mark.parametrize(("estimate", "matches"), [
+    (9.0, True), (8.75, True), (9.25, True), (8.5, False), (9.5, False), (0.125, False),
+    (2 / 19, False), (2 / 17, False), (0.11, True), (None, False),
+], ids=["equal", "within-below", "within-above", "at-lower-edge", "at-upper-edge",
+        "inverse-far", "inverse-at-upper-edge", "inverse-at-lower-edge", "inverse-within",
+        "no-estimate"])
+def test_the_odds_ratio_matches_its_reference_within_half_in_either_orientation(
+        monkeypatch, estimate, matches):
+    # 1 / (2/19) is 9.5 and 1 / (2/17) is 8.5 exactly in binary floating point.
+    sr = _flags(monkeypatch, {"odds_ratio": 9.0}, odds=estimate)
+    assert sr["odds_ratio"]["matches_reference"] is matches
+    assert sr["odds_ratio"]["inverse_orientation_estimate"] == (estimate and 1.0 / estimate)
 
 
 def test_run_all_writes_manifest_and_hashes(tmp_path):

@@ -305,7 +305,7 @@ def test_cycle_type_phases_and_class_determine_each_other_on_every_map():
         rec = dynamics._map_record(succ)
         cycles, _, _ = functional_graph_attractors(succ.__getitem__)
         cycle_type = tuple(sorted(len(c) for c in cycles))
-        phases = tuple(sorted(rec.spectrum.phases))  # the multiset, as a sorted tuple
+        phases = tuple(sorted(spectrum_from_cycles(rec.attractor_set).phases))  # as a multiset
         triples.add((cycle_type, phases, rec.dynamics_class))
     # Each projection takes 11 values on the 11 triples: all are one to one.
     assert len(triples) == 11

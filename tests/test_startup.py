@@ -3,8 +3,9 @@ output records are.
 
 ``import mpnspace`` registers the eight layer modules to run on first
 use, and a command runs only the layers it calls: ``classify`` and
-``state-graph`` run ``dynamics``, ``gates`` and ``spectral``, and
-``all`` runs all eight.  The first read of an export binds every export
+``state-graph`` run ``dynamics`` alone, and ``all`` runs all eight.
+``dynamics`` imports no other layer, and no layer imports one that
+imports it back.  The first read of an export binds every export
 in the package namespace, each the very object of its home module, and
 removes the module ``__getattr__`` that did so.  ``import mpnspace.cli``
 loads only what every command needs: the stdlib modules that one
@@ -19,12 +20,14 @@ their fields.  The five other records (``Rule``, ``Variant``,
 but keep the same repr, equality and hashing conventions.
 """
 
+import ast
 import copy
 import os
 import pickle
 import subprocess
 import sys
 from collections.abc import Mapping
+from graphlib import TopologicalSorter
 from types import ModuleType
 
 import pytest
@@ -162,8 +165,8 @@ def _run_fresh(code):
 
 
 @pytest.mark.parametrize(("argv", "executed"), [
-    (["classify", "8", "V1"], ["dynamics", "gates", "spectral"]),
-    (["state-graph", "8", "V1"], ["dynamics", "gates", "spectral"]),
+    (["classify", "8", "V1"], ["dynamics"]),
+    (["state-graph", "8", "V1"], ["dynamics"]),
     (["all", "--out", "{tmp}"], list(LAYERS)),
 ], ids=["classify", "state-graph", "all"])
 def test_a_command_runs_only_the_layers_it_calls(argv, executed, tmp_path):
@@ -178,6 +181,30 @@ def test_a_command_runs_only_the_layers_it_calls(argv, executed, tmp_path):
         "       if type(sys.modules['mpnspace.' + m]) is types.ModuleType])\n"
     )
     assert _run_fresh(code).splitlines()[-1] == repr(executed)
+
+
+def _layer_imports(layer):
+    """The layers that ``layer`` imports anywhere in its source, read with ast."""
+    path = os.path.join(os.path.dirname(mpnspace.__file__), f"{layer}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:  # from .x / from . import x
+            names.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            names.add(node.module.removeprefix("mpnspace."))
+        elif isinstance(node, ast.Import):
+            names.update(a.name.removeprefix("mpnspace.") for a in node.names)
+    return names & set(LAYERS)
+
+
+def test_dynamics_is_the_base_layer_and_layer_imports_are_acyclic():
+    graph = {layer: _layer_imports(layer) for layer in LAYERS}
+    assert graph["dynamics"] == set()
+    assert graph["gates"] == graph["spectral"] == {"dynamics"}
+    order = list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    assert order[0] == "dynamics" and sorted(order) == sorted(LAYERS)
 
 
 def test_each_export_is_the_object_of_its_home_layer():
@@ -341,8 +368,28 @@ def test_mutable_records_default_to_fresh_containers():
     lambda: Variant("v1"),
     lambda: Variant("V1", "synchronous"),
     lambda: EquivalenceClass(2, (1, 2), frozenset({"T12"})),
+    lambda: EquivalenceClass(1, [1, 2], "G"),
+    lambda: EquivalenceClass(1, [1, 2], frozenset({"G"})),
+    lambda: EquivalenceClass(1, 5, frozenset()),
+    lambda: EquivalenceClass(1, (), frozenset()),
+    lambda: EquivalenceClass(1, (1, 99), frozenset({"bogus"})),
+    lambda: EquivalenceClass(1, (1, 99), frozenset({"T12"})),
+    lambda: EquivalenceClass(0, (0, 1), frozenset({"T12"})),
+    lambda: EquivalenceClass(1, (1, 2.0), frozenset({"T12"})),
+    lambda: EquivalenceClass(True, (True,), frozenset()),
+    lambda: EquivalenceClass(1, (1, 1), frozenset({"T12"})),
+    lambda: EquivalenceClass(3, (3, 1), frozenset({"T12"})),
+    lambda: EquivalenceClass(1, (1, 3), "G"),
+    lambda: EquivalenceClass(1, (1, 3), {"G"}),
+    lambda: EquivalenceClass(1, (1, 3), frozenset({"bogus"})),
+    lambda: EquivalenceClass(1, (1, 3), frozenset({5})),
 ], ids=["rule-2", "rule-float", "rule-bool", "variant-V9", "variant-lowercase",
-        "variant-str-mode", "class-representative"])
+        "variant-str-mode", "class-representative", "class-list-members-str-generators",
+        "class-list-members", "class-int-members", "class-no-members",
+        "class-member-99-unknown-generator", "class-member-99", "class-member-0",
+        "class-float-member", "class-bool-representative", "class-repeated-member",
+        "class-descending-members", "class-str-generators", "class-set-generators",
+        "class-unknown-generator", "class-int-generator"])
 def test_records_reject_invalid_fields(build):
     with pytest.raises(ValueError):
         build()
