@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from math import gcd
 
+from . import gates, rulespace, spectral, transforms
 from . import robustness as rb
 from . import stats as st
 from .dynamics import (
@@ -34,10 +35,6 @@ from .dynamics import (
     classify,
     variant,
 )
-from .gates import gate_pair, sign_predicates
-from .rulespace import _three_class_group, class_transition_counts, neighbors
-from .spectral import charpoly_from_cycles, spectrum
-from .transforms import gauge, reduce_rules, t12
 
 FORMATS = ("csv", "tsv", "markdown", "json")
 
@@ -109,15 +106,16 @@ _RULE_COLUMNS = ("rule", "wxx", "wxy", "wyx", "wyy", "t12", "gauge", "t12_gauge"
 
 
 def _rule_cells(rule: Rule) -> list[str]:
+    swapped, flipped = transforms.t12(rule), transforms.gauge(rule)
     return [str(rule.number), *map(str, rule.weights),
-            *(str(image.number) for image in (t12(rule), gauge(rule), t12(gauge(rule))))]
+            *(str(image.number) for image in (swapped, flipped, transforms.t12(flipped)))]
 
 
 def _t12_representatives(arities: tuple[int, ...]) -> list[Rule]:
     """Node-swap class representatives among the rules of the given arities:
     node swap keeps the arity, and a rule represents its class when its
     number is the smaller of its own and its image's."""
-    return [r for r in all_rules() if r.arity in arities and r.number <= t12(r).number]
+    return [r for r in all_rules() if r.arity in arities and r.number <= transforms.t12(r).number]
 
 
 def _dynamics_table(table_id: str, arities: tuple[int, ...],
@@ -148,7 +146,7 @@ _TA2_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6")
 
 def build_ta2() -> TableDocument:
     variants = [variant(tag) for tag in _TA2_TAGS]
-    rows = [[str(r.number), *(g.name for v in variants for g in gate_pair(r, v))]
+    rows = [[str(r.number), *(g.name for v in variants for g in gates.gate_pair(r, v))]
             for r in _t12_representatives((2,))]
     return TableDocument(
         "TA2",
@@ -159,16 +157,16 @@ def build_ta2() -> TableDocument:
 
 def build_t2() -> TableDocument:
     pool = [r for r in all_rules() if r.arity == 2]
-    classes = reduce_rules({"T12", "G"}, pool)
+    classes = transforms.reduce_rules({"T12", "G"}, pool)
     v1 = variant("V1")
     rows = []
     for cls in classes:
         r = _RULES[cls.representative]
-        preds = sign_predicates(r)
+        preds = gates.sign_predicates(r)
         cross = "positive" if preds.cross_positive else (
             "negative" if preds.cross_negative else "none"
         )
-        gx, gy = gate_pair(r, v1)
+        gx, gy = gates.gate_pair(r, v1)
         rows.append([
             *_rule_cells(r),
             classify(r, v1).label,
@@ -191,7 +189,7 @@ def build_t2() -> TableDocument:
 
 
 def _transition_doc(table_id: str, grouping: str) -> TableDocument:
-    counts = class_transition_counts(variant("V1"), grouping)
+    counts = rulespace.class_transition_counts(variant("V1"), grouping)
     rows = []
     for i, lab in enumerate(counts.labels):
         rows.append([lab, *map(str, counts.matrix[i]), str(counts.row_sums[i])])
@@ -242,7 +240,7 @@ def _t4_cells() -> tuple[tuple[int, ...], ...]:
     for b, numbers in enumerate(hist.rules_per_bin):
         for n in numbers:
             label = classify(_RULES[n], v1).label
-            group = _T4_ROW_OF_GROUP.get(_three_class_group(label))
+            group = _T4_ROW_OF_GROUP.get(rulespace._three_class_group(label))
             if group is None:
                 raise ValueError(f"no count-table group for class {label!r}")
             cells[group][b] += 1
@@ -311,11 +309,11 @@ def build_spectra_table() -> TableDocument:
             rec = _record(r, v)
             tail = tails.get(rec.dynamics_class)
             if tail is None:
-                sp = spectrum(r, v)
+                sp = spectral.spectrum(r, v)
                 tail = tails[rec.dynamics_class] = (
                     rec.dynamics_class.label, str(sp.zero_count), ";".join(map(str, sp.phases)),
                     ";".join(map(str, sp.cycle_lengths)),
-                    " ".join(map(str, charpoly_from_cycles(rec.attractor_set))))
+                    " ".join(map(str, spectral.charpoly_from_cycles(rec.attractor_set))))
             rows.append([str(r.number), v.tag, *tail])
     return TableDocument(
         "spectra",
@@ -413,7 +411,7 @@ def build_rule_graph() -> RuleGraph:
             ("state_vs_init_perturbation", rb.state_robustness_init_perturbation(r)))},
     } for r in all_rules()}
     edges = sorted((r.number, nb.number)
-                   for r in all_rules() for nb in neighbors(r) if nb.number > r.number)
+                   for r in all_rules() for nb in rulespace.neighbors(r) if nb.number > r.number)
     return RuleGraph(nodes=nodes, edges=tuple(edges))
 
 
@@ -490,8 +488,8 @@ def stats_report() -> dict:
     mut_two = [(sc := rb.state_robustness_rule_mutation(r, "two-input")).numerator
                / sc.denominator for r in rules if r.arity == 2]
 
-    counts = class_transition_counts(variant("V1"), "five-class")
-    preserving = sum(counts.matrix[i][i] for i in range(len(counts.labels)))
+    counts = rulespace.class_transition_counts(variant("V1"), "five-class")
+    preserving = sum(counts.diagonal)
 
     inverse = (1.0 / odds.statistic) if odds.statistic else None
     return {

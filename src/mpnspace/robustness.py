@@ -30,6 +30,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import rulespace
 from .dynamics import (
     _RULES,
     Rule,
@@ -39,7 +40,6 @@ from .dynamics import (
     classify,
     variant,
 )
-from .rulespace import neighbors
 
 METRIC_KINDS = (
     "class-vs-rule-mutation",
@@ -85,7 +85,7 @@ def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
 def _class_score(number: int, tag: str, mode) -> RobustnessScore:
     rule, v = _RULES[number], variant(tag, mode)
     own = classify(rule, v).label
-    nbs = neighbors(rule)
+    nbs = rulespace.neighbors(rule)
     hits = sum(1 for nb in nbs if classify(nb, v).label == own)
     return RobustnessScore(rule.number, "class-vs-rule-mutation", hits, len(nbs))
 
@@ -113,7 +113,7 @@ def _state_robustness_rule_mutation(number: int, targets: str) -> RobustnessScor
     rule, v4 = _RULES[number], variant("V4")
     own = _record(rule, v4).landing  # the attractor state set per start state
     eligible = [
-        nb for nb in neighbors(rule) if targets == "all" or nb.arity == 2
+        nb for nb in rulespace.neighbors(rule) if targets == "all" or nb.arity == 2
     ]
     hits = 0
     for nb in eligible:
@@ -166,11 +166,13 @@ def robustness_distribution(targets: str = "two-input") -> Histogram:
     frozen edges above: the two-input convention over the 72 two-input
     rules by default, or ``targets="all"``, the all-neighbor convention
     over all 81 rules."""
+    if targets not in MUTATION_TARGET_CHOICES:
+        raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
     edges = TWO_INPUT_BIN_EDGES if targets == "two-input" else ALL_TARGET_BIN_EDGES
     bins: list[list[int]] = [[] for _ in range(len(edges) + 1)]
     for r in all_rules():
         if targets == "all" or r.arity == 2:
-            sc = state_robustness_rule_mutation(r, targets)
+            sc = _state_robustness_rule_mutation(r.number, targets)
             bins[_bin_index(sc.numerator, sc.denominator, edges)].append(r.number)
     return Histogram(
         edges=edges,

@@ -1,8 +1,10 @@
 """Emitters: golden tables, state graphs, stats report, run_all, CLI."""
 
 import csv
+import difflib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -35,6 +37,7 @@ from mpnspace.report import (
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+BENCHMARK_MANIFEST = GOLDEN_DIR.resolve().parent.parent / "perfbench" / "expected_manifest.json"
 GOLDEN_TABLES = ("T1", "T2", "T3A", "T3B", "T4", "TA1", "TA2")
 
 
@@ -276,6 +279,31 @@ def test_run_all_writes_manifest_and_hashes(tmp_path):
         (out / "robustness_distributions.json").read_text(encoding="utf-8"))
     assert dists["two-input"]["counts"] == [15, 21, 16, 11, 9]
     assert dists["all"]["counts"] == [17, 18, 20, 14, 12]
+
+
+def test_run_all_writes_the_golden_bundle(tmp_path):
+    """Every file ``run_all`` writes but its manifest equals its copy in
+    ``tests/golden`` byte for byte; a mismatch shows the first lines that differ."""
+    run_all(str(tmp_path))
+    written = sorted(path.name for path in tmp_path.iterdir() if path.name != "manifest.json")
+    assert written == sorted(path.name for path in GOLDEN_DIR.iterdir())
+    diffs = []
+    for name in written:
+        got, want = (tmp_path / name).read_bytes(), (GOLDEN_DIR / name).read_bytes()
+        if got != want:
+            diff = difflib.unified_diff(want.decode().splitlines(), got.decode().splitlines(),
+                                        f"golden/{name}", name, lineterm="")
+            diffs.extend(itertools.islice(diff, 20))
+    assert not diffs, "\n".join(diffs)
+
+
+def test_the_golden_bundle_hashes_to_the_benchmark_manifest():
+    """The manifest derived from ``tests/golden`` is the benchmark's expected
+    manifest byte for byte, so the golden files are the bundle it checks."""
+    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in GOLDEN_DIR.iterdir()}
+    derived = json.dumps({"file_count": len(files), "files": files}, indent=2, sort_keys=True)
+    assert (derived + "\n").encode() == BENCHMARK_MANIFEST.read_bytes()
 
 
 def cli(capsys, *argv):

@@ -3,11 +3,14 @@ output records are.
 
 ``import mpnspace`` registers the eight layer modules to run on first
 use, and a command runs only the layers it calls: ``classify`` and
-``state-graph`` run ``dynamics`` alone, and ``all`` runs all eight.
+``state-graph`` run ``dynamics`` alone, ``table T1`` runs ``dynamics``,
+``report`` and ``transforms``, and ``all`` runs all eight.
 ``dynamics`` imports no other layer, and no layer imports one that
-imports it back.  The first read of an export binds every export
-in the package namespace, each the very object of its home module, and
-removes the module ``__getattr__`` that did so.  ``import mpnspace.cli``
+imports it back.  A module imports names from ``dynamics`` alone and
+binds every other layer as a module, read on use.  The first read of
+an export binds every export in the package namespace, each the very
+object of its home module, and removes the module ``__getattr__`` that
+did so.  ``import mpnspace.cli``
 loads only what every command needs: the stdlib modules that one
 command or one export format uses are imported inside the functions
 that use them, and neither click nor dataclasses (with inspect and ast)
@@ -164,32 +167,60 @@ def _run_fresh(code):
     return proc.stdout
 
 
-@pytest.mark.parametrize(("argv", "executed"), [
-    (["classify", "8", "V1"], ["dynamics"]),
-    (["state-graph", "8", "V1"], ["dynamics"]),
-    (["all", "--out", "{tmp}"], list(LAYERS)),
-], ids=["classify", "state-graph", "all"])
-def test_a_command_runs_only_the_layers_it_calls(argv, executed, tmp_path):
+# The layers each command runs, as the README lists them.
+COMMAND_LAYERS = {
+    "classify": "dynamics",
+    "state-graph": "dynamics",
+    "table T1": "dynamics report transforms",
+    "table TA1": "dynamics report transforms",
+    "table T2": "dynamics gates report transforms",
+    "table TA2": "dynamics gates report transforms",
+    "table T3A": "dynamics report rulespace",
+    "table T3B": "dynamics report rulespace",
+    "table T4": "dynamics report robustness rulespace",
+    "table robustness": "dynamics report robustness rulespace",
+    "table spectra": "dynamics report spectral",
+    "robustness": "dynamics robustness rulespace",
+    "robustness --distribution": "dynamics report robustness rulespace",
+    "rulespace export": "dynamics report robustness rulespace",
+    "stats": "dynamics report robustness rulespace stats",
+    "all": " ".join(LAYERS),
+}
+# The arguments a command needs beyond its name.
+REQUIRED_ARGS = {"classify": "8 V1", "state-graph": "8 V1", "all": "--out {tmp}"}
+
+
+@pytest.mark.parametrize(("command", "executed"), COMMAND_LAYERS.items(),
+                         ids=["-".join(c.replace("--", "").split()) for c in COMMAND_LAYERS])
+def test_a_command_runs_only_the_layers_it_calls(command, executed, tmp_path):
     """A layer that has not run is still the LazyLoader's module subclass,
     which any attribute read would run, so the check reads only types."""
-    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    argv = f"{command} {REQUIRED_ARGS.get(command, '')}".format(tmp=tmp_path).split()
+    executed = executed.split()
     code = (
         "import sys, types\n"
         "from mpnspace.cli import main\n"
-        f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass\n"
+        f"try:\n    main({argv!r})\nexcept SystemExit as end:\n    assert not end.code\n"
         f"print([m for m in {list(LAYERS)!r}\n"
         "       if type(sys.modules['mpnspace.' + m]) is types.ModuleType])\n"
+        "print('fractions' in sys.modules)\n"
     )
-    assert _run_fresh(code).splitlines()[-1] == repr(executed)
+    *_, ran, imported_fractions = _run_fresh(code).splitlines()
+    assert ran == repr(executed)
+    # Only the layers that compute with exact fractions import the module.
+    assert imported_fractions == repr(bool({"robustness", "spectral", "stats"} & set(executed)))
+
+
+def _parse(module):
+    path = os.path.join(os.path.dirname(mpnspace.__file__), f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
 
 
 def _layer_imports(layer):
     """The layers that ``layer`` imports anywhere in its source, read with ast."""
-    path = os.path.join(os.path.dirname(mpnspace.__file__), f"{layer}.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_parse(layer)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:  # from .x / from . import x
             names.update([node.module] if node.module else (a.name for a in node.names))
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
@@ -205,6 +236,30 @@ def test_dynamics_is_the_base_layer_and_layer_imports_are_acyclic():
     assert graph["gates"] == graph["spectral"] == {"dynamics"}
     order = list(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
     assert order[0] == "dynamics" and sorted(order) == sorted(LAYERS)
+
+
+def test_a_module_imports_names_from_dynamics_only():
+    """A from-import of a name runs its layer at once, whether or not the
+    command calls it, so ``from .dynamics import f`` is the one kind
+    allowed: every other layer is bound as a module (``from . import
+    gates``) and read on use (``gates.gate_pair``)."""
+    by_name = {}
+    for module in (*LAYERS, "cli"):
+        for node in ast.walk(_parse(module)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                source = node.module
+            elif node.level == 0 and node.module.partition(".")[0] == "mpnspace":
+                source = node.module.partition(".")[2]
+            else:
+                continue
+            if source:  # from .x import names
+                offending = {source.partition(".")[0]} - {"dynamics"}
+            else:  # from . import names: each must be a layer, not an export
+                offending = {a.name for a in node.names} - set(LAYERS)
+            by_name.setdefault(module, set()).update(offending)
+    assert {module: names for module, names in by_name.items() if names} == {}
 
 
 def test_each_export_is_the_object_of_its_home_layer():
