@@ -1,6 +1,6 @@
 """Run the command line as ``python -m mpnspace``."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -109,6 +109,8 @@ def _any_case(choices: tuple[str, ...]):
 
 
 def _directory(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the directory name is empty")
     if os.path.isfile(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a file")
     return text
@@ -185,5 +187,22 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     raise SystemExit(0)
 
 
+def run() -> None:
+    """The process entry point: ``main()``, then ``gc.freeze()``.
+
+    Freezing moves every live object into the permanent generation, which
+    the collections of interpreter teardown skip.  Whatever ``main``
+    raises, ``SystemExit`` included, propagates untouched, so ``atexit``
+    handlers, stream flushing, error output and the exit status are those
+    of ``main``.  In-process callers use ``main`` and keep their heap as is.
+    """
+    try:
+        main()
+    finally:
+        import gc
+
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

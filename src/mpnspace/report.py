@@ -556,8 +556,8 @@ def run_all(out_dir: str) -> dict:
     """Emit every document into ``out_dir`` and return the manifest."""
     import hashlib
 
-    if not isinstance(out_dir, (str, os.PathLike)):
-        raise ValueError(f"out_dir must be a str or os.PathLike, got {out_dir!r}")
+    if not isinstance(out_dir, (str, os.PathLike)) or out_dir == "":
+        raise ValueError(f"out_dir must be a non-empty str or an os.PathLike, got {out_dir!r}")
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
 

@@ -133,13 +133,14 @@ def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
 
 
 def score(rule: Rule, metric: str, targets: str = "two-input") -> RobustnessScore:
-    """Dispatch on the metric kind; ``targets`` is validated for all."""
+    """Dispatch on the metric kind; ``targets`` is validated for all,
+    for the mutation metric by its own scorer."""
+    if metric == "state-vs-rule-mutation":
+        return state_robustness_rule_mutation(rule, targets)
     if targets not in MUTATION_TARGET_CHOICES:
         raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
     if metric == "class-vs-rule-mutation":
         return class_robustness(rule)
-    if metric == "state-vs-rule-mutation":
-        return state_robustness_rule_mutation(rule, targets)
     if metric == "state-vs-init-perturbation":
         return state_robustness_init_perturbation(rule)
     raise ValueError(f"metric must be one of {METRIC_KINDS}")

@@ -94,6 +94,8 @@ def reduce_rules(generators: Iterable[str],
     refused, because the cross-weight sign flip is a dynamics symmetry
     only for the hold-at-zero sign variant.
     """
+    if isinstance(generators, str):
+        raise ValueError(f"generators must be an iterable of names, not the string {generators!r}")
     try:
         generators = frozenset(generators)
     except TypeError:
@@ -102,6 +104,8 @@ def reduce_rules(generators: Iterable[str],
     if unknown:
         raise ValueError(f"unknown transformations: {sorted(unknown)}")
     under = variant("V1") if under is None else under
+    if isinstance(rules, str):
+        raise ValueError(f"rules must be an iterable of Rules, not the string {rules!r}")
     try:
         pool = all_rules() if rules is None else tuple(rules)
     except TypeError:

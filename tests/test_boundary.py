@@ -22,6 +22,7 @@ import mpnspace as mp
 PROBES = {
     "None": None, "True": True, "2.5": 2.5, "nan": math.nan, "'zz'": "zz",
     "10**400": 10 ** 400, "8": 8, "'V1'": "V1", "[1, 2]": [1, 2],
+    "''": "",
 }
 
 RULE = mp.rule_from_number(8)

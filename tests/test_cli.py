@@ -5,17 +5,23 @@ which always ends in ``SystemExit``.  For each command, the stdout and
 exit code of all its argvs hash into one sha256, so any change to any
 output byte of any command shows here; so is the ``--help`` text of the
 top level and of every command, at a fixed width of 80 columns.  Malformed argvs must be usage
-errors: exit code 2, nothing on stdout and no traceback.
+errors: exit code 2, nothing on stdout and no traceback.  The process
+entry ``run`` must end a process as ``main`` does, with the heap frozen.
 """
 
+import gc
 import hashlib
 import importlib.util
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from mpnspace import FORMATS, METRIC_KINDS, MUTATION_TARGET_CHOICES, TABLE_IDS, VARIANT_TAGS
+from mpnspace import cli
 from mpnspace.cli import GATE_NAME_NOTE, MODE_CHOICES, main
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -124,6 +130,7 @@ def _malformed_argvs():
         ["robustness", "--metric", "bogus"],
         ["robustness", "--distribution", "--metric", "class-vs-rule-mutation"],
         ["all"],
+        ["all", "--out", ""],
         [],
     )
 
@@ -164,3 +171,111 @@ def test_help_text_is_pinned(capsys, monkeypatch):
         assert code == 0 and out.startswith(f"usage: {' '.join(['mpnspace', *argv])} ")
         digest.update(f"{' '.join(argv)}\0{code}\0{out}\0".encode())
     assert digest.hexdigest() == HELP_PINNED, digest.hexdigest()
+
+
+# An argv that ends ``main`` with each exit status but the internal error's.
+ENTRY_EXITS = [pytest.param(["classify", "8", "V1"], 0, id="success"),
+               pytest.param(["classify", "99", "V1"], 2, id="usage-error")]
+
+
+@pytest.fixture
+def entry_events(monkeypatch):
+    """Each ``main`` call, what it raised and each ``gc.freeze`` call, in
+    order; the freeze is recorded, not made."""
+    events, plain_main = [], cli.main
+
+    def traced_main():
+        events.append("main")
+        try:
+            plain_main()
+        except BaseException as exc:
+            events.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "main", traced_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    return events
+
+
+@pytest.mark.parametrize(("argv", "code"), ENTRY_EXITS)
+def test_run_freezes_the_heap_after_main_and_reraises_its_exit(entry_events, monkeypatch,
+                                                              capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["mpnspace", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert entry_events == ["main", exit_info.value, "freeze"]
+    assert exit_info.value.code == code
+    capsys.readouterr()
+
+
+def test_run_freezes_the_heap_after_an_internal_error_and_reraises_it(entry_events,
+                                                                     monkeypatch):
+    def fail(number):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr(cli, "rule_from_number", fail)
+    monkeypatch.setattr(sys, "argv", ["mpnspace", "classify", "8", "V1"])
+    with pytest.raises(RuntimeError) as raised:
+        cli.run()
+    assert entry_events == ["main", raised.value, "freeze"]
+
+
+@pytest.mark.parametrize(("argv", "code"), ENTRY_EXITS)
+def test_main_alone_never_freezes_the_heap(entry_events, capsys, argv, code):
+    assert run(capsys, argv)[0] == code
+    assert entry_events == []
+
+
+def _env(unbuffered=False):
+    """The environment of a fresh interpreter on this package."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# Runs MODULE as ``python -m MODULE ARGV`` does, after registering an
+# ``atexit`` callback that reports on stderr whether the heap is frozen.
+ATEXIT_DRIVER = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"atexit: frozen={gc.get_freeze_count() > 0}", file=sys.stderr))
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("module", ["mpnspace.cli", "mpnspace"])
+@pytest.mark.parametrize(("argv", "code"), ENTRY_EXITS)
+def test_a_process_entry_runs_atexit_once_with_the_heap_frozen(capsys, module, argv, code):
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_DRIVER, module, *argv], env=_env(),
+                          capture_output=True, text=True, timeout=60)
+    expected_code, expected_out, _ = run(capsys, argv)
+    assert (proc.returncode, proc.stdout) == (expected_code, expected_out)
+    assert proc.returncode == code
+    assert proc.stderr.count("atexit:") == 1
+    assert proc.stderr.endswith("atexit: frozen=True\n"), proc.stderr
+
+
+def _end_on_a_closed_pipe(command, unbuffered):
+    """(exit status, stderr) of ``python COMMAND classify 8 V1`` writing to a
+    pipe whose read end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *command, "classify", "8", "V1"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_env(unbuffered), text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    # The stack of a traceback names the entry's frames; the rest must match.
+    return proc.returncode, [line for line in proc.stderr.splitlines()
+                             if not line[:1].isspace()]
+
+
+@pytest.mark.parametrize(("unbuffered", "code"), [(False, 120), (True, 1)],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_ends_the_process_entry_as_it_ends_main(unbuffered, code):
+    entry = _end_on_a_closed_pipe(["-m", "mpnspace.cli"], unbuffered)
+    plain = _end_on_a_closed_pipe(["-c", "from mpnspace.cli import main; main()"], unbuffered)
+    assert entry == plain
+    assert entry[0] == code and entry[1][-1] == "BrokenPipeError: [Errno 32] Broken pipe"
