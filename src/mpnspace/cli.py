@@ -11,9 +11,14 @@ import argparse
 import os
 import sys
 
-from . import report
+from . import dynamics, report
 from . import robustness as rb
-from .dynamics import (
+
+# Run the base layer by an attribute read, not inside the from-import
+# below: CPython's import path would replace an error raised while the
+# layer runs with an ImportError that names neither it nor its line.
+dynamics.VARIANT_TAGS
+from .dynamics import (  # noqa: E402
     VARIANT_TAGS,
     UpdateMode,
     all_rules,

@@ -221,13 +221,17 @@ def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Varian
 
     A plain-string tag with a mode string or :class:`UpdateMode` member
     is read from a table built at import: every call with the same tag
-    and mode, in any accepted spelling, gets one shared, immutable Variant.
+    and mode, in any accepted spelling, gets one shared, immutable Variant,
+    and a pair that misses it is rejected there with the constructor's
+    message.
     """
     if type(tag) is str and type(mode) in (str, UpdateMode):
         try:
             return _VARIANTS[tag, mode]  # keyed by the raw arguments
         except KeyError:
-            pass  # malformed: rejected below
+            if mode not in _MODE_FORMS:
+                raise ValueError(f"{mode!r} is not a valid UpdateMode") from None
+            raise ValueError(f"unknown variant tag {tag.upper()!r}") from None
     if not isinstance(tag, str):
         raise ValueError(f"variant tag must be a string, got {tag!r}")
     if isinstance(mode, str):
@@ -235,8 +239,11 @@ def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Varian
     return Variant(tag.upper(), mode)
 
 
+# The 6 accepted mode forms: each UpdateMode member and its string.
+_MODE_FORMS = frozenset((*UpdateMode, *(mode.value for mode in UpdateMode)))
+
 # Every accepted (tag, mode) argument pair of ``variant``: 14 tag
-# spellings times 6 mode forms, onto the 21 shared variants.
+# spellings times the 6 mode forms, onto the 21 shared variants.
 _VARIANTS = {(spelling, form): v
              for v in (Variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode)
              for spelling in (v.tag, v.tag.lower()) for form in (v.mode, v.mode.value)}

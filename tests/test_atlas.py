@@ -475,8 +475,13 @@ def test_str_subclass_tags_are_not_interned():
     assert dynamics._VARIANTS == before
 
 
-# The messages are those of the uninterned constructor.
-@pytest.mark.parametrize(("tag", "mode", "message"), [
+class _Str(str):
+    """A str subclass, which ``variant`` hands to the constructor."""
+
+
+# The messages are those of the uninterned constructor, which the
+# str-subclass rows reach.
+MALFORMED_VARIANT_INPUTS = [
     ("V0", "x-first", "unknown variant tag 'V0'"),
     ("V8", "x-first", "unknown variant tag 'V8'"),
     ("v8", UpdateMode.Y_FIRST, "unknown variant tag 'V8'"),
@@ -487,7 +492,16 @@ def test_str_subclass_tags_are_not_interned():
     ("V1", "parallel", "'parallel' is not a valid UpdateMode"),
     ("V1", ["x-first"], "mode must be an UpdateMode, got ['x-first']"),
     ("V1", 1, "mode must be an UpdateMode, got 1"),
-])
+]
+STR_SUBCLASS_INPUTS = [
+    pytest.param(_Str("V0"), "x-first", "unknown variant tag 'V0'", id="str-subclass-tag"),
+    pytest.param("V1", _Str("z-first"), "'z-first' is not a valid UpdateMode",
+                 id="str-subclass-mode"),
+]
+
+
+@pytest.mark.parametrize(("tag", "mode", "message"),
+                         MALFORMED_VARIANT_INPUTS + STR_SUBCLASS_INPUTS)
 def test_malformed_variant_inputs_raise_and_are_not_interned(tag, mode, message):
     before = dict(dynamics._VARIANTS)
     for _ in range(2):
@@ -525,6 +539,26 @@ def test_a_warm_query_enters_no_python_frame_outside_its_entry_points():
              and not (os.path.dirname(code.co_filename) == package and code.co_name in allowed)}
     assert not stray
     assert {code.co_name for code in entered} == allowed | {"query"}
+
+
+def test_a_malformed_plain_string_pair_is_rejected_at_the_table_miss():
+    """No failed ``UpdateMode`` lookup runs and no ``Variant`` is built:
+    ``variant`` is the only Python frame a rejection enters."""
+    pairs = [(tag, mode) for tag, mode, _ in MALFORMED_VARIANT_INPUTS
+             if type(tag) is str and type(mode) in (str, UpdateMode)]
+    assert len(pairs) == 6
+    entered, rejected = [], 0
+    sys.setprofile(lambda frame, event, _: event == "call" and entered.append(frame.f_code))
+    try:
+        for tag, mode in pairs:
+            try:
+                variant(tag, mode)
+            except ValueError:
+                rejected += 1
+    finally:
+        sys.setprofile(None)
+    assert rejected == len(pairs)
+    assert entered == [variant.__code__] * len(pairs)
 
 
 def test_run_all_computes_each_result_once(tmp_path, monkeypatch):

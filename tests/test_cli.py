@@ -7,6 +7,8 @@ output byte of any command shows here; so is the ``--help`` text of the
 top level and of every command, at a fixed width of 80 columns.  Malformed argvs must be usage
 errors: exit code 2, nothing on stdout and no traceback.  The process
 entry ``run`` must end a process as ``main`` does, with the heap frozen.
+An error raised while a layer first runs must reach stderr with its own
+line.
 """
 
 import gc
@@ -15,6 +17,7 @@ import importlib.util
 import itertools
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -279,3 +282,28 @@ def test_a_closed_stdout_pipe_ends_the_process_entry_as_it_ends_main(unbuffered,
     plain = _end_on_a_closed_pipe(["-c", "from mpnspace.cli import main; main()"], unbuffered)
     assert entry == plain
     assert entry[0] == code and entry[1][-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+
+
+@pytest.mark.parametrize(("layer", "argv"), [("dynamics", ["classify", "8", "V1"]),
+                                             ("report", ["table", "T1"])],
+                         ids=["dynamics-classify", "report-table"])
+def test_an_error_while_a_layer_first_runs_shows_its_own_line(tmp_path, layer, argv):
+    """A name left undefined at the top of a layer, on a copy of the
+    package: the NameError and its line reach stderr, not an ImportError
+    of a name the layer defines."""
+    package = tmp_path / "mpnspace"
+    shutil.copytree(pathlib.Path(cli.__file__).resolve().parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = package / f"{layer}.py"
+    text = source.read_text(encoding="utf-8")
+    future = "from __future__ import annotations\n"
+    line = text[:text.index(future)].count("\n") + 2  # the line after it
+    source.write_text(text.replace(future, future + "undefined_at_the_top\n", 1),
+                      encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "mpnspace.cli", *argv],
+                          env=dict(_env(), PYTHONPATH=str(tmp_path)), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert f'File "{source}", line {line}, in <module>\n    undefined_at_the_top\n' in proc.stderr
+    assert proc.stderr.endswith("NameError: name 'undefined_at_the_top' is not defined\n"), \
+        proc.stderr

@@ -386,3 +386,16 @@ def test_cli_all(capsys, tmp_path):
     code, _ = cli(capsys, "all", "--out", str(out_dir))
     assert code == 0
     assert (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_the_bundle_is_the_same_under_any_hash_seed(tmp_path, hash_seed):
+    """``python -m mpnspace all`` in a fresh process writes the benchmark
+    manifest byte for byte, whatever order str hashing gives sets."""
+    src = os.path.dirname(os.path.dirname(mpnspace.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+    out_dir = tmp_path / "bundle"
+    proc = subprocess.run([sys.executable, "-m", "mpnspace", "all", "--out", str(out_dir)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out_dir / "manifest.json").read_bytes() == BENCHMARK_MANIFEST.read_bytes()
