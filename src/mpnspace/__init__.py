@@ -2,13 +2,14 @@
 two-node threshold network rules under seven update variants, with
 table emitters, graph exports, robustness metrics, and exact statistics.
 
-Importing the package runs none of its eight layer modules: each is
-registered in ``sys.modules`` and bound here through
-``importlib.util.LazyLoader``, and runs on its first attribute access,
-so a command loads only the layers it calls.  The first read of any
-export binds them all here from their home modules, and the module
-``__getattr__`` that did so deletes itself: CPython specialises
-attribute reads only on a module without one.
+Importing the package runs no layer module.  The base layer ``dynamics``
+is a plain submodule that runs when first imported from; the seven others
+are registered in ``sys.modules`` through ``importlib.util.LazyLoader``,
+bound here, and run on their first attribute access, so a command loads
+only the layers it calls.  The first read of any export binds every export
+here from its home module, and the module ``__getattr__`` that did so
+deletes itself: CPython specialises attribute reads only on a module
+without one.
 """
 
 import importlib.util as _util
@@ -48,12 +49,13 @@ def _lazy(layer: str):
     return module
 
 
-globals().update((layer, _lazy(layer)) for layer in sorted(set(_EXPORTS.values())))
+globals().update((layer, _lazy(layer)) for layer in sorted(set(_EXPORTS.values()) - {"dynamics"}))
 
 
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dynamics  # noqa: F401  binds it in the namespace below
     namespace = globals()
     for export, home in _EXPORTS.items():
         namespace[export] = getattr(namespace[home], export)

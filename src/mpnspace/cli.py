@@ -11,14 +11,9 @@ import argparse
 import os
 import sys
 
-from . import dynamics, report
+from . import report
 from . import robustness as rb
-
-# Run the base layer by an attribute read, not inside the from-import
-# below: CPython's import path would replace an error raised while the
-# layer runs with an ImportError that names neither it nor its line.
-dynamics.VARIANT_TAGS
-from .dynamics import (  # noqa: E402
+from .dynamics import (
     VARIANT_TAGS,
     UpdateMode,
     all_rules,
@@ -98,11 +93,11 @@ def all_cmd(ns: argparse.Namespace) -> None:
 
 
 def _rule_number(text: str) -> int:
-    try:
-        if 1 <= int(text) <= 81:
-            return int(text)
-    except ValueError:
-        pass
+    """RULE as ASCII digits alone: ``int`` would also take a sign, spaces,
+    underscores and the digits of other scripts."""
+    number = text.lstrip("0")
+    if text.isascii() and text.isdigit() and len(number) <= 2 and 1 <= int(number or "0") <= 81:
+        return int(number)
     raise argparse.ArgumentTypeError(f"{text!r} is not an integer in 1..81")
 
 
@@ -116,8 +111,8 @@ def _any_case(choices: tuple[str, ...]):
 def _directory(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("the directory name is empty")
-    if os.path.isfile(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is a file")
+    if os.path.lexists(text) and not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} exists and is not a directory")
     return text
 
 

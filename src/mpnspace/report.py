@@ -19,6 +19,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import os
+from itertools import repeat
 from math import gcd
 
 from . import gates, rulespace, spectral, transforms
@@ -347,9 +348,28 @@ def build_table(table_id: str) -> TableDocument:
     return _BUILDERS[key]()
 
 
+def _strs(items) -> bool:
+    return isinstance(items, (list, tuple)) and all(map(isinstance, items, repeat(str)))
+
+
+def _json_value(obj) -> bool:
+    """Whether ``obj`` is made of JSON values only, with str keys."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and _json_value(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(map(_json_value, obj))
+    return obj is None or isinstance(obj, (str, int, float))
+
+
 def render_table(doc: TableDocument, fmt: str) -> str:
     if not isinstance(doc, TableDocument):
         raise ValueError(f"render_table needs a TableDocument, got {doc!r}")
+    if not (isinstance(doc.table_id, str) and _strs(doc.columns)
+            and isinstance(doc.rows, (list, tuple))
+            and all(_strs(row) and len(row) == len(doc.columns) for row in doc.rows)
+            and isinstance(doc.metadata, dict) and _json_value(doc.metadata)):
+        raise ValueError("a TableDocument needs a str id, str columns, rows of one str "
+                         "cell per column and JSON metadata with str keys")
     if fmt in ("csv", "tsv"):
         import csv
         import io
@@ -419,10 +439,26 @@ def _dot_escape(s: str) -> str:
     return s.replace('"', '\\"')
 
 
+def _graph_node(n, attrs) -> bool:
+    """Whether ``n: attrs`` is a rule graph node: an int number with an int
+    arity and, optionally, str-to-str ``classes`` and ``robustness`` maps."""
+    return (type(n) is int and isinstance(attrs, dict) and type(attrs.get("arity")) is int
+            and attrs.keys() <= {"arity", "classes", "robustness"}
+            and all(isinstance(m, dict) and _strs([*m, *m.values()])
+                    for key, m in attrs.items() if key != "arity"))
+
+
 def export_graph(graph: RuleGraph, fmt: str) -> str:
     """Serialize the rule graph deterministically as dot, csv, or json."""
     if not isinstance(graph, RuleGraph):
         raise ValueError(f"export_graph needs a RuleGraph, got {graph!r}")
+    nodes, edges = graph.nodes, graph.edges
+    if not (isinstance(nodes, dict) and all(map(_graph_node, nodes, nodes.values()))
+            and isinstance(edges, (list, tuple))
+            and all(isinstance(e, (list, tuple)) and len(e) == 2
+                    and all(type(v) is int and v in nodes for v in e) for e in edges)):
+        raise ValueError("a RuleGraph needs int nodes, each with an int arity and str-to-str "
+                         "classes and robustness maps, and edges that are pairs of its nodes")
     if fmt == "dot":
         lines = ["graph rulespace {"]
         for n in sorted(graph.nodes):

@@ -119,6 +119,14 @@ def _malformed_argvs():
     yield from (
         ["classify", "abc", "V1"],
         ["classify", "8.0", "V1"],
+        # RULE is ASCII digits alone, though int() takes each of these.
+        ["classify", "1_0", "V1"],
+        ["classify", "+8", "V1"],
+        ["classify", " 8", "V1"],
+        ["classify", "\u0668", "V1"],  # ARABIC-INDIC DIGIT EIGHT
+        ["classify", "\uff18", "V1"],  # FULLWIDTH DIGIT EIGHT
+        ["state-graph", "+8", "V1"],
+        ["classify", "9" * 5001, "V1"],
         ["state-graph", "8.0", "V1"],
         ["classify", "8", "V1", "--mode", "X-first"],  # modes are case-sensitive
         ["classify", "8"],
@@ -134,12 +142,13 @@ def _malformed_argvs():
         ["robustness", "--distribution", "--metric", "class-vs-rule-mutation"],
         ["all"],
         ["all", "--out", ""],
+        ["all", "--out", os.devnull],  # exists, and is not a directory
         [],
     )
 
 
-@pytest.mark.parametrize("argv", list(_malformed_argvs()),
-                         ids=lambda argv: " ".join(argv) or "(none)")
+@pytest.mark.parametrize("argv", list(_malformed_argvs()), ids=lambda argv: " ".join(
+    arg if len(arg) <= 80 else f"<{len(arg)} digits>" for arg in argv) or "(none)")
 def test_malformed_argv_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
@@ -152,6 +161,11 @@ def test_all_refuses_a_file_as_its_directory(capsys, tmp_path):
     code, out, err = run(capsys, ["all", "--out", str(target)])
     assert (code, out) == (2, "")
     assert err and "Traceback" not in err
+
+
+def test_a_rule_number_may_have_leading_zeros(capsys):
+    padded, plain = run(capsys, ["classify", "08", "V1"]), run(capsys, ["classify", "8", "V1"])
+    assert padded == plain and padded[0] == 0
 
 
 def test_table_help_lists_the_gate_names(capsys):
@@ -284,13 +298,26 @@ def test_a_closed_stdout_pipe_ends_the_process_entry_as_it_ends_main(unbuffered,
     assert entry[0] == code and entry[1][-1] == "BrokenPipeError: [Errno 32] Broken pipe"
 
 
-@pytest.mark.parametrize(("layer", "argv"), [("dynamics", ["classify", "8", "V1"]),
-                                             ("report", ["table", "T1"])],
-                         ids=["dynamics-classify", "report-table"])
-def test_an_error_while_a_layer_first_runs_shows_its_own_line(tmp_path, layer, argv):
+# Per row, the layer left broken and the interpreter arguments of one
+# entry path; "{out}" is a scratch directory.
+FIRST_RUNS = {
+    "dynamics-classify": ("dynamics", ["-m", "mpnspace.cli", "classify", "8", "V1"]),
+    "report-table": ("report", ["-m", "mpnspace.cli", "table", "T1"]),
+    "dynamics-all": ("dynamics", ["-m", "mpnspace", "all", "--out", "{out}"]),
+    "dynamics-from-import": ("dynamics", ["-c", "from mpnspace import classify"]),
+    **{f"dynamics-first-read-of-{layer}": (
+        "dynamics", ["-c", f"import mpnspace.{layer} as m; m.{name}"])
+       for layer, name in (("gates", "identify_gate"), ("report", "emit_table"),
+                           ("robustness", "score"), ("rulespace", "neighbors"),
+                           ("spectral", "spectrum"), ("transforms", "reduce_rules"))},
+}
+
+
+@pytest.mark.parametrize(("layer", "args"), FIRST_RUNS.values(), ids=FIRST_RUNS)
+def test_an_error_while_a_layer_first_runs_shows_its_own_line(tmp_path, layer, args):
     """A name left undefined at the top of a layer, on a copy of the
-    package: the NameError and its line reach stderr, not an ImportError
-    of a name the layer defines."""
+    package: on every entry path, the NameError and its line reach
+    stderr, not an ImportError of a name the layer defines."""
     package = tmp_path / "mpnspace"
     shutil.copytree(pathlib.Path(cli.__file__).resolve().parent, package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -300,10 +327,12 @@ def test_an_error_while_a_layer_first_runs_shows_its_own_line(tmp_path, layer, a
     line = text[:text.index(future)].count("\n") + 2  # the line after it
     source.write_text(text.replace(future, future + "undefined_at_the_top\n", 1),
                       encoding="utf-8")
-    proc = subprocess.run([sys.executable, "-m", "mpnspace.cli", *argv],
+    args = [arg.format(out=tmp_path / "bundle") for arg in args]
+    proc = subprocess.run([sys.executable, *args],
                           env=dict(_env(), PYTHONPATH=str(tmp_path)), cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert f'File "{source}", line {line}, in <module>\n    undefined_at_the_top\n' in proc.stderr
+    assert "ImportError" not in proc.stderr, proc.stderr
     assert proc.stderr.endswith("NameError: name 'undefined_at_the_top' is not defined\n"), \
         proc.stderr

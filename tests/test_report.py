@@ -28,9 +28,14 @@ from mpnspace import (
 )
 from mpnspace.cli import main as cli_main
 from mpnspace.report import (
+    FORMATS,
     REFERENCE,
     TABLE_IDS,
+    RuleGraph,
+    TableDocument,
+    build_rule_graph,
     build_table,
+    export_graph,
     render_table,
     run_all,
     stats_report,
@@ -134,6 +139,63 @@ def test_renders_parse_back_to_the_table(table_id):
     payload = json.loads(render_table(doc, "json"))
     assert (payload["table"], payload["columns"], payload["rows"]) == (
         doc.table_id, list(doc.columns), doc.rows)
+
+
+# Each breaks one field of a well-formed document or graph.
+MALFORMED_TABLES = {
+    "int-id": TableDocument(1, ("a", "b"), [["1", "2"]]),
+    "str-columns": TableDocument("X", "ab", [["1", "2"]]),
+    "int-column": TableDocument("X", ("a", 2), [["1", "2"]]),
+    "int-cells": TableDocument("X", ("a", "b"), [[1, 2]]),
+    "long-row": TableDocument("X", ("a", "b"), [["1", "2", "3"]]),
+    "short-row": TableDocument("X", ("a", "b"), [["1"]]),
+    "str-row": TableDocument("X", ("a", "b"), ["12"]),
+    "str-rows": TableDocument("X", ("a", "b"), "12"),
+    "list-metadata": TableDocument("X", ("a", "b"), [["1", "2"]], [("note", "x")]),
+    "int-metadata-key": TableDocument("X", ("a", "b"), [["1", "2"]], {1: "x"}),
+    "set-metadata-value": TableDocument("X", ("a", "b"), [["1", "2"]], {"note": {"x"}}),
+}
+GRAPH_FORMATS = ("dot", "csv", "json")
+MALFORMED_GRAPHS = {
+    "no-arity": RuleGraph({1: {}}),
+    "str-arity": RuleGraph({1: {"arity": "2"}}),
+    "str-node": RuleGraph({"1": {"arity": 2}}),
+    "list-attrs": RuleGraph({1: [("arity", 2)]}),
+    "int-class": RuleGraph({1: {"arity": 2, "classes": {"V1": 3}}}),
+    "list-robustness": RuleGraph({1: {"arity": 2, "robustness": ["1/2"]}}),
+    "unknown-attr": RuleGraph({1: {"arity": 2, "colour": "red"}}),
+    "list-nodes": RuleGraph([1, 2]),
+    "edge-to-a-missing-node": RuleGraph({1: {"arity": 2}}, ((1, 2),)),
+    "three-node-edge": RuleGraph({1: {"arity": 2}, 2: {"arity": 2}}, ((1, 2, 1),)),
+    "str-edges": RuleGraph({1: {"arity": 2}, 2: {"arity": 2}}, "12"),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("doc", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
+def test_a_malformed_table_document_is_a_value_error_in_every_format(doc, fmt):
+    with pytest.raises(ValueError, match="a TableDocument needs"):
+        render_table(doc, fmt)
+
+
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+@pytest.mark.parametrize("graph", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS)
+def test_a_malformed_rule_graph_is_a_value_error_in_every_format(graph, fmt):
+    with pytest.raises(ValueError, match="a RuleGraph needs"):
+        export_graph(graph, fmt)
+
+
+def test_the_smallest_well_formed_records_render_in_every_format():
+    doc = TableDocument("X", ("a", "b"), [["1", "2"]], {"n": [1, ["x"]], "ok": None})
+    assert [render_table(doc, fmt).splitlines()[0] for fmt in FORMATS[:3]] == [
+        "a,b", "a\tb", "| a | b |"]
+    assert json.loads(render_table(doc, "json"))["rows"] == [["1", "2"]]
+    graph = RuleGraph({1: {"arity": 0}, 2: {"arity": 1, "classes": {"V1": "F1"}}}, ((1, 2),))
+    assert export_graph(graph, "csv") == "source,target\n1,2\n"
+    assert json.loads(export_graph(graph, "json"))["nodes"][0] == {"rule": 1, "arity": 0}
+    assert "2 [arity=1 v1_class=\"F1\"];" in export_graph(graph, "dot")
+    assert export_graph(RuleGraph(), "json") == '{\n  "edges": [],\n  "nodes": []\n}\n'
+    assert export_graph(build_rule_graph(), "dot").startswith("graph rulespace {\n")
 
 
 def test_spectra_table_shape():

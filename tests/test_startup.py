@@ -1,8 +1,10 @@
 """What importing the package costs, what it exports, and what its
 output records are.
 
-``import mpnspace`` registers the eight layer modules to run on first
-use, and a command runs only the layers it calls: ``classify`` and
+``import mpnspace`` runs no layer module: it registers the seven layers
+other than ``dynamics`` to run on first use, and leaves the base layer
+``dynamics``, which every command runs, to the first module that imports
+from it.  A command runs only the layers it calls: ``classify`` and
 ``state-graph`` run ``dynamics`` alone, ``table T1`` runs ``dynamics``,
 ``report`` and ``transforms``, and ``all`` runs all eight.
 ``dynamics`` imports no other layer, and no layer imports one that
@@ -209,6 +211,24 @@ def test_a_command_runs_only_the_layers_it_calls(command, executed, tmp_path):
     assert ran == repr(executed)
     # Only the layers that compute with exact fractions import the module.
     assert imported_fractions == repr(bool({"robustness", "spectral", "stats"} & set(executed)))
+
+
+def test_importing_the_package_alone_runs_no_layer():
+    """What the query workload's set-up times: the seven other layers are
+    registered and have not run, ``dynamics`` is not imported, and nor is
+    ``fractions``."""
+    code = (
+        "import sys, types\n"
+        "import mpnspace\n"
+        f"for m in {list(LAYERS)!r}:\n"
+        "    module = sys.modules.get('mpnspace.' + m)\n"
+        "    print(m, 'absent' if module is None else\n"
+        "          'ran' if type(module) is types.ModuleType else 'registered')\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    *states, imported_fractions = _run_fresh(code).splitlines()
+    assert states == [f"{m} {'absent' if m == 'dynamics' else 'registered'}" for m in LAYERS]
+    assert imported_fractions == "False"
 
 
 def _parse(module):
