@@ -5,7 +5,8 @@ which always ends in ``SystemExit``.  For each command, the stdout and
 exit code of all its argvs hash into one sha256, so any change to any
 output byte of any command shows here; so is the ``--help`` text of the
 top level and of every command, at a fixed width of 80 columns.  Malformed argvs must be usage
-errors: exit code 2, nothing on stdout and no traceback.  The process
+errors: exit code 2, nothing on stdout and no traceback, and their
+stderr hashes into one pinned sha256 at the same width.  The process
 entry ``run`` must end a process as ``main`` does, with the heap frozen.
 An error raised while a layer first runs must reach stderr with its own
 line.
@@ -153,6 +154,19 @@ def test_malformed_argv_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err and "Traceback" not in err
+
+
+# sha256 over (argv, exit code, stderr) of every malformed argv above, in order.
+USAGE_ERRORS_PINNED = "5663532c915fcf2ec252d8703d830ee4eff55f0f4d3776d3205b0574faed763d"
+
+
+def test_usage_error_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in _malformed_argvs():
+        code, _, err = run(capsys, argv)
+        digest.update(f"{' '.join(argv)}\0{code}\0{err}\0".encode())
+    assert digest.hexdigest() == USAGE_ERRORS_PINNED, digest.hexdigest()
 
 
 def test_all_refuses_a_file_as_its_directory(capsys, tmp_path):
