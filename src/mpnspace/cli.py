@@ -1,5 +1,13 @@
 """Command line interface.
 
+Every command is described once, in ``COMMANDS``.  An argv in canonical
+form (the command words, then the positionals in order, then each
+option at most once, as ``--flag VALUE`` or a bare flag) is parsed
+directly from that table.  Any other argv, ``--help`` and every usage
+error included, goes to an argparse parser built from the same table,
+so help and usage messages are argparse's, and ``argparse`` is imported
+only then.
+
 Exit codes follow the usual convention: 0 on success, 2 for usage
 errors (unknown rule numbers, variants, table ids, formats), and 1 for
 unexpected internal failures.
@@ -7,9 +15,10 @@ unexpected internal failures.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import report
 from . import robustness as rb
@@ -34,14 +43,14 @@ GATE_NAME_NOTE = (
 )
 
 
-def classify_cmd(ns: argparse.Namespace) -> None:
+def classify_cmd(rule_number: int, variant_tag: str, mode: str) -> None:
     """Classify RULE (1..81) under VARIANT (V1..V7)."""
-    rule = rule_from_number(ns.rule_number)
-    v = variant(ns.variant_tag, ns.mode)
+    rule = rule_from_number(rule_number)
+    v = variant(variant_tag, mode)
     aset = attractor_set(rule, v)
     cls = classify(rule, v)
     print(f"rule: {rule.number}  weights: {rule.weights}")
-    print(f"variant: {v.tag} ({ns.mode})")
+    print(f"variant: {v.tag} ({mode})")
     print(f"class: {cls.label}")
     print("cycle lengths: " + ",".join(str(p) for p in aset.cycle_lengths))
     for k, cyc in enumerate(aset.attractors, start=1):
@@ -50,46 +59,44 @@ def classify_cmd(ns: argparse.Namespace) -> None:
     print(f"longest transient: {aset.max_transient}")
 
 
-def table_cmd(ns: argparse.Namespace) -> None:
+def table_cmd(table_id: str, fmt: str) -> None:
     """Emit table ID (T1, T2, T3A, T3B, T4, TA1, TA2, robustness, spectra)."""
-    print(report.emit_table(ns.table_id, ns.fmt), end="")
+    print(report.emit_table(table_id, fmt), end="")
 
 
-def state_graph_cmd(ns: argparse.Namespace) -> None:
+def state_graph_cmd(rule_number: int, variant_tag: str) -> None:
     """Emit the 4-state one-step map of RULE under VARIANT as DOT."""
-    rule = rule_from_number(ns.rule_number)
-    print(emit_state_graph(rule, variant(ns.variant_tag)), end="")
+    rule = rule_from_number(rule_number)
+    print(emit_state_graph(rule, variant(variant_tag)), end="")
 
 
-def rulespace_export_cmd(ns: argparse.Namespace) -> None:
+def rulespace_export_cmd(fmt: str) -> None:
     """Export the rule graph (nodes annotated with class and robustness)."""
-    print(report.export_graph(report.build_rule_graph(), ns.fmt), end="")
+    print(report.export_graph(report.build_rule_graph(), fmt), end="")
 
 
-def robustness_cmd(ns: argparse.Namespace) -> None:
+def robustness_cmd(metric: str, targets: str, distribution: bool) -> None:
     """Per-rule robustness scores, or a binned distribution."""
-    if ns.distribution:
-        if ns.metric != "state-vs-rule-mutation":
-            ns.usage_error("--distribution requires --metric state-vs-rule-mutation")
-        payload = {"metric": ns.metric, "targets": ns.targets,
-                   **report.distribution_payload(ns.targets)}
+    if distribution:
+        payload = {"metric": metric, "targets": targets,
+                   **report.distribution_payload(targets)}
         print(report._json(payload), end="")
         return
     print("rule,numerator,denominator,value")
     for r in all_rules():
-        sc = rb.score(r, ns.metric, ns.targets)
+        sc = rb.score(r, metric, targets)
         print(f"{sc.rule},{sc.numerator},{sc.denominator},{float(sc.fraction):.6f}")
 
 
-def stats_cmd(ns: argparse.Namespace) -> None:
+def stats_cmd() -> None:
     """Statistics report with reference-value comparison flags."""
     print(report._json(report.stats_report()), end="")
 
 
-def all_cmd(ns: argparse.Namespace) -> None:
+def all_cmd(out_dir: str) -> None:
     """Write every table, export, and report into DIR with a manifest."""
-    manifest = report.run_all(ns.out_dir)
-    print(f"wrote {manifest['file_count']} files to {ns.out_dir} (hashes in manifest.json)")
+    manifest = report.run_all(out_dir)
+    print(f"wrote {manifest['file_count']} files to {out_dir} (hashes in manifest.json)")
 
 
 def _rule_number(text: str) -> int:
@@ -98,92 +105,195 @@ def _rule_number(text: str) -> int:
     number = text.lstrip("0")
     if text.isascii() and text.isdigit() and len(number) <= 2 and 1 <= int(number or "0") <= 81:
         return int(number)
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer in 1..81")
+    raise ValueError(f"{text!r} is not an integer in 1..81")
 
 
 def _any_case(choices: tuple[str, ...]):
-    """Map any spelling of a choice to its canonical one; the parser's
-    ``choices`` check rejects anything else."""
+    """Map any spelling of a choice to its canonical one; the ``choices``
+    check rejects anything else."""
     canonical = {c.lower(): c for c in choices}
     return lambda text: canonical.get(text.lower(), text)
 
 
 def _directory(text: str) -> str:
     if not text:
-        raise argparse.ArgumentTypeError("the directory name is empty")
+        raise ValueError("the directory name is empty")
     if os.path.lexists(text) and not os.path.isdir(text):
-        raise argparse.ArgumentTypeError(f"{text!r} exists and is not a directory")
+        raise ValueError(f"{text!r} exists and is not a directory")
     return text
 
 
-def _parser(prog: str, args: list[str]) -> argparse.ArgumentParser:
-    """Every command with its help, but only the one named by the first
-    non-option token of ``args`` gets its arguments: the others would
-    read constants of layers that this command never runs."""
+def _distribution_metric(metric: str, targets: str, distribution: bool) -> str | None:
+    """The binned distribution exists for one metric only."""
+    if distribution and metric != "state-vs-rule-mutation":
+        return "--distribution requires --metric state-vs-rule-mutation"
+    return None
+
+
+class Command(NamedTuple):
+    """What runs a command, given its argument values by ``dest``; its
+    arguments, built on use because their choices may read a layer that
+    only this command runs; the usage error that a combination of valid
+    values makes, if any; and the text that ends its help.  Each argument
+    is the name or flag and the keywords of ``add_argument``, of which
+    ``type`` raises ``ValueError`` on a malformed value."""
+
+    run: Callable[..., None]
+    arguments: Callable[[], tuple[tuple[str, dict], ...]] = tuple
+    check: Callable[..., str | None] | None = None
+    epilog: str | None = None
+
+
+def _rule_and_variant() -> tuple[tuple[str, dict], ...]:
+    return (("rule_number", {"type": _rule_number, "metavar": "RULE"}),
+            ("variant_tag", {"type": _any_case(VARIANT_TAGS), "choices": VARIANT_TAGS,
+                             "metavar": "VARIANT"}))
+
+
+def _format(choices: tuple[str, ...], default: str) -> tuple[str, dict]:
+    return ("--format", {"dest": "fmt", "choices": choices, "default": default,
+                         "help": "Output format (default: %(default)s)."})
+
+
+# Every command, by its words, in the order the help lists them.
+COMMANDS = {
+    "classify": Command(classify_cmd, lambda: (
+        *_rule_and_variant(),
+        ("--mode", {"choices": MODE_CHOICES, "default": "synchronous",
+                    "help": "Update order within one time step (default: %(default)s)."}))),
+    "table": Command(table_cmd, lambda: (
+        ("table_id", {"type": _any_case(report.TABLE_IDS), "choices": report.TABLE_IDS,
+                      "metavar": "ID"}),
+        _format(report.FORMATS, "csv")), epilog=GATE_NAME_NOTE),
+    "state-graph": Command(state_graph_cmd, _rule_and_variant),
+    "rulespace export": Command(rulespace_export_cmd,
+                                lambda: (_format(("dot", "csv", "json"), "dot"),)),
+    "robustness": Command(robustness_cmd, lambda: (
+        ("--metric", {"choices": rb.METRIC_KINDS, "default": "state-vs-rule-mutation",
+                      "help": "Robustness metric (default: %(default)s)."}),
+        ("--targets", {"choices": rb.MUTATION_TARGET_CHOICES, "default": "two-input",
+                       "help": "Mutation pool for the state-vs-rule-mutation metric "
+                               "(default: %(default)s)."}),
+        ("--distribution", {"action": "store_true", "default": False,
+                            "help": "Print the binned distribution (state-vs-rule-mutation "
+                                    "only) instead of per-rule scores."})),
+        check=_distribution_metric),
+    "stats": Command(stats_cmd),
+    "all": Command(all_cmd, lambda: (
+        ("--out", {"dest": "out_dir", "required": True, "type": _directory,
+                   "metavar": "DIR"}),)),
+}
+# The help of the first word of a command that has two.
+GROUP_HELP = {"rulespace": "Operations on the 81-node rule graph."}
+
+
+def _value(keywords: dict, text: str) -> object:
+    """``text`` converted and checked as the value of an argument;
+    ``ValueError`` if malformed, or if it starts with "-", which argparse
+    may read as an option."""
+    if text.startswith("-"):
+        raise ValueError(f"{text!r} may be an option")
+    value = keywords["type"](text) if "type" in keywords else text
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(f"{value!r} is not one of {keywords['choices']}")
+    return value
+
+
+def _parse_canonical(args: list[str]) -> tuple[Command, dict] | None:
+    """The command and argument values of an argv in canonical form, each
+    value converted and checked as argparse would; None for any other argv."""
+    for name, command in COMMANDS.items():
+        words = name.split()
+        if args[:len(words)] == words:
+            break
+    else:
+        return None
+    options, values = {}, {}
+    tokens = iter(args[len(words):])
+    try:
+        for name, keywords in command.arguments():
+            if name.startswith("-"):
+                dest = keywords.get("dest", name[2:].replace("-", "_"))
+                options[name] = dest, keywords
+                values[dest] = keywords.get("default")
+            else:
+                values[name] = _value(keywords, next(tokens))
+        for flag in tokens:
+            dest, keywords = options.pop(flag)  # KeyError: unknown, or given before
+            bare = keywords.get("action") == "store_true"
+            values[dest] = True if bare else _value(keywords, next(tokens))
+    except (StopIteration, KeyError, ValueError):
+        return None
+    if any(keywords.get("required") for _, keywords in options.values()):
+        return None
+    if command.check and command.check(**values):
+        return None
+    return command, values
+
+
+def _argparse_parser(prog: str, args: list[str]) -> Callable[[list[str]], tuple[Command, dict]]:
+    """A parse by an argparse parser built from ``COMMANDS``: the command
+    and argument values of a well-formed argv, and for any other argv
+    help or a usage error, printed before it exits.  Only the command
+    named by the first non-option token of ``args`` gets its arguments:
+    the others would read constants of layers that this command never
+    runs."""
+    import argparse
+
+    def argparse_type(convert):
+        def converted(text: str) -> object:
+            try:
+                return convert(text)
+            except ValueError as error:
+                raise argparse.ArgumentTypeError(str(error)) from None
+        return converted
+
     named = next((arg for arg in args if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False,
         description="Enumerate, simulate, and classify the 81 two-node threshold "
                     "network rules under seven update variants.")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    groups, parsers = {}, {}
+    for name, command in COMMANDS.items():
+        first, _, action = name.partition(" ")
+        siblings = commands
+        if action:
+            if first not in groups:
+                group = commands.add_parser(first, help=GROUP_HELP[first], allow_abbrev=False)
+                groups[first] = group.add_subparsers(dest="action", metavar="ACTION",
+                                                     required=True)
+            siblings = groups[first]
+        sub = siblings.add_parser(action or first, help=command.run.__doc__,
+                                  description=command.run.__doc__, epilog=command.epilog,
+                                  allow_abbrev=False)
+        if first != named:
+            continue
+        parsers[name] = sub
+        for name_or_flag, keywords in command.arguments():
+            if "type" in keywords:
+                keywords = {**keywords, "type": argparse_type(keywords["type"])}
+            sub.add_argument(name_or_flag, **keywords)
 
-    def command(name: str, run, group=commands, **kwargs) -> argparse.ArgumentParser | None:
-        """Register ``name``; its parser, to add arguments to, unless another command is named."""
-        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__,
-                               allow_abbrev=False, **kwargs)
-        sub.set_defaults(run=run)
-        return sub if group is not commands or name == named else None
+    def parse(args: list[str]) -> tuple[Command, dict]:
+        values = vars(parser.parse_args(args))
+        name = values.pop("command")
+        if "action" in values:
+            name += " " + values.pop("action")
+        command = COMMANDS[name]
+        if command.check and (message := command.check(**values)):
+            parsers[name].error(message)
+        return command, values
 
-    def rule_and_variant(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("rule_number", type=_rule_number, metavar="RULE")
-        sub.add_argument("variant_tag", type=_any_case(VARIANT_TAGS), choices=VARIANT_TAGS,
-                         metavar="VARIANT")
-
-    if sub := command("classify", classify_cmd):
-        rule_and_variant(sub)
-        sub.add_argument("--mode", choices=MODE_CHOICES, default="synchronous",
-                         help="Update order within one time step (default: %(default)s).")
-
-    if sub := command("table", table_cmd, epilog=GATE_NAME_NOTE):
-        sub.add_argument("table_id", type=_any_case(report.TABLE_IDS),
-                         choices=report.TABLE_IDS, metavar="ID")
-        sub.add_argument("--format", dest="fmt", choices=report.FORMATS, default="csv",
-                         help="Output format (default: %(default)s).")
-
-    if sub := command("state-graph", state_graph_cmd):
-        rule_and_variant(sub)
-
-    sub = commands.add_parser("rulespace", help="Operations on the 81-node rule graph.",
-                              allow_abbrev=False)
-    if named == "rulespace":
-        actions = sub.add_subparsers(dest="action", metavar="ACTION", required=True)
-        command("export", rulespace_export_cmd, actions).add_argument(
-            "--format", dest="fmt", choices=("dot", "csv", "json"), default="dot",
-            help="Output format (default: %(default)s).")
-
-    if sub := command("robustness", robustness_cmd):
-        sub.add_argument("--metric", choices=rb.METRIC_KINDS, default="state-vs-rule-mutation",
-                         help="Robustness metric (default: %(default)s).")
-        sub.add_argument("--targets", choices=rb.MUTATION_TARGET_CHOICES, default="two-input",
-                         help="Mutation pool for the state-vs-rule-mutation metric "
-                              "(default: %(default)s).")
-        sub.add_argument("--distribution", action="store_true",
-                         help="Print the binned distribution (state-vs-rule-mutation only) "
-                              "instead of per-rule scores.")
-        sub.set_defaults(usage_error=sub.error)
-
-    command("stats", stats_cmd)
-    if sub := command("all", all_cmd):
-        sub.add_argument("--out", dest="out_dir", required=True, type=_directory,
-                         metavar="DIR")
-    return parser
+    return parse
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command; always ends by raising ``SystemExit``."""
-    args = sys.argv[1:] if args is None else args
-    ns = _parser(prog_name or "mpnspace", args).parse_args(args)
-    ns.run(ns)
+    args = sys.argv[1:] if args is None else list(args)
+    command, values = (_parse_canonical(args)
+                       or _argparse_parser(prog_name or "mpnspace", args)(args))
+    command.run(**values)
     raise SystemExit(0)
 
 

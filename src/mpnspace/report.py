@@ -594,6 +594,8 @@ def run_all(out_dir: str) -> dict:
 
     if not isinstance(out_dir, (str, os.PathLike)) or out_dir == "":
         raise ValueError(f"out_dir must be a non-empty str or an os.PathLike, got {out_dir!r}")
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise ValueError(f"out_dir {out_dir!r} exists and is not a directory")
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
 

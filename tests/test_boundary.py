@@ -13,6 +13,7 @@ an addition to the public surface must state its boundary here.
 import copy
 import inspect
 import math
+import os
 
 import pytest
 
@@ -121,3 +122,21 @@ def test_a_malformed_argument_to_a_public_callable_is_a_value_error(name, tmp_pa
             else:
                 escapes.append(f"argument {i} = {label}: accepted")
     assert not escapes, escapes
+
+
+@pytest.mark.parametrize("kind", ["devnull", "file", "dangling-symlink"])
+def test_run_all_refuses_an_existing_non_directory(kind, tmp_path):
+    """Any path that exists and is no directory is a ``ValueError``, raised
+    before anything is written."""
+    path = tmp_path / "out"
+    if kind == "devnull":
+        path = os.devnull
+    elif kind == "file":
+        path.write_text("kept")
+    else:
+        path.symlink_to(tmp_path / "missing")
+    with pytest.raises(ValueError, match="is not a directory"):
+        mp.run_all(str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if kind == "devnull" else ["out"])
+    if kind == "file":
+        assert path.read_text() == "kept"

@@ -148,7 +148,44 @@ def _malformed_argvs():
     )
 
 
-@pytest.mark.parametrize("argv", list(_malformed_argvs()), ids=lambda argv: " ".join(
+# Spellings that argparse accepts and the direct parse declines, each
+# beside its canonical form.
+NON_CANONICAL = [
+    (["classify", "8", "V1", "--mode=x-first"], ["classify", "8", "V1", "--mode", "x-first"]),
+    (["classify", "--mode", "x-first", "8", "V1"], ["classify", "8", "V1", "--mode", "x-first"]),
+    (["classify", "8", "--mode", "x-first", "V1"], ["classify", "8", "V1", "--mode", "x-first"]),
+    (["classify", "8", "V1", "--mode", "y-first", "--mode", "x-first"],
+     ["classify", "8", "V1", "--mode", "x-first"]),
+    (["classify", "--", "8", "V1"], ["classify", "8", "V1"]),
+    (["classify", "8", "V1", "--"], ["classify", "8", "V1"]),
+    (["state-graph", "8", "--", "V1"], ["state-graph", "8", "V1"]),
+    (["table", "T1", "--format=json"], ["table", "T1", "--format", "json"]),
+    (["rulespace", "export", "--format=csv"], ["rulespace", "export", "--format", "csv"]),
+    (["robustness", "--distribution", "--distribution"], ["robustness", "--distribution"]),
+    (["robustness", "--targets", "two-input", "--targets", "all"],
+     ["robustness", "--targets", "all"]),
+]
+# Non-canonical argvs that argparse refuses too, beyond the malformed
+# argvs above.
+REFUSED = [
+    ["--", "classify", "8", "V1"],
+    ["classify", "8", "V1", "--mode"],
+    ["classify", "8", "V1", "--mode", "-x"],
+    ["classify", "8", "V1", "--mo", "x-first"],  # no abbreviations
+    ["classify", "-8", "V1"],
+    ["classify", "8", "V1", "--mode", "x-first", "extra"],
+    ["table"],
+    ["rulespace", "export", "extra"],
+    ["robustness", "--distribution", "yes"],
+    ["robustness", "--metric"],
+    ["stats", "extra"],
+    ["all", "--out"],
+    ["all", "--out", "--out"],
+    ["all", "--out", "-d"],  # argparse reads "-d" as an option
+]
+
+
+@pytest.mark.parametrize("argv", [*_malformed_argvs(), *REFUSED], ids=lambda argv: " ".join(
     arg if len(arg) <= 80 else f"<{len(arg)} digits>" for arg in argv) or "(none)")
 def test_malformed_argv_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -156,7 +193,7 @@ def test_malformed_argv_is_a_usage_error(capsys, argv):
     assert err and "Traceback" not in err
 
 
-# sha256 over (argv, exit code, stderr) of every malformed argv above, in order.
+# sha256 over (argv, exit code, stderr) of each argv of ``_malformed_argvs``, in order.
 USAGE_ERRORS_PINNED = "5663532c915fcf2ec252d8703d830ee4eff55f0f4d3776d3205b0574faed763d"
 
 
@@ -202,6 +239,81 @@ def test_help_text_is_pinned(capsys, monkeypatch):
         assert code == 0 and out.startswith(f"usage: {' '.join(['mpnspace', *argv])} ")
         digest.update(f"{' '.join(argv)}\0{code}\0{out}\0".encode())
     assert digest.hexdigest() == HELP_PINNED, digest.hexdigest()
+
+
+def _spellings(word):
+    """``word`` as given, in lower and upper case, and capitalised."""
+    return sorted({word, word.lower(), word.upper(), word.capitalize()})
+
+
+def _canonical_argvs(out_dir):
+    """Every well-formed argv in canonical form: the command words, the
+    positionals in order, then each option at most once.  RULE is
+    spelled with and without a leading zero, and VARIANT and ID in each
+    case; ``all`` writes to ``out_dir`` and to a new directory in it."""
+    for rule, tag in itertools.product(range(1, 82), VARIANT_TAGS):
+        for number, spelling in itertools.product((str(rule), f"0{rule}"), _spellings(tag)):
+            yield ["classify", number, spelling]
+            yield from (["classify", number, spelling, "--mode", mode] for mode in MODE_CHOICES)
+            yield ["state-graph", number, spelling]
+    for table_id in TABLE_IDS:
+        for spelling in _spellings(table_id):
+            yield ["table", spelling]
+            yield from (["table", spelling, "--format", fmt] for fmt in FORMATS)
+    yield ["rulespace", "export"]
+    yield from (["rulespace", "export", "--format", fmt] for fmt in ("dot", "csv", "json"))
+    values = {"--metric": METRIC_KINDS, "--targets": MUTATION_TARGET_CHOICES,
+              "--distribution": (None,)}  # a bare flag
+    for flags in itertools.chain.from_iterable(
+            itertools.permutations(values, n) for n in range(len(values) + 1)):
+        for given in itertools.product(*(values[flag] for flag in flags)):
+            options = dict(zip(flags, given))
+            if ("--distribution" in options
+                    and options.get("--metric", "state-vs-rule-mutation")
+                    != "state-vs-rule-mutation"):
+                continue
+            yield ["robustness", *(token for option in options.items() for token in option
+                                   if token is not None)]
+    yield ["stats"]
+    yield ["all", "--out", out_dir]
+    yield ["all", "--out", os.path.join(out_dir, "new")]
+
+
+def _typed(values):
+    return {dest: (type(value), value) for dest, value in values.items()}
+
+
+def test_the_direct_parse_equals_argparse_over_every_canonical_argv(tmp_path):
+    """The direct parse is a fast path of argparse: over the whole universe
+    of canonical argvs it gives the command and the argument values,
+    types included, that the argparse parser gives."""
+    parsers, count = {}, 0
+    for argv in _canonical_argvs(str(tmp_path)):
+        if argv[0] not in parsers:
+            parsers[argv[0]] = cli._argparse_parser("mpnspace", argv)
+        direct = cli._parse_canonical(argv)
+        assert direct is not None, argv
+        (command, values), (expected_command, expected) = direct, parsers[argv[0]](argv)
+        assert command is expected_command, argv
+        assert _typed(values) == _typed(expected), argv
+        count += 1
+    # classify in four forms and state-graph; 24 table-id spellings in five
+    # forms; rulespace export in four; 37 robustness argvs; stats; all twice.
+    assert count == 81 * 2 * len(VARIANT_TAGS) * 2 * 5 + 24 * 5 + 4 + 37 + 1 + 2
+
+
+def test_the_direct_parse_declines_every_other_argv():
+    """Help, every usage error and every non-canonical spelling go to argparse."""
+    declined = [*_malformed_argvs(), *REFUSED, *(argv for argv, _ in NON_CANONICAL),
+                *([*argv, flag] for argv in HELP_ARGVS for flag in ("--help", "-h"))]
+    assert [argv for argv in declined if cli._parse_canonical(argv) is not None] == []
+
+
+@pytest.mark.parametrize(("argv", "canonical"), NON_CANONICAL,
+                         ids=[" ".join(argv) for argv, _ in NON_CANONICAL])
+def test_a_non_canonical_spelling_runs_as_its_canonical_form(capsys, argv, canonical):
+    result = run(capsys, argv)
+    assert result == run(capsys, canonical) and result[0] == 0
 
 
 # An argv that ends ``main`` with each exit status but the internal error's.

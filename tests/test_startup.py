@@ -12,12 +12,13 @@ imports it back.  A module imports names from ``dynamics`` alone and
 binds every other layer as a module, read on use.  The first read of
 an export binds every export in the package namespace, each the very
 object of its home module, and removes the module ``__getattr__`` that
-did so.  ``import mpnspace.cli``
-loads only what every command needs: the stdlib modules that one
-command or one export format uses are imported inside the functions
-that use them, and neither click nor dataclasses (with inspect and ast)
-is loaded at all.  The nine frozen output
-records are ``typing.NamedTuple`` classes; across the whole universe
+did so.  ``import mpnspace.cli`` loads only what every command needs:
+the stdlib modules that one command or one export format uses are
+imported inside the functions that use them, and neither click nor
+dataclasses (with inspect and ast) is loaded at all.  A well-formed
+command loads no argparse (with gettext and locale): only help and
+usage errors build an argparse parser.  The nine frozen output records
+are ``typing.NamedTuple`` classes; across the whole universe
 they keep the ``Name(field=value, ...)`` repr, compare and hash by
 field values, refuse attribute assignment, and behave as the tuples of
 their fields.  The five other records (``Rule``, ``Variant``,
@@ -101,6 +102,8 @@ EXPORTS = """
 """.split()
 DEFERRED_STDLIB = ("hashlib", "csv", "json", "cmath")
 NEVER_LOADED = ("click", "dataclasses", "inspect", "ast", "dis", "tokenize")
+# What only help and usage errors load.
+PARSER_MODULES = ("argparse", "gettext", "locale")
 
 ALL = all_rules()
 UNIVERSE = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
@@ -206,11 +209,26 @@ def test_a_command_runs_only_the_layers_it_calls(command, executed, tmp_path):
         f"print([m for m in {list(LAYERS)!r}\n"
         "       if type(sys.modules['mpnspace.' + m]) is types.ModuleType])\n"
         "print('fractions' in sys.modules)\n"
+        f"print([m for m in {list(PARSER_MODULES)!r} if m in sys.modules])\n"
     )
-    *_, ran, imported_fractions = _run_fresh(code).splitlines()
+    *_, ran, imported_fractions, parser_modules = _run_fresh(code).splitlines()
     assert ran == repr(executed)
     # Only the layers that compute with exact fractions import the module.
     assert imported_fractions == repr(bool({"robustness", "spectral", "stats"} & set(executed)))
+    # A well-formed argv is parsed without argparse.
+    assert parser_modules == "[]"
+
+
+def test_a_usage_error_still_comes_from_argparse():
+    src = os.path.dirname(os.path.dirname(mpnspace.__file__))
+    proc = subprocess.run([sys.executable, "-m", "mpnspace", "classify", "99", "V1"],
+                          env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "usage: mpnspace classify [-h] [--mode {synchronous,x-first,y-first}]\n"
+        "                         RULE VARIANT\n"
+        "mpnspace classify: error: argument RULE: '99' is not an integer in 1..81\n")
 
 
 def test_importing_the_package_alone_runs_no_layer():
