@@ -4,9 +4,9 @@ Every command is described once, in ``COMMANDS``.  An argv in canonical
 form (the command words, then the positionals in order, then each
 option at most once, as ``--flag VALUE`` or a bare flag) is parsed
 directly from that table.  Any other argv, ``--help`` and every usage
-error included, goes to an argparse parser built from the same table,
-so help and usage messages are argparse's, and ``argparse`` is imported
-only then.
+error included, goes to an argparse parser built from the same table by
+the ``_argparser`` module, so help and usage messages are argparse's,
+and that module and ``argparse`` are imported only then.
 
 Exit codes follow the usual convention: 0 on success, 2 for usage
 errors (unknown rule numbers, variants, table ids, formats), and 1 for
@@ -183,8 +183,6 @@ COMMANDS = {
         ("--out", {"dest": "out_dir", "required": True, "type": _directory,
                    "metavar": "DIR"}),)),
 }
-# The help of the first word of a command that has two.
-GROUP_HELP = {"rulespace": "Operations on the 81-node rule graph."}
 
 
 def _value(keywords: dict, text: str) -> object:
@@ -231,87 +229,42 @@ def _parse_canonical(args: list[str]) -> tuple[Command, dict] | None:
     return command, values
 
 
-def _argparse_parser(prog: str, args: list[str]) -> Callable[[list[str]], tuple[Command, dict]]:
-    """A parse by an argparse parser built from ``COMMANDS``: the command
-    and argument values of a well-formed argv, and for any other argv
-    help or a usage error, printed before it exits.  Only the command
-    named by the first non-option token of ``args`` gets its arguments:
-    the others would read constants of layers that this command never
-    runs."""
-    import argparse
-
-    def argparse_type(convert):
-        def converted(text: str) -> object:
-            try:
-                return convert(text)
-            except ValueError as error:
-                raise argparse.ArgumentTypeError(str(error)) from None
-        return converted
-
-    named = next((arg for arg in args if not arg.startswith("-")), None)
-    parser = argparse.ArgumentParser(
-        prog=prog, allow_abbrev=False,
-        description="Enumerate, simulate, and classify the 81 two-node threshold "
-                    "network rules under seven update variants.")
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    groups, parsers = {}, {}
-    for name, command in COMMANDS.items():
-        first, _, action = name.partition(" ")
-        siblings = commands
-        if action:
-            if first not in groups:
-                group = commands.add_parser(first, help=GROUP_HELP[first], allow_abbrev=False)
-                groups[first] = group.add_subparsers(dest="action", metavar="ACTION",
-                                                     required=True)
-            siblings = groups[first]
-        sub = siblings.add_parser(action or first, help=command.run.__doc__,
-                                  description=command.run.__doc__, epilog=command.epilog,
-                                  allow_abbrev=False)
-        if first != named:
-            continue
-        parsers[name] = sub
-        for name_or_flag, keywords in command.arguments():
-            if "type" in keywords:
-                keywords = {**keywords, "type": argparse_type(keywords["type"])}
-            sub.add_argument(name_or_flag, **keywords)
-
-    def parse(args: list[str]) -> tuple[Command, dict]:
-        values = vars(parser.parse_args(args))
-        name = values.pop("command")
-        if "action" in values:
-            name += " " + values.pop("action")
-        command = COMMANDS[name]
-        if command.check and (message := command.check(**values)):
-            parsers[name].error(message)
-        return command, values
-
-    return parse
-
-
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command; always ends by raising ``SystemExit``."""
     args = sys.argv[1:] if args is None else list(args)
-    command, values = (_parse_canonical(args)
-                       or _argparse_parser(prog_name or "mpnspace", args)(args))
+    parsed = _parse_canonical(args)
+    if parsed is None:
+        from . import _argparser
+
+        parsed = _argparser.parser(prog_name or "mpnspace", args, COMMANDS)(args)
+    command, values = parsed
     command.run(**values)
     raise SystemExit(0)
 
 
 def run() -> None:
-    """The process entry point: ``main()``, then ``gc.freeze()``.
+    """The process entry point: ``main()`` with the cyclic collector off,
+    then ``gc.freeze()`` and the collector state found on entry restored.
 
-    Freezing moves every live object into the permanent generation, which
-    the collections of interpreter teardown skip.  Whatever ``main``
-    raises, ``SystemExit`` included, propagates untouched, so ``atexit``
-    handlers, stream flushing, error output and the exit status are those
-    of ``main``.  In-process callers use ``main`` and keep their heap as is.
+    A command builds no garbage cycle that it needs freed before it ends,
+    so a collection while it runs only costs time.  Freezing moves every
+    live object into the permanent generation, which the collections of
+    interpreter teardown skip.  Whatever ``main`` raises, ``SystemExit``
+    included, propagates untouched, so ``atexit`` handlers, stream
+    flushing, error output and the exit status are those of ``main``.
+    In-process callers use ``main`` and keep their heap and collector as
+    they are.
     """
+    import gc
+
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         main()
     finally:
-        import gc
-
         gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

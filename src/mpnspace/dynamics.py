@@ -310,13 +310,16 @@ def _tag_gates(tag: str) -> dict[tuple[int, int], tuple[int, int, int, int]]:
 
 def _compose(gx: tuple, gy: tuple, mode: UpdateMode) -> tuple[int, int, int, int]:
     """Successor index of each state 2 * x + y; a sequential map feeds
-    the first node's new bit to the second node's gate."""
-    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
+    the first node's new bit to the second node's gate.  A gate is indexed
+    by 2 * own + other, so state (x, y) reads gx[2 * x + y] and
+    gy[2 * y + x]; each mode is written out for the four states."""
     if mode is UpdateMode.SYNCHRONOUS:
-        return tuple(2 * gx[2 * x + y] + gy[2 * y + x] for x, y in bits)
+        return 2 * gx[0] + gy[0], 2 * gx[1] + gy[2], 2 * gx[2] + gy[1], 2 * gx[3] + gy[3]
     if mode is UpdateMode.X_FIRST:
-        return tuple(2 * (x2 := gx[2 * x + y]) + gy[2 * y + x2] for x, y in bits)
-    return tuple(2 * gx[2 * x + (y2 := gy[2 * y + x])] + y2 for x, y in bits)
+        x00, x01, x10, x11 = gx  # x's new bit in states (0, 0), (0, 1), (1, 0), (1, 1)
+        return 2 * x00 + gy[x00], 2 * x01 + gy[2 + x01], 2 * x10 + gy[x10], 2 * x11 + gy[2 + x11]
+    y00, y10, y01, y11 = gy  # y's new bit in states (0, 0), (1, 0), (0, 1), (1, 1)
+    return 2 * gx[y00] + y00, 2 * gx[y01] + y01, 2 * gx[2 + y10] + y10, 2 * gx[2 + y11] + y11
 
 
 def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:

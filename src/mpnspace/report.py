@@ -18,7 +18,9 @@ byte-identical documents.
 
 from __future__ import annotations
 
+import functools
 import os
+from collections.abc import Callable
 from itertools import repeat
 from math import gcd
 
@@ -370,6 +372,11 @@ def render_table(doc: TableDocument, fmt: str) -> str:
             and isinstance(doc.metadata, dict) and _json_value(doc.metadata)):
         raise ValueError("a TableDocument needs a str id, str columns, rows of one str "
                          "cell per column and JSON metadata with str keys")
+    return _render_table(doc, fmt)
+
+
+def _render_table(doc: TableDocument, fmt: str) -> str:
+    """``doc`` as text in ``fmt``, with ``doc`` taken as well formed."""
     if fmt in ("csv", "tsv"):
         import csv
         import io
@@ -459,6 +466,11 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
                     and all(type(v) is int and v in nodes for v in e) for e in edges)):
         raise ValueError("a RuleGraph needs int nodes, each with an int arity and str-to-str "
                          "classes and robustness maps, and edges that are pairs of its nodes")
+    return _render_graph(graph, fmt)
+
+
+def _render_graph(graph: RuleGraph, fmt: str) -> str:
+    """``graph`` as text in ``fmt``, with ``graph`` taken as well formed."""
     if fmt == "dot":
         lines = ["graph rulespace {"]
         for n in sorted(graph.nodes):
@@ -588,6 +600,24 @@ def stats_report() -> dict:
     }
 
 
+def _stages() -> list[tuple[str, Callable[[], str]]]:
+    """The stage table of ``run_all``: every bundle file but the manifest,
+    in write order, as its name and the producer of its text.  A producer
+    renders the document it has just built without the checks of
+    ``render_table`` and ``export_graph``, which guard documents built
+    outside this module."""
+    graph = functools.cache(build_rule_graph)  # one graph for its three files
+    return [
+        *((f"table_{t.lower()}.csv", lambda t=t: _render_table(build_table(t), "csv"))
+          for t in TABLE_IDS),
+        *((f"rulespace.{fmt}", lambda fmt=fmt: _render_graph(graph(), fmt))
+          for fmt in ("dot", "csv", "json")),
+        ("robustness_distributions.json", lambda: _json(
+            {targets: distribution_payload(targets) for targets in rb.MUTATION_TARGET_CHOICES})),
+        ("stats_report.json", lambda: _json(stats_report())),
+    ]
+
+
 def run_all(out_dir: str) -> dict:
     """Emit every document into ``out_dir`` and return the manifest."""
     import hashlib
@@ -598,24 +628,11 @@ def run_all(out_dir: str) -> dict:
         raise ValueError(f"out_dir {out_dir!r} exists and is not a directory")
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
-
-    def write(name: str, text: str):
-        path = os.path.join(out_dir, name)
-        data = text.encode("utf-8")
-        with open(path, "wb") as fh:
+    for name, produce in _stages():
+        data = produce().encode("utf-8")
+        with open(os.path.join(out_dir, name), "wb") as fh:
             fh.write(data)
         files[name] = hashlib.sha256(data).hexdigest()
-
-    for table_id in TABLE_IDS:
-        write(f"table_{table_id.lower()}.csv", emit_table(table_id, "csv"))
-
-    graph = build_rule_graph()
-    for fmt, ext in (("dot", "dot"), ("csv", "csv"), ("json", "json")):
-        write(f"rulespace.{ext}", export_graph(graph, fmt))
-
-    dists = {targets: distribution_payload(targets) for targets in rb.MUTATION_TARGET_CHOICES}
-    write("robustness_distributions.json", _json(dists))
-    write("stats_report.json", _json(stats_report()))
 
     manifest = {"file_count": len(files), "files": dict(sorted(files.items()))}
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

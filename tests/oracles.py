@@ -7,7 +7,9 @@ Likewise the characteristic-polynomial reference expands recursively
 over polynomial entries, where the package writes one straight-line
 integer expansion in principal minors, and the stepping reference
 updates the joint state as a vector, one weight row per node, where the
-package composes per-node truth tables.  The orbit reference searches
+package composes per-node truth tables.  The composition reference
+loops over the four states with the update rule of each mode, where the
+package writes each mode out state by state.  The orbit reference searches
 the weight tuples to closure under the symmetries, where the package
 reads an orbit off as the images under each subset of its generators.
 """
@@ -60,6 +62,18 @@ def sweep(weights, tag: str, mode: str, state, epsilon=None):
     for i in orders[mode]:
         vec[i] = new_value(i, vec)
     return tuple(vec)
+
+
+def compose(gx, gy, mode: str) -> tuple[int, int, int, int]:
+    """The successor index of each state 2 * x + y under ``mode``, from a
+    gate per node indexed by 2 * own + other: synchronous, or with the
+    first node's new bit read by the second node's gate."""
+    bits = ((0, 0), (0, 1), (1, 0), (1, 1))
+    if mode == "synchronous":
+        return tuple(2 * gx[2 * x + y] + gy[2 * y + x] for x, y in bits)
+    if mode == "x-first":
+        return tuple(2 * (x2 := gx[2 * x + y]) + gy[2 * y + x2] for x, y in bits)
+    return tuple(2 * gx[2 * x + (y2 := gy[2 * y + x])] + y2 for x, y in bits)
 
 
 def _canonical(cycle: list[int]) -> tuple[int, ...]:

@@ -64,6 +64,7 @@ from mpnspace import (
 from mpnspace import dynamics, gates, robustness, rulespace, spectral
 from oracles import (
     VALUES,
+    compose,
     functional_graph_attractors,
     joint_states,
     node_next,
@@ -277,6 +278,21 @@ def test_composed_maps_equal_the_direct_update_on_every_gate_pair():
             assert dynamics._compose(gx, gy, UpdateMode.Y_FIRST) == tuple(y_first)
             sync_maps.add(sync)
     assert len(sync_maps) == 4 ** 4
+
+
+def test_the_written_out_composition_equals_the_plain_one_over_the_universe():
+    """Every (x gate, y gate) pair of the 16 x 16 in each mode, and the
+    gates of every one of the 1701 atlas keys."""
+    for gx, gy, mode in itertools.product(TRUTH_TABLES, TRUTH_TABLES, UpdateMode):
+        assert dynamics._compose(gx, gy, mode) == compose(gx, gy, mode.value), (gx, gy, mode)
+    keys = 0
+    for rule, tag, mode in itertools.product(ALL, VARIANT_TAGS, UpdateMode):
+        node = dynamics._tag_gates(tag)
+        wxx, wxy, wyx, wyy = rule.weights
+        plain = compose(node[wxx, wxy], node[wyy, wyx], mode.value)
+        assert dynamics._keyed_record(rule.number, tag, mode).successors == plain
+        keys += 1
+    assert keys == 1701
 
 
 SYNC_CASES = [c for c in CASES if c[0].mode is UpdateMode.SYNCHRONOUS]

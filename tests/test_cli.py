@@ -7,7 +7,8 @@ output byte of any command shows here; so is the ``--help`` text of the
 top level and of every command, at a fixed width of 80 columns.  Malformed argvs must be usage
 errors: exit code 2, nothing on stdout and no traceback, and their
 stderr hashes into one pinned sha256 at the same width.  The process
-entry ``run`` must end a process as ``main`` does, with the heap frozen.
+entry ``run`` must end a process as ``main`` does, with the heap frozen,
+and run ``main`` with the cyclic collector off, then restore it.
 An error raised while a layer first runs must reach stderr with its own
 line.
 """
@@ -25,7 +26,7 @@ import sys
 import pytest
 
 from mpnspace import FORMATS, METRIC_KINDS, MUTATION_TARGET_CHOICES, TABLE_IDS, VARIANT_TAGS
-from mpnspace import cli
+from mpnspace import _argparser, cli
 from mpnspace.cli import GATE_NAME_NOTE, MODE_CHOICES, main
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -290,7 +291,7 @@ def test_the_direct_parse_equals_argparse_over_every_canonical_argv(tmp_path):
     parsers, count = {}, 0
     for argv in _canonical_argvs(str(tmp_path)):
         if argv[0] not in parsers:
-            parsers[argv[0]] = cli._argparse_parser("mpnspace", argv)
+            parsers[argv[0]] = _argparser.parser("mpnspace", argv, cli.COMMANDS)
         direct = cli._parse_canonical(argv)
         assert direct is not None, argv
         (command, values), (expected_command, expected) = direct, parsers[argv[0]](argv)
@@ -323,9 +324,11 @@ ENTRY_EXITS = [pytest.param(["classify", "8", "V1"], 0, id="success"),
 
 @pytest.fixture
 def entry_events(monkeypatch):
-    """Each ``main`` call, what it raised and each ``gc.freeze`` call, in
-    order; the freeze is recorded, not made."""
-    events, plain_main = [], cli.main
+    """Each ``main`` call, what it raised and each ``gc.freeze``,
+    ``gc.disable`` and ``gc.enable`` call, in order.  The freeze is
+    recorded, not made; the collector is switched as called, and left as
+    the test found it."""
+    events, plain_main, enabled = [], cli.main, gc.isenabled()
 
     def traced_main():
         events.append("main")
@@ -335,9 +338,20 @@ def entry_events(monkeypatch):
             events.append(exc)
             raise
 
+    def recorded(name, switch=None):
+        def call():
+            events.append(name)
+            if switch:
+                switch()
+        return call
+
     monkeypatch.setattr(cli, "main", traced_main)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-    return events
+    monkeypatch.setattr(gc, "freeze", recorded("freeze"))
+    monkeypatch.setattr(gc, "disable", recorded("disable", gc.disable))
+    monkeypatch.setattr(gc, "enable", recorded("enable", gc.enable))
+    yield events
+    monkeypatch.undo()
+    (gc.enable if enabled else gc.disable)()
 
 
 @pytest.mark.parametrize(("argv", "code"), ENTRY_EXITS)
@@ -346,8 +360,20 @@ def test_run_freezes_the_heap_after_main_and_reraises_its_exit(entry_events, mon
     monkeypatch.setattr(sys, "argv", ["mpnspace", *argv])
     with pytest.raises(SystemExit) as exit_info:
         cli.run()
-    assert entry_events == ["main", exit_info.value, "freeze"]
+    assert entry_events == ["disable", "main", exit_info.value, "freeze", "enable"]
     assert exit_info.value.code == code
+    assert gc.isenabled()
+    capsys.readouterr()
+
+
+def test_run_entered_with_the_collector_off_leaves_it_off(entry_events, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mpnspace", "classify", "8", "V1"])
+    gc.disable()
+    entry_events.clear()  # the switch above is the test's, not run's
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert entry_events == ["disable", "main", exit_info.value, "freeze"]
+    assert not gc.isenabled()
     capsys.readouterr()
 
 
@@ -360,11 +386,13 @@ def test_run_freezes_the_heap_after_an_internal_error_and_reraises_it(entry_even
     monkeypatch.setattr(sys, "argv", ["mpnspace", "classify", "8", "V1"])
     with pytest.raises(RuntimeError) as raised:
         cli.run()
-    assert entry_events == ["main", raised.value, "freeze"]
+    assert entry_events == ["disable", "main", raised.value, "freeze", "enable"]
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize(("argv", "code"), ENTRY_EXITS)
 def test_main_alone_never_freezes_the_heap(entry_events, capsys, argv, code):
+    """Nor does it switch the collector off or on."""
     assert run(capsys, argv)[0] == code
     assert entry_events == []
 
@@ -379,10 +407,12 @@ def _env(unbuffered=False):
 
 
 # Runs MODULE as ``python -m MODULE ARGV`` does, after registering an
-# ``atexit`` callback that reports on stderr whether the heap is frozen.
+# ``atexit`` callback that reports on stderr whether the heap is frozen
+# and whether the collector is on.
 ATEXIT_DRIVER = """
 import atexit, gc, runpy, sys
-atexit.register(lambda: print(f"atexit: frozen={gc.get_freeze_count() > 0}", file=sys.stderr))
+atexit.register(lambda: print(f"atexit: frozen={gc.get_freeze_count() > 0} "
+                              f"enabled={gc.isenabled()}", file=sys.stderr))
 runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
 """
 
@@ -396,7 +426,7 @@ def test_a_process_entry_runs_atexit_once_with_the_heap_frozen(capsys, module, a
     assert (proc.returncode, proc.stdout) == (expected_code, expected_out)
     assert proc.returncode == code
     assert proc.stderr.count("atexit:") == 1
-    assert proc.stderr.endswith("atexit: frozen=True\n"), proc.stderr
+    assert proc.stderr.endswith("atexit: frozen=True enabled=True\n"), proc.stderr
 
 
 def _end_on_a_closed_pipe(command, unbuffered):

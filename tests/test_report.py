@@ -343,6 +343,35 @@ def test_run_all_writes_manifest_and_hashes(tmp_path):
     assert dists["all"]["counts"] == [17, 18, 20, 14, 12]
 
 
+def test_run_all_writes_exactly_the_stage_table_in_its_order(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, tmp_path))
+        return open(path, *args, **kwargs)
+
+    # A module global shadows the builtin for code in report only.
+    monkeypatch.setattr(report, "open", recording_open, raising=False)
+    manifest = run_all(str(tmp_path))
+    stages = [name for name, _ in report._stages()]
+    assert opened == [*stages, "manifest.json"]
+    assert list(manifest["files"]) == sorted(stages)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(opened)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_the_unchecked_table_renderer_equals_the_public_one(table_id, fmt):
+    doc = build_table(table_id)
+    assert report._render_table(doc, fmt) == render_table(doc, fmt)
+
+
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+def test_the_unchecked_graph_renderer_equals_the_public_one(fmt):
+    graph = build_rule_graph()
+    assert report._render_graph(graph, fmt) == export_graph(graph, fmt)
+
+
 def test_run_all_writes_the_golden_bundle(tmp_path):
     """Every file ``run_all`` writes but its manifest equals its copy in
     ``tests/golden`` byte for byte; a mismatch shows the first lines that differ."""

@@ -16,8 +16,9 @@ did so.  ``import mpnspace.cli`` loads only what every command needs:
 the stdlib modules that one command or one export format uses are
 imported inside the functions that use them, and neither click nor
 dataclasses (with inspect and ast) is loaded at all.  A well-formed
-command loads no argparse (with gettext and locale): only help and
-usage errors build an argparse parser.  The nine frozen output records
+command loads neither the package's ``_argparser`` module nor argparse
+(with gettext and locale): only help and usage errors build an argparse
+parser.  The nine frozen output records
 are ``typing.NamedTuple`` classes; across the whole universe
 they keep the ``Name(field=value, ...)`` repr, compare and hash by
 field values, refuse attribute assignment, and behave as the tuples of
@@ -103,7 +104,7 @@ EXPORTS = """
 DEFERRED_STDLIB = ("hashlib", "csv", "json", "cmath")
 NEVER_LOADED = ("click", "dataclasses", "inspect", "ast", "dis", "tokenize")
 # What only help and usage errors load.
-PARSER_MODULES = ("argparse", "gettext", "locale")
+PARSER_MODULES = ("mpnspace._argparser", "argparse", "gettext", "locale")
 
 ALL = all_rules()
 UNIVERSE = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
@@ -280,9 +281,11 @@ def test_a_module_imports_names_from_dynamics_only():
     """A from-import of a name runs its layer at once, whether or not the
     command calls it, so ``from .dynamics import f`` is the one kind
     allowed: every other layer is bound as a module (``from . import
-    gates``) and read on use (``gates.gate_pair``)."""
+    gates``) and read on use (``gates.gate_pair``).  The ``_argparser``
+    module is not a layer: ``cli`` binds it as a module too, on the path
+    of help and usage errors only."""
     by_name = {}
-    for module in (*LAYERS, "cli"):
+    for module in (*LAYERS, "cli", "_argparser"):
         for node in ast.walk(_parse(module)):
             if not isinstance(node, ast.ImportFrom):
                 continue
@@ -294,8 +297,8 @@ def test_a_module_imports_names_from_dynamics_only():
                 continue
             if source:  # from .x import names
                 offending = {source.partition(".")[0]} - {"dynamics"}
-            else:  # from . import names: each must be a layer, not an export
-                offending = {a.name for a in node.names} - set(LAYERS)
+            else:  # from . import names: each must be a module, not an export
+                offending = {a.name for a in node.names} - {*LAYERS, "_argparser"}
             by_name.setdefault(module, set()).update(offending)
     assert {module: names for module, names in by_name.items() if names} == {}
 
