@@ -6,8 +6,6 @@ a well-formed command neither compiles this module nor imports
 ``argparse``.
 """
 
-from __future__ import annotations
-
 import argparse
 from collections.abc import Callable
 

@@ -13,12 +13,9 @@ errors (unknown rule numbers, variants, table ids, formats), and 1 for
 unexpected internal failures.
 """
 
-from __future__ import annotations
-
 import os
 import sys
-from collections.abc import Callable
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import report
 from . import robustness as rb
@@ -130,7 +127,8 @@ def _distribution_metric(metric: str, targets: str, distribution: bool) -> str |
     return None
 
 
-class Command(NamedTuple):
+class Command(namedtuple("Command", "run arguments check epilog",
+                         defaults=(tuple, None, None))):
     """What runs a command, given its argument values by ``dest``; its
     arguments, built on use because their choices may read a layer that
     only this command runs; the usage error that a combination of valid
@@ -138,10 +136,7 @@ class Command(NamedTuple):
     is the name or flag and the keywords of ``add_argument``, of which
     ``type`` raises ``ValueError`` on a malformed value."""
 
-    run: Callable[..., None]
-    arguments: Callable[[], tuple[tuple[str, dict], ...]] = tuple
-    check: Callable[..., str | None] | None = None
-    epilog: str | None = None
+    __slots__ = ()
 
 
 def _rule_and_variant() -> tuple[tuple[str, dict], ...]:

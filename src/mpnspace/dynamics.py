@@ -36,12 +36,10 @@ composes them.  ``step`` and ``step_async`` read these maps, and
 ``emit_state_graph`` renders one as Graphviz DOT.
 """
 
-from __future__ import annotations
-
 import functools
+from collections import namedtuple
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
 VARIANT_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7")
 
@@ -346,7 +344,7 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
 # and UpdateMode members, all hashed in C, so a lookup enters no Python
 # frame and keeps no Rule or Variant alive.  Results are immutable.
 @functools.cache
-def _keyed_record(number: int, tag: str, mode: UpdateMode) -> _MapRecord:
+def _keyed_record(number: int, tag: str, mode: UpdateMode) -> "_MapRecord":
     """The map composed from the two node gates of the rule's weights."""
     node = _tag_gates(tag)
     wxx, wxy, wyx, wyy = _RULES[number].weights
@@ -370,7 +368,7 @@ def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:
     return _record(rule, v).successors
 
 
-class AttractorSet(NamedTuple):
+class AttractorSet(namedtuple("AttractorSet", "attractors basin steps_to_attractor")):
     """All recurrent cycles of the one-step map, with basin assignment.
 
     Attractors are cycles of state indices, rotated so the smallest
@@ -381,9 +379,7 @@ class AttractorSet(NamedTuple):
     one memoised instance is shared by every caller.
     """
 
-    attractors: tuple[tuple[int, ...], ...]
-    basin: Mapping[int, tuple[int, ...]]
-    steps_to_attractor: Mapping[int, int]
+    __slots__ = ()
 
     @property
     def cycle_lengths(self) -> tuple[int, ...]:
@@ -399,7 +395,7 @@ def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
     return _record(rule, v).attractor_set
 
 
-class DynamicsClass(NamedTuple):
+class DynamicsClass(namedtuple("DynamicsClass", "label cycle_lengths")):
     """Taxonomy label for a rule's limiting behavior under one variant.
 
     ``label`` is Fk when all attractors are fixed points (k of them),
@@ -409,8 +405,7 @@ class DynamicsClass(NamedTuple):
     classification total.
     """
 
-    label: str
-    cycle_lengths: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def in_taxonomy(self) -> bool:
@@ -448,16 +443,13 @@ _CLASSES = {c.cycle_lengths: c for c in map(class_from_cycle_lengths, (
     (1,), (1, 1), (2,), (1, 1, 1), (1, 2), (3,), (1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)))}
 
 
-class _MapRecord(NamedTuple):
+class _MapRecord(namedtuple("_MapRecord",
+                            "successors attractor_set dynamics_class matrix landing")):
     """The dynamics of one successor map: its attractors, the class of its cycle
     type, its 0/1 transition matrix and, per start state, the attractor it lands
     in, as a state set."""
 
-    successors: tuple[int, int, int, int]
-    attractor_set: AttractorSet
-    dynamics_class: DynamicsClass
-    matrix: tuple[tuple[int, int, int, int], ...]
-    landing: tuple[frozenset[int], ...]
+    __slots__ = ()
 
 
 _UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -16,9 +16,7 @@ negatively coupled ones, and the pure 2-cycle rules with an isolated
 self-negating node are picked out by a third flag.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dynamics import _SYNCHRONOUS, Rule, Variant, _record
 
@@ -36,15 +34,14 @@ _CANALIZATION_TIERS = {
 }
 
 
-class Gate(NamedTuple):
+class Gate(namedtuple("Gate", "name truth")):
     """One of the 16 two-input Boolean functions.
 
     ``truth`` lists the output for logical inputs (x, y) in the order
     (0,0), (0,1), (1,0), (1,1).
     """
 
-    name: str
-    truth: tuple[int, int, int, int]
+    __slots__ = ()
 
     @property
     def canalization(self) -> str:
@@ -82,12 +79,11 @@ def gate_pair(rule: Rule, v: Variant) -> tuple[Gate, Gate]:
     return _GATE_PAIRS[_record(rule, v, _SYNCHRONOUS).successors]
 
 
-class SignPredicates(NamedTuple):
+class SignPredicates(namedtuple("SignPredicates",
+                                "cross_positive cross_negative isolated_self_negation")):
     """Sign conditions on the weights tied to the attractor taxonomy."""
 
-    cross_positive: bool
-    cross_negative: bool
-    isolated_self_negation: bool
+    __slots__ = ()
 
 
 def sign_predicates(rule: Rule) -> SignPredicates:

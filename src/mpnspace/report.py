@@ -16,8 +16,6 @@ environment details enter the outputs, so identical inputs give
 byte-identical documents.
 """
 
-from __future__ import annotations
-
 import functools
 import os
 from collections.abc import Callable

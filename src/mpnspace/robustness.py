@@ -24,11 +24,9 @@ convention), then shared; the initial-state score reads one shared
 record per call.  Only the mutation metric is binned, at frozen edges.
 """
 
-from __future__ import annotations
-
 import functools
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import rulespace
 from .dynamics import (
@@ -63,11 +61,11 @@ ALL_TARGET_BIN_EDGES = (
 )
 
 
-class RobustnessScore(NamedTuple):
-    rule: int
-    metric: str
-    numerator: int
-    denominator: int
+class RobustnessScore(namedtuple("RobustnessScore", "rule metric numerator denominator")):
+    """One rule's score under one metric, by rule number, kept as an exact
+    numerator and denominator."""
+
+    __slots__ = ()
 
     @property
     def fraction(self) -> Fraction:
@@ -146,13 +144,11 @@ def score(rule: Rule, metric: str, targets: str = "two-input") -> RobustnessScor
     raise ValueError(f"metric must be one of {METRIC_KINDS}")
 
 
-class Histogram(NamedTuple):
+class Histogram(namedtuple("Histogram", "edges counts rules_per_bin")):
     """Binned scores; bin i holds values below edges[i] (strictly) and
     at or above edges[i-1], the final bin holds the rest."""
 
-    edges: tuple[Fraction, ...]
-    counts: tuple[int, ...]
-    rules_per_bin: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def _bin_index(numerator: int, denominator: int, edges: tuple[Fraction, ...]) -> int:

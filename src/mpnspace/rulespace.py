@@ -17,10 +17,8 @@ tally restricted to edges between two-input rules, which is what the
 headline "fraction of mutations preserving the class" figure uses.
 """
 
-from __future__ import annotations
-
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dynamics import (
     _PLACE_VALUES,
@@ -51,15 +49,13 @@ def _neighbors(number: int) -> tuple[Rule, ...]:
     return tuple(_RULES[n] for n in numbers)
 
 
-class TransitionCounts(NamedTuple):
-    """Class-transition count matrix plus the sidecar tallies."""
+class TransitionCounts(namedtuple("TransitionCounts", "labels matrix two_input_edges "
+                                  "two_input_preserving low_arity_edges")):
+    """Class-transition count matrix plus the sidecar tallies
+    (``two_input_edges``, ``two_input_preserving``, ``low_arity_edges``):
+    the alternative convention restricted to two-input rules."""
 
-    labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    # Sidecar: the alternative convention restricted to two-input rules.
-    two_input_edges: int
-    two_input_preserving: int
-    low_arity_edges: int
+    __slots__ = ()
 
     @property
     def row_sums(self) -> tuple[int, ...]:

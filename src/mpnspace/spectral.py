@@ -13,10 +13,8 @@ expansion in principal minors of the matrix entries, recomputed on every
 call and never reading the cycle structure.
 """
 
-from __future__ import annotations
-
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .dynamics import _CLASSES, AttractorSet, Rule, Variant, _record, class_from_cycle_lengths
 
@@ -59,7 +57,7 @@ def is_permutation_matrix(T: TransitionMatrix) -> bool:
     return is_row_stochastic_01(T) and all(sum(T[i][j] for i in range(4)) == 1 for j in range(4))
 
 
-class Spectrum(NamedTuple):
+class Spectrum(namedtuple("Spectrum", "zero_count phases cycle_lengths")):
     """Exact eigenvalue multiset of the transposed transition matrix.
 
     ``zero_count`` zeros (one per transient state) plus one root of
@@ -67,9 +65,7 @@ class Spectrum(NamedTuple):
     records the attractor lengths the phases came from.
     """
 
-    zero_count: int
-    phases: tuple[Fraction, ...]
-    cycle_lengths: tuple[int, ...]
+    __slots__ = ()
 
 
 def _cycle_lengths(attractors: AttractorSet, what: str) -> tuple[int, ...]:

@@ -11,23 +11,23 @@ continued-fraction regularized incomplete beta function, so the package
 needs no numerical library at run time.
 """
 
-from __future__ import annotations
-
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 Table2x2 = tuple[tuple[int, int], tuple[int, int]]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-class TestResult(NamedTuple):
-    statistic: float | None
-    p_value: Fraction | float | None
-    ci_low: float | None = None
-    ci_high: float | None = None
-    note: str = ""
+class TestResult(namedtuple("TestResult", "statistic p_value ci_low ci_high note",
+                            defaults=(None, None, ""))):
+    """A test statistic with its p-value (an exact Fraction for Fisher's
+    test, a float for the correlations, None for the odds ratio), the
+    95% interval bounds where defined, and a note on degenerate input."""
+
+    __slots__ = ()
 
 
 def _check_table(t: Table2x2) -> tuple[int, int, int, int]:

@@ -17,9 +17,7 @@ The two transformations commute, so they generate a group of order at
 most 4 and orbits have size 1, 2, or 4, read off with no search.
 """
 
-from __future__ import annotations
-
-from typing import Iterable
+from collections.abc import Iterable
 
 from .dynamics import (
     _RULES,

@@ -13,6 +13,7 @@ An error raised while a layer first runs must reach stderr with its own
 line.
 """
 
+import ast
 import gc
 import hashlib
 import importlib.util
@@ -479,10 +480,10 @@ def test_an_error_while_a_layer_first_runs_shows_its_own_line(tmp_path, layer, a
                     ignore=shutil.ignore_patterns("__pycache__"))
     source = package / f"{layer}.py"
     text = source.read_text(encoding="utf-8")
-    future = "from __future__ import annotations\n"
-    line = text[:text.index(future)].count("\n") + 2  # the line after it
-    source.write_text(text.replace(future, future + "undefined_at_the_top\n", 1),
-                      encoding="utf-8")
+    line = ast.parse(text).body[0].end_lineno + 1  # the line after the module docstring
+    lines = text.splitlines(keepends=True)
+    lines.insert(line - 1, "undefined_at_the_top\n")
+    source.write_text("".join(lines), encoding="utf-8")
     args = [arg.format(out=tmp_path / "bundle") for arg in args]
     proc = subprocess.run([sys.executable, *args],
                           env=dict(_env(), PYTHONPATH=str(tmp_path)), cwd=tmp_path,

@@ -18,11 +18,15 @@ imported inside the functions that use them, and neither click nor
 dataclasses (with inspect and ast) is loaded at all.  A well-formed
 command loads neither the package's ``_argparser`` module nor argparse
 (with gettext and locale): only help and usage errors build an argparse
-parser.  The nine frozen output records
-are ``typing.NamedTuple`` classes; across the whole universe
-they keep the ``Name(field=value, ...)`` repr, compare and hash by
-field values, refuse attribute assignment, and behave as the tuples of
-their fields.  The five other records (``Rule``, ``Variant``,
+parser.  In a clean interpreter (``python -S``, no ``site``), no
+well-formed command imports ``typing`` or ``__future__``, and
+``classify`` and ``state-graph`` import no ``re``.  The nine frozen
+output records are subclasses of ``collections.namedtuple`` classes,
+each with its own docstring; across the whole universe they keep the
+``Name(field=value, ...)`` repr, compare and hash by field values,
+refuse attribute assignment, pickle (but ``AttractorSet``, whose
+read-only basins do not), and behave as the tuples of their fields.
+The five other records (``Rule``, ``Variant``,
 ``EquivalenceClass``, ``TableDocument``, ``RuleGraph``) are not tuples
 but keep the same repr, equality and hashing conventions.
 """
@@ -163,11 +167,12 @@ def _value_key(record):
                  for v in _values(record))
 
 
-def _run_fresh(code):
-    """The stdout of ``code`` run in a fresh interpreter on this package."""
+def _run_fresh(code, *options):
+    """The stdout of ``code`` run in a fresh interpreter on this package,
+    started with the interpreter ``options``."""
     src = os.path.dirname(os.path.dirname(mpnspace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, *options, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -194,15 +199,25 @@ COMMAND_LAYERS = {
 }
 # The arguments a command needs beyond its name.
 REQUIRED_ARGS = {"classify": "8 V1", "state-graph": "8 V1", "all": "--out {tmp}"}
+# What no command imports: the records are plain ``collections.namedtuple``
+# subclasses and annotations are evaluated where they are defined.  The
+# one-rule commands also compile no regular expression.
+NEVER_IMPORTED = ("typing", "__future__")
+ONE_RULE_NEVER_IMPORTED = ("re",)
 
 
 @pytest.mark.parametrize(("command", "executed"), COMMAND_LAYERS.items(),
                          ids=["-".join(c.replace("--", "").split()) for c in COMMAND_LAYERS])
 def test_a_command_runs_only_the_layers_it_calls(command, executed, tmp_path):
     """A layer that has not run is still the LazyLoader's module subclass,
-    which any attribute read would run, so the check reads only types."""
+    which any attribute read would run, so the check reads only types.
+    The process runs without ``site`` (``-S``), whose ``.pth`` files may
+    import ``typing`` and ``re`` first, so every module that the command
+    imports shows."""
     argv = f"{command} {REQUIRED_ARGS.get(command, '')}".format(tmp=tmp_path).split()
     executed = executed.split()
+    never = NEVER_IMPORTED + (ONE_RULE_NEVER_IMPORTED
+                              if command in ("classify", "state-graph") else ())
     code = (
         "import sys, types\n"
         "from mpnspace.cli import main\n"
@@ -211,13 +226,15 @@ def test_a_command_runs_only_the_layers_it_calls(command, executed, tmp_path):
         "       if type(sys.modules['mpnspace.' + m]) is types.ModuleType])\n"
         "print('fractions' in sys.modules)\n"
         f"print([m for m in {list(PARSER_MODULES)!r} if m in sys.modules])\n"
+        f"print([m for m in {list(never)!r} if m in sys.modules])\n"
     )
-    *_, ran, imported_fractions, parser_modules = _run_fresh(code).splitlines()
+    *_, ran, imported_fractions, parser_modules, imported = _run_fresh(code, "-S").splitlines()
     assert ran == repr(executed)
     # Only the layers that compute with exact fractions import the module.
     assert imported_fractions == repr(bool({"robustness", "spectral", "stats"} & set(executed)))
     # A well-formed argv is parsed without argparse.
     assert parser_modules == "[]"
+    assert imported == "[]"
 
 
 def test_a_usage_error_still_comes_from_argparse():
@@ -379,10 +396,25 @@ def test_output_record_repr_equality_and_immutability(cls):
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 def test_output_records_are_tuples_of_their_fields(cls):
     x = _instances(cls)[0]
-    assert x._fields == FIELDS[cls]
+    assert x._fields == cls.__match_args__ == FIELDS[cls]
     assert tuple(x) == _values(x) and x == _values(x)
     first, *_ = x
     assert first == x[0] == getattr(x, FIELDS[cls][0])
+    assert x._asdict() == dict(zip(FIELDS[cls], _values(x)))
+    twin = x._replace()
+    assert type(twin) is cls and twin == x
+    if cls is not AttractorSet:  # basins are read-only mappings, which do not pickle
+        copied = pickle.loads(pickle.dumps(x))
+        assert type(copied) is cls and copied == x
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_output_records_keep_their_own_docstrings(cls):
+    """Not None, which a record gets when a statement precedes its
+    docstring, nor the ``Name(field, ...)`` of a bare namedtuple."""
+    doc = vars(cls)["__doc__"]
+    assert doc and doc.strip()
+    assert doc != f"{cls.__name__}({', '.join(FIELDS[cls])})"
 
 
 def _record_instances():
