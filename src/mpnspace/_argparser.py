@@ -23,6 +23,21 @@ def _argparse_type(convert: Callable[[str], object]) -> Callable[[str], object]:
     return converted
 
 
+def _invalid_choice(action: argparse.Action, value: object) -> argparse.ArgumentError:
+    """argparse's "invalid choice" error as 3.10 to 3.12.1 word it: later
+    releases list the choices without quotes."""
+    choices = ", ".join(map(repr, action.choices))
+    return argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors read alike on every release."""
+
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            raise _invalid_choice(action, value)
+
+
 def parser(prog: str, args: list[str], commands: dict) -> Callable[[list[str]], tuple]:
     """A parse by an argparse parser built from ``commands``: the command
     and argument values of a well-formed argv, and for any other argv
@@ -31,7 +46,7 @@ def parser(prog: str, args: list[str], commands: dict) -> Callable[[list[str]], 
     the others would read constants of layers that this command never
     runs."""
     named = next((arg for arg in args if not arg.startswith("-")), None)
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog=prog, allow_abbrev=False,
         description="Enumerate, simulate, and classify the 81 two-node threshold "
                     "network rules under seven update variants.")
@@ -58,6 +73,8 @@ def parser(prog: str, args: list[str], commands: dict) -> Callable[[list[str]], 
             sub.add_argument(name_or_flag, **keywords)
 
     def parse(args: list[str]) -> tuple:
+        if len(args) > 1 and args[0] == "--":  # a command name to 3.13.0, the end of options later
+            top.error(str(_invalid_choice(subparsers, "--")))
         values = vars(top.parse_args(args))
         name = values.pop("command")
         if "action" in values:

@@ -83,7 +83,8 @@ _PLACE_VALUES = (27, 9, 3, 1)
 
 
 def _rule_number(weights: tuple[int, int, int, int]) -> int:
-    return 1 + sum(p * (w + 1) for p, w in zip(_PLACE_VALUES, weights))
+    wxx, wxy, wyx, wyy = weights
+    return 41 + 27 * wxx + 9 * wxy + 3 * wyx + wyy  # 1 + sum(p * (w + 1))
 
 
 _setattr = object.__setattr__
@@ -381,6 +382,10 @@ class AttractorSet(namedtuple("AttractorSet", "attractors basin steps_to_attract
 
     __slots__ = ()
 
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies: carry plain dicts.
+        return _attractor_set, (self.attractors, dict(self.basin), dict(self.steps_to_attractor))
+
     @property
     def cycle_lengths(self) -> tuple[int, ...]:
         return tuple(sorted(len(c) for c in self.attractors))
@@ -388,6 +393,10 @@ class AttractorSet(namedtuple("AttractorSet", "attractors basin steps_to_attract
     @property
     def max_transient(self) -> int:
         return max(self.steps_to_attractor.values())
+
+
+def _attractor_set(attractors: tuple, basin: dict, steps: dict) -> AttractorSet:
+    return AttractorSet(attractors, MappingProxyType(basin), MappingProxyType(steps))
 
 
 def attractor_set(rule: Rule, v: Variant) -> AttractorSet:
@@ -457,24 +466,25 @@ _UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 @functools.cache
 def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
-    attractors: dict[tuple[int, ...], None] = {}
+    cycle_of: dict[int, tuple[int, ...]] = {}  # each cycle state's cycle, smallest state first
     basin: dict[int, tuple[int, ...]] = {}
     steps: dict[int, int] = {}
     for start in range(4):
-        seen: dict[int, int] = {}
-        cur = start
-        while cur not in seen:
-            seen[cur] = len(seen)
-            cur = succ[cur]
-        entry = seen[cur]  # walk position where the cycle begins
-        cycle = list(seen)[entry:]  # insertion order is walk order
-        k = cycle.index(min(cycle))  # rotate the smallest index to the front
-        cycle = tuple(cycle[k:] + cycle[:k])
-        attractors[cycle] = None
+        s = succ[succ[succ[start]]]  # three steps put any state of a four-state map on its cycle
+        cycle = cycle_of.get(s)
+        if cycle is None:
+            walk = [s]
+            while (s := succ[s]) != walk[0]:
+                walk.append(s)
+            k = walk.index(min(walk))
+            cycle = tuple(walk[k:] + walk[:k])
+            cycle_of.update(dict.fromkeys(cycle, cycle))
         basin[start] = cycle
-        steps[start] = entry
-    ordered = tuple(sorted(attractors, key=lambda c: c[0]))
-    aset = AttractorSet(ordered, MappingProxyType(basin), MappingProxyType(steps))
+        n, s = 0, start
+        while s not in cycle_of:  # the only cycle states s can reach are those of its own
+            n, s = n + 1, succ[s]
+        steps[start] = n
+    aset = _attractor_set(tuple(sorted(set(cycle_of.values()))), basin, steps)
     return _MapRecord(succ, aset, _CLASSES[aset.cycle_lengths],
                       tuple(map(_UNIT_ROWS.__getitem__, succ)),
                       tuple(frozenset(basin[i]) for i in range(4)))

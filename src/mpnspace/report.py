@@ -20,7 +20,7 @@ import functools
 import os
 from collections.abc import Callable
 from itertools import repeat
-from math import gcd
+from math import gcd, isfinite
 
 from . import gates, rulespace, spectral, transforms
 from . import robustness as rb
@@ -29,11 +29,11 @@ from .dynamics import (
     VARIANT_TAGS,
     Rule,
     UpdateMode,
-    _record,
+    _keyed_record,
     _Record,
     _RULES,
+    _SYNCHRONOUS,
     all_rules,
-    classify,
     variant,
 )
 
@@ -77,6 +77,11 @@ _T1_COLUMNS = ("v1", "v2_v3", "v1_seq", "v2_v3_seq", "v4_v7", "v5", "v6",
 _TA1_COLUMNS = ("v1", "v2_v3", "v4_v7", "v5", "v6")
 
 
+def _label(number: int, tag: str, mode: UpdateMode = _SYNCHRONOUS) -> str:
+    """The class label of a rule's map, read from the atlas by its key."""
+    return _keyed_record(number, tag, mode).dynamics_class.label
+
+
 def _class_cell(rule: Rule, column: str, warnings: list[str]) -> str:
     """The class label shared by a column's merged variants, with a
     warning recorded for each pair that disagrees."""
@@ -85,14 +90,14 @@ def _class_cell(rule: Rule, column: str, warnings: list[str]) -> str:
     if sequential:
         labels = []
         for tag in tags:
-            lx = classify(rule, variant(tag, UpdateMode.X_FIRST)).label
-            ly = classify(rule, variant(tag, UpdateMode.Y_FIRST)).label
+            lx = _label(rule.number, tag, UpdateMode.X_FIRST)
+            ly = _label(rule.number, tag, UpdateMode.Y_FIRST)
             if lx != ly:
                 warnings.append(f"rule {rule.number}: sequential {tag} classes depend on order "
                                 f"({lx} x-first vs {ly} y-first)")
             labels.append(lx)
     else:
-        labels = [classify(rule, variant(tag)).label for tag in tags]
+        labels = [_label(rule.number, tag) for tag in tags]
     for tag, lab in zip(tags[1:], labels[1:]):
         if lab != labels[0]:
             pre, post = ("sequential ", "") if sequential else ("", " under synchronous updating")
@@ -170,7 +175,7 @@ def build_t2() -> TableDocument:
         gx, gy = gates.gate_pair(r, v1)
         rows.append([
             *_rule_cells(r),
-            classify(r, v1).label,
+            _label(r.number, "V1"),
             "+".join(str(m) for m in cls.members),
             gx.name, gy.name,
             cross,
@@ -237,10 +242,9 @@ def _t4_cells() -> tuple[tuple[int, ...], ...]:
     all-neighbor histogram split by group, one row per ``T4_GROUPS`` entry."""
     hist = rb.robustness_distribution("all")
     cells = {g: [0] * len(hist.counts) for g in T4_GROUPS}
-    v1 = variant("V1")
     for b, numbers in enumerate(hist.rules_per_bin):
         for n in numbers:
-            label = classify(_RULES[n], v1).label
+            label = _label(n, "V1")
             group = _T4_ROW_OF_GROUP.get(rulespace._three_class_group(label))
             if group is None:
                 raise ValueError(f"no count-table group for class {label!r}")
@@ -281,8 +285,7 @@ def build_t4() -> TableDocument:
 
 
 def build_robustness_table() -> TableDocument:
-    v1 = variant("V1")
-    rows = [[str(r.number), str(r.arity), classify(r, v1).label,
+    rows = [[str(r.number), str(r.arity), _label(r.number, "V1"),
              *map(_fmt_fraction, (rb.class_robustness(r),
                                   rb.state_robustness_rule_mutation(r, "two-input"),
                                   rb.state_robustness_rule_mutation(r, "all"),
@@ -307,7 +310,7 @@ def build_spectra_table() -> TableDocument:
     rows = []
     for r in all_rules():
         for v in variants:
-            rec = _record(r, v)
+            rec = _keyed_record(r.number, v.tag, _SYNCHRONOUS)
             tail = tails.get(rec.dynamics_class)
             if tail is None:
                 sp = spectral.spectrum(r, v)
@@ -376,14 +379,22 @@ def render_table(doc: TableDocument, fmt: str) -> str:
 def _render_table(doc: TableDocument, fmt: str) -> str:
     """``doc`` as text in ``fmt``, with ``doc`` taken as well formed."""
     if fmt in ("csv", "tsv"):
+        delimiter, width = "," if fmt == "csv" else "\t", len(doc.columns)
+        lines = [delimiter.join(row) for row in (doc.columns, *doc.rows)]
+        text = "\n".join(lines) + "\n"
+        # csv quotes a cell holding the delimiter, '"', CR (on 3.13) or LF, and
+        # the empty cell of a one-cell row, and 3.10's csv refuses a NUL; a LF
+        # or delimiter beyond those the joins put in comes from a cell.  Such a
+        # table, or one with no columns, is left to csv itself.
+        if not ('"' in text or "\r" in text or "\0" in text or text.count("\n") > len(lines)
+                or text.count(delimiter) > len(lines) * (width - 1) or width == 1 and "" in lines):
+            return text
         import csv
         import io
 
         buf = io.StringIO()
-        writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t",
-                            lineterminator="\n")
-        writer.writerow(doc.columns)
-        writer.writerows(doc.rows)
+        csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(
+            (doc.columns, *doc.rows))
         return buf.getvalue()
     if fmt == "markdown":
         lines = ["| " + " | ".join(doc.columns) + " |",
@@ -398,10 +409,34 @@ def _render_table(doc: TableDocument, fmt: str) -> str:
 
 def _json(obj) -> str:
     """Every JSON document the package emits: sorted keys, a two-space
-    indent and one trailing newline."""
-    import json
+    indent and one trailing newline, byte for byte as
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` writes it."""
+    return _json_text(obj, "\n") + "\n"
 
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` (str keys) as ``json`` writes it when ``newline`` starts its indent."""
+    if isinstance(obj, str):
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return '"' + obj + '"'
+        import json
+
+        return json.dumps(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return (float.__repr__(obj) if isfinite(obj) else "NaN" if obj != obj
+                else "Infinity" if obj > 0 else "-Infinity")
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [_json_text(k, inner) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit_table(table_id: str, fmt: str = "csv") -> str:
@@ -425,11 +460,10 @@ class RuleGraph(_Record):
 
 
 def build_rule_graph() -> RuleGraph:
-    variants = [variant(tag) for tag in VARIANT_TAGS]
     # Each score as str(Fraction) gives it: "n/d", or "n" when d is 1.
     nodes = {r.number: {
         "arity": r.arity,
-        "classes": {v.tag: classify(r, v).label for v in variants},
+        "classes": {tag: _label(r.number, tag) for tag in VARIANT_TAGS},
         "robustness": {key: _fmt_fraction(sc).removesuffix("/1") for key, sc in (
             ("class_vs_rule_mutation", rb.class_robustness(r)),
             ("state_vs_rule_mutation", rb.state_robustness_rule_mutation(r)),

@@ -229,8 +229,14 @@ def test_table_help_lists_the_gate_names(capsys):
 
 HELP_ARGVS = ([], ["classify"], ["table"], ["state-graph"], ["rulespace"],
               ["rulespace", "export"], ["robustness"], ["stats"], ["all"])
-# sha256 over (argv, exit code, stdout) of each ``ARGV --help`` above, in order.
-HELP_PINNED = "495f93b7285098660f37d96853113a7147d369e8836e3443393b64b3426b9d7c"
+# sha256 over (argv, exit code, stdout) of each ``ARGV --help`` above, in
+# order, per Python minor version: the argparse of 3.13 lays out the top-level
+# command list differently (a wider name column, other line breaks).
+HELP_PINNED = {
+    **dict.fromkeys([(3, 10), (3, 11), (3, 12)],
+                    "495f93b7285098660f37d96853113a7147d369e8836e3443393b64b3426b9d7c"),
+    (3, 13): "8da895a9aa7a0243f56866bd2f7962723f84e3280c6e0530ab71d5c2ff1d0d83",
+}
 
 
 def test_help_text_is_pinned(capsys, monkeypatch):
@@ -240,7 +246,7 @@ def test_help_text_is_pinned(capsys, monkeypatch):
         code, out, _ = run(capsys, [*argv, "--help"])
         assert code == 0 and out.startswith(f"usage: {' '.join(['mpnspace', *argv])} ")
         digest.update(f"{' '.join(argv)}\0{code}\0{out}\0".encode())
-    assert digest.hexdigest() == HELP_PINNED, digest.hexdigest()
+    assert digest.hexdigest() == HELP_PINNED.get(sys.version_info[:2]), digest.hexdigest()
 
 
 def _spellings(word):

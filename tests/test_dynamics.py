@@ -27,6 +27,7 @@ from mpnspace import (
     successor_indices,
     variant,
 )
+from mpnspace import dynamics
 from oracles import functional_graph_attractors, joint_states, sweep
 from reference_tables import t1_expected, ta1_expected
 
@@ -46,6 +47,12 @@ def test_rule_numbering_is_base_three():
     assert rule_from_number(41).weights == (0, 0, 0, 0)
     assert rule_from_number(81).weights == (1, 1, 1, 1)
     assert rule_from_number(8).weights == (-1, -1, 1, 0)
+
+
+def test_rule_number_is_the_base_three_definition_on_all_81_weight_tuples():
+    for weights in itertools.product((-1, 0, 1), repeat=4):
+        digits = "".join(str(w + 1) for w in weights)
+        assert dynamics._rule_number(weights) == 1 + int(digits, 3) == Rule(*weights).number
 
 
 def test_rule_number_bounds():

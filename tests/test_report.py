@@ -15,6 +15,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import mpnspace
 from mpnspace import (
@@ -69,14 +71,15 @@ def test_a_disagreeing_merge_keeps_the_column_and_warns(monkeypatch):
     v2_v3 column with V2's label and name each rule in a warning."""
     expected = build_table("T1")
     assert "warnings" not in expected.metadata
-    classify = report.classify
+    keyed_record = report._keyed_record  # the atlas reader the builders read labels through
 
-    def v3_disagrees(rule, v):
-        if v.tag == "V3" and v.mode is UpdateMode.SYNCHRONOUS:
-            return DynamicsClass("X", (1,))
-        return classify(rule, v)
+    def v3_disagrees(number, tag, mode):
+        record = keyed_record(number, tag, mode)
+        if tag == "V3" and mode is UpdateMode.SYNCHRONOUS:
+            return record._replace(dynamics_class=DynamicsClass("X", (1,)))
+        return record
 
-    monkeypatch.setattr(report, "classify", v3_disagrees)
+    monkeypatch.setattr(report, "_keyed_record", v3_disagrees)
     doc = build_table("T1")
     assert (doc.columns, doc.rows) == (expected.columns, expected.rows)
     v2 = doc.columns.index("v2_v3")
@@ -370,6 +373,106 @@ def test_the_unchecked_table_renderer_equals_the_public_one(table_id, fmt):
 def test_the_unchecked_graph_renderer_equals_the_public_one(fmt):
     graph = build_rule_graph()
     assert report._render_graph(graph, fmt) == export_graph(graph, fmt)
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_json_writer_equals_json_dumps_on_every_document_the_package_emits(
+        tmp_path, capsys, monkeypatch):
+    writer, documents = report._json, []
+    monkeypatch.setattr(report, "_json", lambda obj: documents.append(obj) or writer(obj))
+    run_all(str(tmp_path))
+    for table_id in TABLE_IDS:
+        emit_table(table_id, "json")
+    export_graph(build_rule_graph(), "json")
+    assert cli(capsys, "stats")[0] == 0
+    for targets in mpnspace.MUTATION_TARGET_CHOICES:
+        assert cli(capsys, "robustness", "--targets", targets, "--distribution")[0] == 0
+    # The four bundle documents, then every table, the graph, stats and two histograms.
+    assert len(documents) == 4 + len(TABLE_IDS) + 1 + 1 + 2
+    assert all(writer(obj) == _dumps(obj) for obj in documents)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "int subclass"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "float subclass"
+
+
+class _Str(str):
+    def __str__(self):
+        return "str subclass"
+
+    def __format__(self, spec):
+        return "str subclass"
+
+    __repr__ = __str__
+
+
+# Every character class the writer treats apart: printable ASCII, quote,
+# backslash, controls, DEL, non-ASCII, and line and paragraph separators.
+_TEXT = hs.text(hs.sampled_from('a ~"\\/\x00\x1f\t\n\r\x7f\x80\xe9\u2028\U0001f600')) | hs.text()
+_JSON_SCALARS = (hs.none() | hs.booleans() | hs.integers() | hs.floats()
+                 | hs.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+                 | _TEXT | hs.builds(_Int, hs.integers()) | hs.builds(_Float, hs.floats())
+                 | hs.builds(_Str, _TEXT))
+_JSON_TREES = hs.recursive(_JSON_SCALARS, lambda children: (
+    hs.lists(children, max_size=4) | hs.lists(children, max_size=4).map(tuple)
+    | hs.dictionaries(_TEXT | hs.builds(_Str, _TEXT), children, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_the_json_writer_equals_json_dumps_on_any_json_tree(obj):
+    assert report._json(obj) == _dumps(obj)
+
+
+def _csv_writer_text(doc, delimiter):
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(doc.columns)
+    writer.writerows(doc.rows)
+    return buf.getvalue()
+
+
+def _text_or_error(render, *args):
+    """What ``render`` returns, or the csv error it raises (3.10's csv
+    refuses a NUL, as it has no escape character for it)."""
+    try:
+        return render(*args)
+    except csv.Error as error:
+        return repr(error)
+
+
+_CELLS = hs.text(hs.sampled_from(',\t"\r\n\0 a\xe9'), max_size=3) | hs.text(max_size=3)
+_TABLES = hs.integers(0, 3).flatmap(lambda width: hs.builds(
+    TableDocument, hs.just("X"), hs.tuples(*[_CELLS] * width),
+    hs.lists(hs.lists(_CELLS, min_size=width, max_size=width), max_size=4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TABLES)
+def test_the_csv_and_tsv_renders_equal_the_csv_writer(doc):
+    for fmt, delimiter in (("csv", ","), ("tsv", "\t")):
+        assert (_text_or_error(render_table, doc, fmt)
+                == _text_or_error(_csv_writer_text, doc, delimiter))
+
+
+@pytest.mark.parametrize(("columns", "rows"), [
+    (("a",), [[""]]), (("",), []), (("a", "b"), [["", ""]]), ((), [[], []]),
+    (("a,b",), [["x"]]), (("a\tb",), [["x"]]), (("a",), [['"']]), (("a",), [["\r"]]),
+    (("a",), [["x\ny"]]), (("a",), [["x\0y"]])], ids=repr)
+def test_each_cell_that_needs_quoting_is_quoted_as_the_csv_writer_quotes_it(columns, rows):
+    doc = TableDocument("X", columns, rows)
+    for fmt, delimiter in (("csv", ","), ("tsv", "\t")):
+        assert (_text_or_error(render_table, doc, fmt)
+                == _text_or_error(_csv_writer_text, doc, delimiter))
 
 
 def test_run_all_writes_the_golden_bundle(tmp_path):

@@ -20,12 +20,14 @@ command loads neither the package's ``_argparser`` module nor argparse
 (with gettext and locale): only help and usage errors build an argparse
 parser.  In a clean interpreter (``python -S``, no ``site``), no
 well-formed command imports ``typing`` or ``__future__``, and
-``classify`` and ``state-graph`` import no ``re``.  The nine frozen
+``classify`` and ``state-graph`` import no ``re``; ``all`` imports
+neither ``json`` nor ``csv``, and a csv or tsv table neither ``csv`` nor
+``re``.  The nine frozen
 output records are subclasses of ``collections.namedtuple`` classes,
 each with its own docstring; across the whole universe they keep the
 ``Name(field=value, ...)`` repr, compare and hash by field values,
-refuse attribute assignment, pickle (but ``AttractorSet``, whose
-read-only basins do not), and behave as the tuples of their fields.
+refuse attribute assignment, pickle and deep-copy (an ``AttractorSet``
+with its basins read-only again), and behave as the tuples of their fields.
 The five other records (``Rule``, ``Variant``,
 ``EquivalenceClass``, ``TableDocument``, ``RuleGraph``) are not tuples
 but keep the same repr, equality and hashing conventions.
@@ -183,6 +185,7 @@ COMMAND_LAYERS = {
     "classify": "dynamics",
     "state-graph": "dynamics",
     "table T1": "dynamics report transforms",
+    "table T1 --format tsv": "dynamics report transforms",
     "table TA1": "dynamics report transforms",
     "table T2": "dynamics gates report transforms",
     "table TA2": "dynamics gates report transforms",
@@ -200,10 +203,14 @@ COMMAND_LAYERS = {
 # The arguments a command needs beyond its name.
 REQUIRED_ARGS = {"classify": "8 V1", "state-graph": "8 V1", "all": "--out {tmp}"}
 # What no command imports: the records are plain ``collections.namedtuple``
-# subclasses and annotations are evaluated where they are defined.  The
-# one-rule commands also compile no regular expression.
+# subclasses and annotations are evaluated where they are defined.
 NEVER_IMPORTED = ("typing", "__future__")
-ONE_RULE_NEVER_IMPORTED = ("re",)
+# What some commands also never import.  The one-rule commands compile no
+# regular expression.  The package joins its JSON and csv/tsv text itself and
+# imports ``json`` or ``csv`` (which imports ``re``) only for a string to
+# escape or a cell to quote, which no bundle file and no table holds.
+ALSO_NEVER_IMPORTED = {"classify": ("re",), "state-graph": ("re",), "all": ("json", "csv"),
+                       "table T1": ("csv", "re"), "table T1 --format tsv": ("csv", "re")}
 
 
 @pytest.mark.parametrize(("command", "executed"), COMMAND_LAYERS.items(),
@@ -216,8 +223,7 @@ def test_a_command_runs_only_the_layers_it_calls(command, executed, tmp_path):
     imports shows."""
     argv = f"{command} {REQUIRED_ARGS.get(command, '')}".format(tmp=tmp_path).split()
     executed = executed.split()
-    never = NEVER_IMPORTED + (ONE_RULE_NEVER_IMPORTED
-                              if command in ("classify", "state-graph") else ())
+    never = NEVER_IMPORTED + ALSO_NEVER_IMPORTED.get(command, ())
     code = (
         "import sys, types\n"
         "from mpnspace.cli import main\n"
@@ -403,9 +409,15 @@ def test_output_records_are_tuples_of_their_fields(cls):
     assert x._asdict() == dict(zip(FIELDS[cls], _values(x)))
     twin = x._replace()
     assert type(twin) is cls and twin == x
-    if cls is not AttractorSet:  # basins are read-only mappings, which do not pickle
-        copied = pickle.loads(pickle.dumps(x))
-        assert type(copied) is cls and copied == x
+    for record in _instances(cls):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(copied) is cls
+            if any(value != value for value in record):  # a NaN statistic equals no copy
+                assert repr(copied) == repr(record)
+            else:
+                assert copied == record
+            # An AttractorSet's basins come back as read-only mappings.
+            assert list(map(type, copied)) == list(map(type, record))
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
