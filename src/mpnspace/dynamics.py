@@ -352,6 +352,11 @@ def _keyed_record(number: int, tag: str, mode: UpdateMode) -> "_MapRecord":
     return _map_record(_compose(node[wxx, wxy], node[wyy, wyx], mode))
 
 
+def _label(number: int, tag: str, mode: UpdateMode = _SYNCHRONOUS) -> str:
+    """The class label of a rule's map, read from the atlas by its key."""
+    return _keyed_record(number, tag, mode).dynamics_class.label
+
+
 def _record(rule: Rule, v: Variant, mode: UpdateMode | None = None,
             view=_keyed_record):
     """The record of the rule's map under ``v`` (or its ``mode`` form), or
@@ -500,12 +505,11 @@ def emit_state_graph(rule: Rule, v) -> str:
 
 @functools.cache
 def _state_graph(number: int, tag: str, mode: UpdateMode) -> str:
-    v = variant(tag, mode)
-    rec = _record(_RULES[number], v)
+    rec = _keyed_record(number, tag, mode)
     nxt = rec.successors
     on_cycle = {i for cyc in rec.attractor_set.attractors for i in cyc}
-    lines = [f"digraph state_space_rule{number}_{v.tag.lower()} {{"]
-    for i, s in enumerate(states(v)):
+    lines = [f"digraph state_space_rule{number}_{tag.lower()} {{"]
+    for i, s in enumerate(_STATES[tag]):
         shape = "doublecircle" if i in on_cycle else "circle"
         lines.append(f'  s{i} [label="({s[0]},{s[1]})" shape={shape}];')
     for i in range(4):

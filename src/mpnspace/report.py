@@ -30,6 +30,7 @@ from .dynamics import (
     Rule,
     UpdateMode,
     _keyed_record,
+    _label,
     _Record,
     _RULES,
     _SYNCHRONOUS,
@@ -75,11 +76,6 @@ def _fmt_fraction(f) -> str:
 _T1_COLUMNS = ("v1", "v2_v3", "v1_seq", "v2_v3_seq", "v4_v7", "v5", "v6",
                "v4_seq", "v5_seq", "v6_seq")
 _TA1_COLUMNS = ("v1", "v2_v3", "v4_v7", "v5", "v6")
-
-
-def _label(number: int, tag: str, mode: UpdateMode = _SYNCHRONOUS) -> str:
-    """The class label of a rule's map, read from the atlas by its key."""
-    return _keyed_record(number, tag, mode).dynamics_class.label
 
 
 def _class_cell(rule: Rule, column: str, warnings: list[str]) -> str:

@@ -30,12 +30,13 @@ from fractions import Fraction
 
 from . import rulespace
 from .dynamics import (
-    _RULES,
+    _SYNCHRONOUS,
     Rule,
     Variant,
+    _keyed_record,
+    _label,
     _record,
     all_rules,
-    classify,
     variant,
 )
 
@@ -81,11 +82,10 @@ def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
 
 @functools.cache
 def _class_score(number: int, tag: str, mode) -> RobustnessScore:
-    rule, v = _RULES[number], variant(tag, mode)
-    own = classify(rule, v).label
-    nbs = rulespace.neighbors(rule)
-    hits = sum(1 for nb in nbs if classify(nb, v).label == own)
-    return RobustnessScore(rule.number, "class-vs-rule-mutation", hits, len(nbs))
+    own = _label(number, tag, mode)
+    nbs = rulespace._neighbors(number)
+    hits = sum(1 for nb in nbs if _label(nb.number, tag, mode) == own)
+    return RobustnessScore(number, "class-vs-rule-mutation", hits, len(nbs))
 
 
 # Unordered start-state pairs at Hamming distance 1.  State index
@@ -108,14 +108,11 @@ def state_robustness_rule_mutation(rule: Rule,
 
 @functools.cache
 def _state_robustness_rule_mutation(number: int, targets: str) -> RobustnessScore:
-    rule, v4 = _RULES[number], variant("V4")
-    own = _record(rule, v4).landing  # the attractor state set per start state
-    eligible = [
-        nb for nb in rulespace.neighbors(rule) if targets == "all" or nb.arity == 2
-    ]
+    own = _keyed_record(number, "V4", _SYNCHRONOUS).landing  # the attractor set per start state
+    eligible = [nb for nb in rulespace._neighbors(number) if targets == "all" or nb.arity == 2]
     hits = 0
     for nb in eligible:
-        other = _record(nb, v4).landing
+        other = _keyed_record(nb.number, "V4", _SYNCHRONOUS).landing
         hits += sum(1 for i in range(4) if own[i] == other[i])
     return RobustnessScore(number, "state-vs-rule-mutation", hits, 4 * len(eligible))
 

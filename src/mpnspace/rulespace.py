@@ -25,8 +25,8 @@ from .dynamics import (
     _RULES,
     Rule,
     Variant,
+    _label,
     all_rules,
-    classify,
     variant,
 )
 
@@ -70,6 +70,16 @@ class TransitionCounts(namedtuple("TransitionCounts", "labels matrix two_input_e
         return sum(self.row_sums)
 
 
+def _labels(v: Variant | None) -> list[str]:
+    """The class label of each rule under ``v`` (V1 by default), rule
+    number n at position n - 1, read by key once ``v`` is checked."""
+    if v is None:
+        v = variant("V1")
+    elif type(v) is not Variant:
+        raise ValueError(f"class tallies need a Variant, got {v!r}")
+    return [_label(n, v.tag, v.mode) for n in range(1, 82)]
+
+
 def _three_class_group(label: str) -> str:
     if label.startswith("F"):
         return "F"
@@ -87,10 +97,8 @@ def class_transition_counts(v: Variant | None = None,
     """
     if grouping not in ("five-class", "three-class"):
         raise ValueError(f"unknown grouping {grouping!r}")
-    if v is None:
-        v = variant("V1")
     rules = all_rules()  # rule number n sits at position n - 1
-    label_of = [classify(r, v).label for r in rules]
+    label_of = _labels(v)
     if grouping == "three-class":
         label_of = [_three_class_group(lab) for lab in label_of]
         base_order = THREE_CLASS_ORDER
@@ -108,7 +116,7 @@ def class_transition_counts(v: Variant | None = None,
     two_input_preserving = 0
     low_arity_edges = 0
     for i, r in enumerate(rules):
-        for j in (nb.number - 1 for nb in neighbors(r)):
+        for j in (nb.number - 1 for nb in _neighbors(r.number)):
             directed[row_of[i]][row_of[j]] += 1
             if j > i:  # each undirected edge once
                 if two_input[i] and two_input[j]:
@@ -135,16 +143,7 @@ def class_transition_counts(v: Variant | None = None,
 def edge_of_chaos(v: Variant | None = None) -> tuple[Rule, ...]:
     """Two-input rules with all-fixed-point dynamics sitting one
     mutation away from a rule whose every trajectory is a 4-cycle."""
-    if v is None:
-        v = variant("V1")
-    label_of = {r.number: classify(r, v) for r in all_rules()}
-    out = []
-    for r in all_rules():
-        if r.arity != 2:
-            continue
-        cls = label_of[r.number]
-        if set(cls.cycle_lengths) != {1}:
-            continue
-        if any(label_of[nb.number].label == "4C" for nb in neighbors(r)):
-            out.append(r)
-    return tuple(out)
+    label_of = _labels(v)  # an F label is all fixed points
+    return tuple(r for r in all_rules()
+                 if r.arity == 2 and label_of[r.number - 1][0] == "F"
+                 and any(label_of[nb.number - 1] == "4C" for nb in _neighbors(r.number)))

@@ -46,6 +46,7 @@ from mpnspace import (
     class_robustness,
     class_transition_counts,
     classify,
+    edge_of_chaos,
     emit_state_graph,
     gate_pair,
     gauge,
@@ -61,7 +62,7 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
-from mpnspace import dynamics, gates, robustness, rulespace, spectral
+from mpnspace import dynamics, gates, report, robustness, rulespace, spectral
 from oracles import (
     VALUES,
     compose,
@@ -251,6 +252,23 @@ def test_memoised_transition_counts_equal_plain_tally(v, eps, grouping):
     assert class_transition_counts(v, grouping) == expected
     # A second lookup with an equal, freshly built variant gives the same.
     assert class_transition_counts(Variant(v.tag, v.mode), grouping) == expected
+
+
+@pytest.mark.parametrize(("v", "eps"), CASES, ids=_case_ids(CASES))
+def test_memoised_class_robustness_and_edge_of_chaos_equal_plain_recomputation(v, eps):
+    """Every rule's class score under ``v``, and the edge-of-chaos rules
+    under ``v``: two-input, all fixed points, one mutation from a 4C rule."""
+    label = {r.number: plain_label(r, v, eps) for r in ALL}
+    fixed = {r.number: all(len(c) == 1 for c in plain_attractors(r, v, eps)[0]) for r in ALL}
+    edge = []
+    for rule in ALL:
+        nbs = plain_neighbors(rule)
+        same = sum(label[nb.number] == label[rule.number] for nb in nbs)
+        sc = class_robustness(rule, v)
+        assert (sc.rule, sc.numerator, sc.denominator) == (rule.number, same, len(nbs)), rule.number
+        if rule.arity == 2 and fixed[rule.number] and any(label[nb.number] == "4C" for nb in nbs):
+            edge.append(rule)
+    assert edge_of_chaos(v) == edge_of_chaos(Variant(v.tag, v.mode)) == tuple(edge)
 
 
 # Logical (x, y) inputs in state-index order 2 * x + y.
@@ -604,6 +622,49 @@ def test_run_all_computes_each_result_once(tmp_path, monkeypatch):
     info = robustness._state_robustness_rule_mutation.cache_info()
     assert info.misses == 81 * 2
     assert info.hits > 0
+
+
+def test_below_the_public_api_the_atlas_is_read_by_key(tmp_path):
+    """One ``run_all`` on an empty atlas classifies through no public
+    reader, and takes neighbor lists through ``rulespace.neighbors`` only
+    for the rule graph; the bodies of the robustness memos and of the state
+    graph memo read the atlas by key alone, on every key."""
+    boundary = {fn.__code__: name for name, fn in (
+        ("variant", dynamics.variant), ("_record", dynamics._record),
+        ("classify", dynamics.classify), ("neighbors", rulespace.neighbors))}
+
+    def entries(run):
+        """(boundary function, first caller that is not a comprehension) per entry."""
+        entered = []
+
+        def profile(frame, event, _):
+            if event == "call" and frame.f_code in boundary:
+                caller = frame.f_back
+                while caller.f_code.co_name.startswith("<"):
+                    caller = caller.f_back
+                entered.append((boundary[frame.f_code], caller.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return entered
+
+    clear_atlas()
+    entered = entries(lambda: run_all(str(tmp_path)))
+    assert not [e for e in entered if e[0] == "classify"]
+    assert {caller for name, caller in entered if name == "neighbors"} == {
+        report.build_rule_graph.__name__}
+
+    def memo_bodies():
+        for rule, tag, mode in itertools.product(ALL, VARIANT_TAGS, UpdateMode):
+            robustness._class_score.__wrapped__(rule.number, tag, mode)
+            dynamics._state_graph.__wrapped__(rule.number, tag, mode)
+        for rule, targets in itertools.product(ALL, ("two-input", "all")):
+            robustness._state_robustness_rule_mutation.__wrapped__(rule.number, targets)
+
+    assert entries(memo_bodies) == []
 
 
 def test_the_readme_inventory_names_every_cache():

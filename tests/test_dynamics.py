@@ -383,6 +383,8 @@ def test_attractor_set_matches_functional_graph_oracle():
         assert aset.attractors == cycles, (r.number, tag, mode)
         assert aset.basin == basin
         assert aset.steps_to_attractor == steps
+        cls = classify(r, v)
+        assert str(cls) == cls.label
 
 
 def test_transients_never_exceed_bound():

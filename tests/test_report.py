@@ -20,7 +20,6 @@ from hypothesis import strategies as hs
 
 import mpnspace
 from mpnspace import (
-    DynamicsClass,
     UpdateMode,
     emit_state_graph,
     emit_table,
@@ -71,15 +70,14 @@ def test_a_disagreeing_merge_keeps_the_column_and_warns(monkeypatch):
     v2_v3 column with V2's label and name each rule in a warning."""
     expected = build_table("T1")
     assert "warnings" not in expected.metadata
-    keyed_record = report._keyed_record  # the atlas reader the builders read labels through
+    label = report._label  # the atlas reader the builders read labels through
 
-    def v3_disagrees(number, tag, mode):
-        record = keyed_record(number, tag, mode)
+    def v3_disagrees(number, tag, mode=UpdateMode.SYNCHRONOUS):
         if tag == "V3" and mode is UpdateMode.SYNCHRONOUS:
-            return record._replace(dynamics_class=DynamicsClass("X", (1,)))
-        return record
+            return "X"
+        return label(number, tag, mode)
 
-    monkeypatch.setattr(report, "_keyed_record", v3_disagrees)
+    monkeypatch.setattr(report, "_label", v3_disagrees)
     doc = build_table("T1")
     assert (doc.columns, doc.rows) == (expected.columns, expected.rows)
     v2 = doc.columns.index("v2_v3")
