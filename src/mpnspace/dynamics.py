@@ -246,6 +246,7 @@ _MODE_FORMS = frozenset((*UpdateMode, *(mode.value for mode in UpdateMode)))
 _VARIANTS = {(spelling, form): v
              for v in (Variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode)
              for spelling in (v.tag, v.tag.lower()) for form in (v.mode, v.mode.value)}
+_V1, _V4 = _VARIANTS["V1", _SYNCHRONOUS], _VARIANTS["V4", _SYNCHRONOUS]  # the two defaults
 
 
 _STATES = {tag: ((lo, lo), (lo, hi), (hi, lo), (hi, hi))
@@ -469,6 +470,21 @@ class _MapRecord(namedtuple("_MapRecord",
 _UNIT_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
+class _UnitRowMatrix(tuple):
+    """A transition matrix equal, hash-equal and repr-equal to its plain tuple of
+    unit rows, built, copied and unpickled only from four checked successors."""
+
+    __slots__ = ()
+
+    def __new__(cls, *succ):
+        if len(succ) != 4 or any(type(s) is not int or not 0 <= s <= 3 for s in succ):
+            raise ValueError(f"a transition matrix needs four ints in 0..3, got {succ!r}")
+        return tuple.__new__(cls, map(_UNIT_ROWS.__getitem__, succ))
+
+    def __reduce__(self):
+        return type(self), tuple(row.index(1) for row in self)
+
+
 @functools.cache
 def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
     cycle_of: dict[int, tuple[int, ...]] = {}  # each cycle state's cycle, smallest state first
@@ -491,7 +507,7 @@ def _map_record(succ: tuple[int, int, int, int]) -> _MapRecord:
         steps[start] = n
     aset = _attractor_set(tuple(sorted(set(cycle_of.values()))), basin, steps)
     return _MapRecord(succ, aset, _CLASSES[aset.cycle_lengths],
-                      tuple(map(_UNIT_ROWS.__getitem__, succ)),
+                      _UnitRowMatrix(*succ),
                       tuple(frozenset(basin[i]) for i in range(4)))
 
 

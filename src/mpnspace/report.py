@@ -34,6 +34,7 @@ from .dynamics import (
     _Record,
     _RULES,
     _SYNCHRONOUS,
+    _V1,
     all_rules,
     variant,
 )
@@ -160,7 +161,6 @@ def build_ta2() -> TableDocument:
 def build_t2() -> TableDocument:
     pool = [r for r in all_rules() if r.arity == 2]
     classes = transforms.reduce_rules({"T12", "G"}, pool)
-    v1 = variant("V1")
     rows = []
     for cls in classes:
         r = _RULES[cls.representative]
@@ -168,7 +168,7 @@ def build_t2() -> TableDocument:
         cross = "positive" if preds.cross_positive else (
             "negative" if preds.cross_negative else "none"
         )
-        gx, gy = gates.gate_pair(r, v1)
+        gx, gy = gates.gate_pair(r, _V1)
         rows.append([
             *_rule_cells(r),
             _label(r.number, "V1"),
@@ -191,7 +191,7 @@ def build_t2() -> TableDocument:
 
 
 def _transition_doc(table_id: str, grouping: str) -> TableDocument:
-    counts = rulespace.class_transition_counts(variant("V1"), grouping)
+    counts = rulespace.class_transition_counts(_V1, grouping)
     rows = []
     for i, lab in enumerate(counts.labels):
         rows.append([lab, *map(str, counts.matrix[i]), str(counts.row_sums[i])])
@@ -564,7 +564,7 @@ def stats_report() -> dict:
     mut_two = [(sc := rb.state_robustness_rule_mutation(r, "two-input")).numerator
                / sc.denominator for r in rules if r.arity == 2]
 
-    counts = rulespace.class_transition_counts(variant("V1"), "five-class")
+    counts = rulespace.class_transition_counts(_V1, "five-class")
     preserving = sum(counts.diagonal)
 
     inverse = (1.0 / odds.statistic) if odds.statistic else None

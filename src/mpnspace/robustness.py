@@ -31,13 +31,14 @@ from fractions import Fraction
 from . import rulespace
 from .dynamics import (
     _SYNCHRONOUS,
+    _V1,
+    _V4,
     Rule,
     Variant,
     _keyed_record,
     _label,
     _record,
     all_rules,
-    variant,
 )
 
 METRIC_KINDS = (
@@ -75,9 +76,7 @@ class RobustnessScore(namedtuple("RobustnessScore", "rule metric numerator denom
 
 def class_robustness(rule: Rule, v: Variant | None = None) -> RobustnessScore:
     """Fraction of neighbors with the same dynamics-class label."""
-    if v is None:
-        v = variant("V1")
-    return _record(rule, v, view=_class_score)
+    return _record(rule, _V1 if v is None else v, view=_class_score)
 
 
 @functools.cache
@@ -120,7 +119,7 @@ def _state_robustness_rule_mutation(number: int, targets: str) -> RobustnessScor
 def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
     """Fraction of Hamming-1 initial-state pairs reaching the same
     attractor under V4."""
-    own = _record(rule, variant("V4")).landing
+    own = _record(rule, _V4).landing
     hits = sum(1 for i, j in _HAMMING1_STATE_PAIRS if own[i] == own[j])
     return RobustnessScore(
         rule.number, "state-vs-init-perturbation", hits, len(_HAMMING1_STATE_PAIRS)

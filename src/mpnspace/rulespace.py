@@ -23,11 +23,11 @@ from collections import namedtuple
 from .dynamics import (
     _PLACE_VALUES,
     _RULES,
+    _V1,
     Rule,
     Variant,
     _label,
     all_rules,
-    variant,
 )
 
 FIVE_CLASS_ORDER = ("F4", "F2", "M", "2C", "4C")
@@ -74,7 +74,7 @@ def _labels(v: Variant | None) -> list[str]:
     """The class label of each rule under ``v`` (V1 by default), rule
     number n at position n - 1, read by key once ``v`` is checked."""
     if v is None:
-        v = variant("V1")
+        v = _V1
     elif type(v) is not Variant:
         raise ValueError(f"class tallies need a Variant, got {v!r}")
     return [_label(n, v.tag, v.mode) for n in range(1, 82)]

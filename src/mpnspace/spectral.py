@@ -10,13 +10,16 @@ k/p meaning exp(2*pi*i*k/p)).  An independent characteristic-polynomial
 oracle cross-checks the combinatorial spectrum: ``charpoly_oracle``
 expands det(lambda*I - T^t) over the integers by cofactors, as a Laplace
 expansion in principal minors of the matrix entries, recomputed on every
-call and never reading the cycle structure.
+call and never reading the cycle structure.  A ``transition_matrix`` result is
+a private tuple subclass, equal to the plain tuple of tuples, whose entries
+were checked once, when the atlas built it, so they are read unchecked here.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 
-from .dynamics import _CLASSES, AttractorSet, Rule, Variant, _record, class_from_cycle_lengths
+from .dynamics import (_CLASSES, AttractorSet, Rule, Variant, _UnitRowMatrix, _record,
+                       class_from_cycle_lengths)
 
 TransitionMatrix = tuple[tuple[int, int, int, int], ...]
 
@@ -32,6 +35,8 @@ _SEQUENCES = frozenset((list, tuple))
 def _matrix_entries(T: TransitionMatrix) -> tuple[int, ...]:
     """The 16 row-major entries of a 4x4 matrix (rows as lists or tuples)
     of the ints 0 and 1; any other ``T`` raises ValueError."""
+    if type(T) is _UnitRowMatrix:  # the atlas's matrix, checked once when it was built
+        return (*T[0], *T[1], *T[2], *T[3])
     # One pass over rows, then entries: the check costs about as much as the expansion.
     if type(T) in _SEQUENCES and len(T) == 4:
         r0, r1, r2, r3 = T
@@ -150,8 +155,8 @@ def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     principal minors) from the matrix entries alone, recomputed on every
     call and independent of the cycle route of ``charpoly_from_cycles``;
     returns the coefficients in descending powers of lambda, leading
-    coefficient 1.  ``T`` must be a 4x4 matrix (rows as lists or tuples)
-    of the ints 0 and 1.
+    coefficient 1.  ``T`` must be a 4x4 matrix (rows as lists or tuples) of
+    the ints 0 and 1; the atlas checked its own matrices once, when built.
     """
     return _charpoly_kernel(_matrix_entries(T))
 

@@ -21,13 +21,13 @@ from collections.abc import Iterable
 
 from .dynamics import (
     _RULES,
+    _V1,
     Rule,
     Variant,
     _FrozenRecord,
     _rule_number,
     _setattr,
     all_rules,
-    variant,
 )
 
 
@@ -101,7 +101,7 @@ def reduce_rules(generators: Iterable[str],
     unknown = generators - TRANSFORMATIONS.keys()
     if unknown:
         raise ValueError(f"unknown transformations: {sorted(unknown)}")
-    under = variant("V1") if under is None else under
+    under = _V1 if under is None else under
     if isinstance(rules, str):
         raise ValueError(f"rules must be an iterable of Rules, not the string {rules!r}")
     try:

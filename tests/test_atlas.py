@@ -626,9 +626,10 @@ def test_run_all_computes_each_result_once(tmp_path, monkeypatch):
 
 def test_below_the_public_api_the_atlas_is_read_by_key(tmp_path):
     """One ``run_all`` on an empty atlas classifies through no public
-    reader, and takes neighbor lists through ``rulespace.neighbors`` only
-    for the rule graph; the bodies of the robustness memos and of the state
-    graph memo read the atlas by key alone, on every key."""
+    reader, enters ``variant`` for table columns but not per rule, and
+    takes neighbor lists through ``rulespace.neighbors`` only for the rule
+    graph; the bodies of the robustness memos and of the state graph memo
+    read the atlas by key alone, on every key."""
     boundary = {fn.__code__: name for name, fn in (
         ("variant", dynamics.variant), ("_record", dynamics._record),
         ("classify", dynamics.classify), ("neighbors", rulespace.neighbors))}
@@ -654,6 +655,8 @@ def test_below_the_public_api_the_atlas_is_read_by_key(tmp_path):
     clear_atlas()
     entered = entries(lambda: run_all(str(tmp_path)))
     assert not [e for e in entered if e[0] == "classify"]
+    # The V1 and V4 defaults are read once, at import: 423 entries were 405 of these.
+    assert sum(1 for name, _ in entered if name == "variant") < 81
     assert {caller for name, caller in entered if name == "neighbors"} == {
         report.build_rule_graph.__name__}
 

@@ -109,6 +109,13 @@ def test_command_stdout_is_pinned(capsys, command):
     assert digest.hexdigest() == PINNED[command], digest.hexdigest()
 
 
+def test_all_stdout_is_pinned(capsys, tmp_path):
+    out_dir = str(tmp_path / "bundle")
+    code, out, err = run(capsys, ["all", "--out", out_dir])
+    assert (code, err) == (0, "")
+    assert out == f"wrote 14 files to {out_dir} (hashes in manifest.json)\n"
+
+
 def _malformed_argvs():
     workloads = _workloads()
     for rule in workloads.BAD_RULES:

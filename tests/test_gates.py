@@ -139,6 +139,13 @@ def test_canalization_tiers():
         assert GATES_BY_NAME[name].canalization
 
 
+def test_a_gate_outside_the_tier_table_has_no_canalization():
+    stray = GATES_BY_NAME["AND"]._replace(name="Q")
+    with pytest.raises(ValueError) as excinfo:
+        stray.canalization  # noqa: B018
+    assert str(excinfo.value) == "gate 'Q' missing from the tier table"
+
+
 def test_cross_weight_sign_predicates():
     v1 = variant("V1")
     for r in ALL:

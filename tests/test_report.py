@@ -86,6 +86,20 @@ def test_a_disagreeing_merge_keeps_the_column_and_warns(monkeypatch):
         for row in expected.rows]
 
 
+def test_a_v1_label_outside_the_t4_groups_stops_the_count_table(monkeypatch):
+    """Every V1 label falls in a T4 group; a label that did not would stop
+    ``build_t4`` rather than be dropped from the counts."""
+    label = report._label
+
+    def rule_8_leaves_the_groups(number, tag, mode=UpdateMode.SYNCHRONOUS):
+        return "1+3" if (number, tag) == (8, "V1") else label(number, tag, mode)
+
+    monkeypatch.setattr(report, "_label", rule_8_leaves_the_groups)
+    with pytest.raises(ValueError) as excinfo:
+        report.build_t4()
+    assert str(excinfo.value) == "no count-table group for class '1+3'"
+
+
 def test_rows_ordered_by_ascending_rule_number():
     for table_id in ("T1", "T2", "TA1", "TA2", "robustness"):
         doc = build_table(table_id)

@@ -17,6 +17,7 @@ from mpnspace import (
     rule_from_number,
     variant,
 )
+from mpnspace import rulespace
 
 ALL = all_rules()
 
@@ -112,6 +113,23 @@ def test_two_input_edge_tally_differs_from_matrix_convention():
 def test_neighbors_rejects_a_non_rule(rule):
     with pytest.raises(ValueError, match="neighbors needs a Rule"):
         neighbors(rule)
+
+
+def test_an_odd_degree_rule_with_a_label_of_its_own_breaks_the_pairing(monkeypatch):
+    """The halving is exact only while ordered tallies pair up: a rule of
+    degree 5 alone in its class sends an odd count along its row."""
+    rule = next(r for r in ALL if len(neighbors(r)) == 5)
+    labels = rulespace._labels
+
+    def own_label(v):
+        label_of = labels(v)
+        label_of[rule.number - 1] = "own"
+        return label_of
+
+    monkeypatch.setattr(rulespace, "_labels", own_label)
+    with pytest.raises(AssertionError) as excinfo:
+        class_transition_counts()
+    assert str(excinfo.value) == "ordered tallies are not evenly paired"
 
 
 def test_unknown_grouping_rejected():

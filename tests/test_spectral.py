@@ -1,7 +1,9 @@
 """Transition matrices, symbolic spectra, and the two charpoly routes."""
 
 import cmath
+import copy
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -42,11 +44,15 @@ def test_rule8_v1_matrix_bit_exact():
 
 
 def test_transition_matrix_equals_per_entry_build():
+    """The atlas's matrix is ==, hash-equal and repr-equal to the plain
+    tuple of tuples, though of a private tuple subclass."""
     keys = [variant(tag, mode) for tag in VARIANT_TAGS for mode in UpdateMode]
     for r, v in itertools.product(ALL, keys):
         succ = successor_indices(r, v)
         want = tuple(tuple(1 if succ[i] == j else 0 for j in range(4)) for i in range(4))
-        assert transition_matrix(r, v) == want, (r.number, v)
+        T = transition_matrix(r, v)
+        assert T == want and want == T and not T != want, (r.number, v)
+        assert hash(T) == hash(want) and repr(T) == repr(want), (r.number, v)
 
 
 def test_all_matrices_row_stochastic_01():
@@ -222,6 +228,40 @@ def test_matrix_predicates_on_every_01_matrix():
         stochastic = all(sum(row) == 1 for row in T)
         assert is_row_stochastic_01(T) is stochastic, T
         assert is_permutation_matrix(T) is (stochastic and len(set(picks)) == 4), T
+
+
+def test_the_atlas_matrix_reads_as_its_checked_plain_copy_on_every_successor_map():
+    """All 256 self-maps: the oracle and both predicates read the atlas's
+    matrix, whose entries they do not check again, exactly as they read a
+    plain tuple-of-tuples copy of it, which they check."""
+    for succ in itertools.product(range(4), repeat=4):
+        T = dynamics._map_record(succ).matrix
+        plain = tuple(map(tuple, T))
+        assert type(T) is dynamics._UnitRowMatrix and type(plain) is tuple
+        assert T == plain and hash(T) == hash(plain) and repr(T) == repr(plain), succ
+        assert charpoly_oracle(T) == charpoly_oracle(plain) == recursive_charpoly(plain), succ
+        for predicate in (is_row_stochastic_01, is_permutation_matrix):
+            assert predicate(T) is predicate(plain), (succ, predicate)
+
+
+@pytest.mark.parametrize("args", [
+    (), (0, 1, 2), (0, 1, 2, 3, 0), (0, 1, 2, 4), (-1, 0, 0, 0), (0, 1, 2, 3.0),
+    (0, 1, 2, True), (0, 1, "2", 3), (None, 0, 0, 0), ((0, 1, 2, 3),), ([0, 1, 2, 3],),
+    (2 ** 64, 0, 0, 0), *((row,) * 4 for row in _I),
+], ids=repr)
+def test_the_atlas_matrix_type_is_built_only_from_four_successor_indices(args):
+    with pytest.raises(ValueError) as excinfo:
+        dynamics._UnitRowMatrix(*args)
+    assert str(excinfo.value) == f"a transition matrix needs four ints in 0..3, got {args!r}"
+
+
+def test_the_atlas_matrix_type_pickles_and_copies_through_its_constructor():
+    for succ in itertools.product(range(4), repeat=4):
+        T = dynamics._UnitRowMatrix(*succ)
+        assert T == dynamics._map_record(succ).matrix
+        for twin in (pickle.loads(pickle.dumps(T)), copy.deepcopy(T), copy.copy(T)):
+            assert type(twin) is dynamics._UnitRowMatrix and twin == T, succ
+        assert T.__reduce__() == (dynamics._UnitRowMatrix, succ)
 
 
 def _eigenvalues(sp):

@@ -6,8 +6,12 @@
 # For each interpreter, from the source tree (PYTHONPATH=src):
 #   1. `-X dev -W error -m mpnspace all` writes a bundle whose manifest is
 #      byte-identical to perfbench/expected_manifest.json (read, never written);
-#   2. under `-S`, `classify 8 V1` imports none of typing, __future__, re,
-#      argparse and fractions.
+#   2. under `-S`, `classify 8 V1` and `state-graph 8 V1` run the dynamics
+#      layer alone, `table T1` runs dynamics, report and transforms, and
+#      `table T3A` runs dynamics, report and rulespace; none of the four
+#      imports fractions, decimal, argparse, gettext, locale, typing or
+#      __future__, and classify and state-graph import no re;
+#   3. under `-S`, `all` imports neither json nor csv.
 # Prints one PASS or FAIL line per check and exits 1 if any check failed.
 # pytest does not collect this file.
 
@@ -45,21 +49,51 @@ for py in "$@"; do
         && cmp "$out/manifest.json" "$expected"
     report $? "$name" "-X dev -W error -m mpnspace all matches the expected manifest"
 
-    PYTHONPATH="$root/src" "$py" -S - >/dev/null <<'EOF'
+    # Each case is the layers the command runs, a colon, and the command.
+    for case in "dynamics:classify 8 V1" "dynamics:state-graph 8 V1" \
+                "dynamics,report,transforms:table T1" "dynamics,report,rulespace:table T3A"; do
+        # shellcheck disable=SC2086  # the command splits into its words
+        PYTHONPATH="$root/src" "$py" -S - "${case%%:*}" ${case#*:} >/dev/null <<'EOF'
+import sys
+import types
+
+import mpnspace
+from mpnspace.cli import main
+
+expected, command = sys.argv[1].split(","), sys.argv[2:]
+forbidden = ["fractions", "decimal", "argparse", "gettext", "locale", "typing", "__future__"]
+if command[0] in ("classify", "state-graph"):
+    forbidden.append("re")
+try:
+    main(command)
+except SystemExit as end:
+    if end.code:
+        raise
+# A layer that has not run is still the LazyLoader's module subclass,
+# which any attribute read would run, so only the types are read.
+layers = sorted(set(mpnspace._EXPORTS.values()))
+ran = [m for m in layers if type(sys.modules[f"mpnspace.{m}"]) is types.ModuleType]
+imported = [m for m in forbidden if m in sys.modules]
+if ran != expected or imported:
+    sys.exit(f"{' '.join(command)} ran {ran} and imported {imported}; expected {expected} and []")
+EOF
+        report $? "$name" "-S ${case#*:} runs only ${case%%:*} and imports none of the forbidden modules"
+    done
+
+    PYTHONPATH="$root/src" "$py" -S - "$work/all-$n" >/dev/null <<'EOF'
 import sys
 
 from mpnspace.cli import main
 
-forbidden = ("typing", "__future__", "re", "argparse", "fractions")
 try:
-    main(["classify", "8", "V1"])
+    main(["all", "--out", sys.argv[1]])
 except SystemExit as end:
     if end.code:
         raise
-imported = [m for m in forbidden if m in sys.modules]
+imported = [m for m in ("json", "csv") if m in sys.modules]
 if imported:
-    sys.exit(f"classify 8 V1 imported {imported}")
+    sys.exit(f"all imported {imported}")
 EOF
-    report $? "$name" "-S classify 8 V1 imports none of typing, __future__, re, argparse, fractions"
+    report $? "$name" "-S all imports neither json nor csv"
 done
 exit "$failed"
