@@ -256,20 +256,18 @@ _STATES = {tag: ((lo, lo), (lo, hi), (hi, lo), (hi, hi))
 def states(v: Variant) -> tuple[tuple[int, int], ...]:
     """The four joint states in index order S0=(lo,lo), S1=(lo,hi),
     S2=(hi,lo), S3=(hi,hi) under the variant's value convention."""
-    try:
-        return _STATES[v.tag]
-    except AttributeError:
-        raise ValueError(f"joint states need a variant, got {v!r}") from None
+    if type(v) is not Variant:
+        raise ValueError(f"joint states need a variant, got {v!r}")
+    return _STATES[v.tag]
 
 
 def state_index(v: Variant, s: tuple[int, int]) -> int:
     """Index 0..3 of a joint state; rejects values outside the convention,
     including bools and floats that compare equal to an allowed int, and a
-    non-variant ``v`` (the ``try`` is free until it raises)."""
-    try:
-        lo, hi, _ = _VARIANT_CONVENTIONS[v.tag]
-    except AttributeError:
-        raise ValueError(f"joint states need a variant, got {v!r}") from None
+    non-variant ``v``."""
+    if type(v) is not Variant:
+        raise ValueError(f"joint states need a variant, got {v!r}")
+    lo, hi, _ = _VARIANT_CONVENTIONS[v.tag]
     if type(s) is tuple and len(s) == 2:
         x, y = s
         if (type(x) is int and type(y) is int
@@ -325,7 +323,7 @@ def _compose(gx: tuple, gy: tuple, mode: UpdateMode) -> tuple[int, int, int, int
 def step(rule: Rule, v: Variant, s: tuple[int, int]) -> tuple[int, int]:
     """Synchronous one-step update of the joint state."""
     succ = _record(rule, v, _SYNCHRONOUS).successors
-    return states(v)[succ[state_index(v, s)]]
+    return _STATES[v.tag][succ[state_index(v, s)]]  # v checked by _record
 
 
 def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
@@ -336,7 +334,7 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
     if mode is _SYNCHRONOUS:
         raise ValueError("order must be x-first or y-first")
     succ = _record(rule, v, mode).successors
-    return states(v)[succ[state_index(v, s)]]
+    return _STATES[v.tag][succ[state_index(v, s)]]  # v checked by _record
 
 
 # The atlas: filled on first use, never at import.  Every (rule, tag,
@@ -361,13 +359,11 @@ def _label(number: int, tag: str, mode: UpdateMode = _SYNCHRONOUS) -> str:
 def _record(rule: Rule, v: Variant, mode: UpdateMode | None = None,
             view=_keyed_record):
     """The record of the rule's map under ``v`` (or its ``mode`` form), or
-    what ``view``, a cache keyed like the records, holds at that key.  A
-    wrong record type raises ValueError; the ``try`` is free until it does."""
-    try:
-        return view(rule.number, v.tag, mode or v.mode)
-    except AttributeError:
+    what ``view``, a cache keyed like the records, holds at that key."""
+    if type(rule) is not Rule or type(v) is not Variant:
         raise ValueError("a successor map needs a variant and a rule, "
-                         f"got {v!r} and {rule!r}") from None
+                         f"got {v!r} and {rule!r}")
+    return view(rule.number, v.tag, mode or v.mode)
 
 
 def successor_indices(rule: Rule, v: Variant) -> tuple[int, int, int, int]:

@@ -369,11 +369,6 @@ def render_table(doc: TableDocument, fmt: str) -> str:
             and isinstance(doc.metadata, dict) and _json_value(doc.metadata)):
         raise ValueError("a TableDocument needs a str id, str columns, rows of one str "
                          "cell per column and JSON metadata with str keys")
-    return _render_table(doc, fmt)
-
-
-def _render_table(doc: TableDocument, fmt: str) -> str:
-    """``doc`` as text in ``fmt``, with ``doc`` taken as well formed."""
     if fmt in ("csv", "tsv"):
         delimiter, width = "," if fmt == "csv" else "\t", len(doc.columns)
         lines = [delimiter.join(row) for row in (doc.columns, *doc.rows)]
@@ -494,11 +489,6 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
                     and all(type(v) is int and v in nodes for v in e) for e in edges)):
         raise ValueError("a RuleGraph needs int nodes, each with an int arity and str-to-str "
                          "classes and robustness maps, and edges that are pairs of its nodes")
-    return _render_graph(graph, fmt)
-
-
-def _render_graph(graph: RuleGraph, fmt: str) -> str:
-    """``graph`` as text in ``fmt``, with ``graph`` taken as well formed."""
     if fmt == "dot":
         lines = ["graph rulespace {"]
         for n in sorted(graph.nodes):
@@ -630,15 +620,12 @@ def stats_report() -> dict:
 
 def _stages() -> list[tuple[str, Callable[[], str]]]:
     """The stage table of ``run_all``: every bundle file but the manifest,
-    in write order, as its name and the producer of its text.  A producer
-    renders the document it has just built without the checks of
-    ``render_table`` and ``export_graph``, which guard documents built
-    outside this module."""
+    in write order, as its name and the producer of its text."""
     graph = functools.cache(build_rule_graph)  # one graph for its three files
     return [
-        *((f"table_{t.lower()}.csv", lambda t=t: _render_table(build_table(t), "csv"))
+        *((f"table_{t.lower()}.csv", lambda t=t: emit_table(t, "csv"))
           for t in TABLE_IDS),
-        *((f"rulespace.{fmt}", lambda fmt=fmt: _render_graph(graph(), fmt))
+        *((f"rulespace.{fmt}", lambda fmt=fmt: export_graph(graph(), fmt))
           for fmt in ("dot", "csv", "json")),
         ("robustness_distributions.json", lambda: _json(
             {targets: distribution_payload(targets) for targets in rb.MUTATION_TARGET_CHOICES})),
@@ -650,19 +637,23 @@ def run_all(out_dir: str) -> dict:
     """Emit every document into ``out_dir`` and return the manifest."""
     import hashlib
 
-    if not isinstance(out_dir, (str, os.PathLike)) or out_dir == "":
-        raise ValueError(f"out_dir must be a non-empty str or an os.PathLike, got {out_dir!r}")
-    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+    try:
+        path = os.fspath(out_dir)
+    except TypeError:
+        path = None
+    if not isinstance(path, str) or path == "":
+        raise ValueError(f"out_dir must be a non-empty str or a str os.PathLike, got {out_dir!r}")
+    if os.path.lexists(path) and not os.path.isdir(path):
         raise ValueError(f"out_dir {out_dir!r} exists and is not a directory")
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(path, exist_ok=True)
     files: dict[str, str] = {}
     for name, produce in _stages():
         data = produce().encode("utf-8")
-        with open(os.path.join(out_dir, name), "wb") as fh:
+        with open(os.path.join(path, name), "wb") as fh:
             fh.write(data)
         files[name] = hashlib.sha256(data).hexdigest()
 
     manifest = {"file_count": len(files), "files": dict(sorted(files.items()))}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(_json(manifest))
     return manifest

@@ -31,21 +31,18 @@ from .dynamics import (
 )
 
 
-# Both run in the table builders' row loops: the ``try`` is free until it raises.
 def t12(rule: Rule) -> Rule:
     """Swap the two node labels."""
-    try:
-        return _RULES[_rule_number((rule.wyy, rule.wyx, rule.wxy, rule.wxx))]
-    except AttributeError:
-        raise ValueError(f"node swap needs a Rule, got {rule!r}") from None
+    if type(rule) is not Rule:
+        raise ValueError(f"node swap needs a Rule, got {rule!r}")
+    return _RULES[_rule_number((rule.wyy, rule.wyx, rule.wxy, rule.wxx))]
 
 
 def gauge(rule: Rule) -> Rule:
     """Flip the signs of both cross weights."""
-    try:
-        return _RULES[_rule_number((rule.wxx, -rule.wxy, -rule.wyx, rule.wyy))]
-    except AttributeError:
-        raise ValueError(f"sign flip needs a Rule, got {rule!r}") from None
+    if type(rule) is not Rule:
+        raise ValueError(f"sign flip needs a Rule, got {rule!r}")
+    return _RULES[_rule_number((rule.wxx, -rule.wxy, -rule.wyx, rule.wyy))]
 
 
 TRANSFORMATIONS = {"T12": t12, "G": gauge}

@@ -6,25 +6,42 @@ row: a valid call, and for each parameter the probe values that are
 valid there.  Each parameter in turn then takes every value of a fixed
 probe catalogue in place of its valid argument.  A probe value valid
 for the parameter must be accepted; every other one is a malformed call
-and must raise ``ValueError``.  A public callable with no row fails, so
-an addition to the public surface must state its boundary here.
+and must raise ``ValueError``, and must leave no key outside the
+universe in the memos keyed by (rule number, tag, mode).  A public
+callable with no row fails, so an addition to the public surface must
+state its boundary here.
 """
 
 import copy
 import inspect
+import itertools
 import math
 import os
+from types import SimpleNamespace
 
 import pytest
 
 import mpnspace as mp
+from mpnspace import dynamics, robustness
+
+# Rule 8's fields, which a look-alike of a record carries.
+RULE_8_FIELDS = {"wxx": -1, "wxy": -1, "wyx": 1, "wyy": 0, "weights": (-1, -1, 1, 0), "number": 8}
 
 # The probe catalogue: the label of each value, as shown in a failure.
+# A look-alike of a Rule or a Variant is no record, whatever its fields.
 PROBES = {
     "None": None, "True": True, "2.5": 2.5, "nan": math.nan, "'zz'": "zz",
     "10**400": 10 ** 400, "8": 8, "'V1'": "V1", "[1, 2]": [1, 2],
     "''": "",
+    "rule 8 V1 look-alike": SimpleNamespace(
+        **RULE_8_FIELDS, tag="V1", mode=mp.UpdateMode.SYNCHRONOUS),
+    "rule -1 V9 look-alike": SimpleNamespace(
+        **{**RULE_8_FIELDS, "number": -1, "wyy": 5}, tag="V9", mode="synchronous"),
 }
+
+# The memos keyed by (rule number, tag, mode), and that key universe.
+MEMOS = (dynamics._keyed_record, robustness._class_score, dynamics._state_graph)
+UNIVERSE = list(itertools.product(range(1, 82), mp.VARIANT_TAGS, mp.UpdateMode))
 
 RULE = mp.rule_from_number(8)
 V1 = mp.variant("V1")
@@ -122,6 +139,11 @@ def test_a_malformed_argument_to_a_public_callable_is_a_value_error(name, tmp_pa
             else:
                 escapes.append(f"argument {i} = {label}: accepted")
     assert not escapes, escapes
+    # With every key of the universe filled, a memo holds no other key.
+    for memo in MEMOS:
+        for key in UNIVERSE:
+            memo(*key)
+        assert memo.cache_info().currsize == len(UNIVERSE), memo.__name__
 
 
 @pytest.mark.parametrize("kind", ["devnull", "file", "dangling-symlink"])
@@ -140,3 +162,15 @@ def test_run_all_refuses_an_existing_non_directory(kind, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if kind == "devnull" else ["out"])
     if kind == "file":
         assert path.read_text() == "kept"
+
+
+def test_run_all_refuses_a_path_like_of_bytes(tmp_path):
+    """A path-like naming bytes is a ``ValueError``, raised before anything
+    is made."""
+    class BytesPath:
+        def __fspath__(self):
+            return os.fsencode(tmp_path / "out")
+
+    with pytest.raises(ValueError, match="must be a non-empty str or a str os.PathLike"):
+        mp.run_all(BytesPath())
+    assert list(tmp_path.iterdir()) == []

@@ -65,25 +65,33 @@ def test_golden_rows_spot_checked_against_fixtures():
     assert diagonal == [24, 40, 8, 24, 8]
 
 
-def test_a_disagreeing_merge_keeps_the_column_and_warns(monkeypatch):
-    """If synchronous V3 ever disagreed with V2, T1 would keep its merged
-    v2_v3 column with V2's label and name each rule in a warning."""
+@pytest.mark.parametrize("tag, modes, column, warning", [
+    ("V3", {UpdateMode.SYNCHRONOUS}, "v2_v3",
+     "rule {rule}: V2 and V3 disagree ({label} vs X) under synchronous updating"),
+    ("V1", {UpdateMode.Y_FIRST}, "v1_seq",
+     "rule {rule}: sequential V1 classes depend on order ({label} x-first vs X y-first)"),
+    ("V3", {UpdateMode.X_FIRST, UpdateMode.Y_FIRST}, "v2_v3_seq",
+     "rule {rule}: sequential V2 and V3 disagree ({label} vs X)"),
+], ids=["synchronous-merge", "sequential-order", "sequential-merge"])
+def test_a_disagreeing_merge_keeps_the_column_and_warns(monkeypatch, tag, modes, column, warning):
+    """If ``tag`` under ``modes`` ever read "X", T1 would keep ``column``
+    with the label it read first (V2's, or the x-first one) and name each
+    rule in a warning."""
     expected = build_table("T1")
     assert "warnings" not in expected.metadata
     label = report._label  # the atlas reader the builders read labels through
 
-    def v3_disagrees(number, tag, mode=UpdateMode.SYNCHRONOUS):
-        if tag == "V3" and mode is UpdateMode.SYNCHRONOUS:
+    def disagrees(number, t, mode=UpdateMode.SYNCHRONOUS):
+        if t == tag and mode in modes:
             return "X"
-        return label(number, tag, mode)
+        return label(number, t, mode)
 
-    monkeypatch.setattr(report, "_label", v3_disagrees)
+    monkeypatch.setattr(report, "_label", disagrees)
     doc = build_table("T1")
     assert (doc.columns, doc.rows) == (expected.columns, expected.rows)
-    v2 = doc.columns.index("v2_v3")
-    assert doc.metadata["warnings"] == [
-        f"rule {row[0]}: V2 and V3 disagree ({row[v2]} vs X) under synchronous updating"
-        for row in expected.rows]
+    kept = doc.columns.index(column)
+    assert doc.metadata["warnings"] == [warning.format(rule=row[0], label=row[kept])
+                                        for row in expected.rows]
 
 
 def test_a_v1_label_outside_the_t4_groups_stops_the_count_table(monkeypatch):
@@ -372,19 +380,6 @@ def test_run_all_writes_exactly_the_stage_table_in_its_order(tmp_path, monkeypat
     assert opened == [*stages, "manifest.json"]
     assert list(manifest["files"]) == sorted(stages)
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(opened)
-
-
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("table_id", TABLE_IDS)
-def test_the_unchecked_table_renderer_equals_the_public_one(table_id, fmt):
-    doc = build_table(table_id)
-    assert report._render_table(doc, fmt) == render_table(doc, fmt)
-
-
-@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
-def test_the_unchecked_graph_renderer_equals_the_public_one(fmt):
-    graph = build_rule_graph()
-    assert report._render_graph(graph, fmt) == export_graph(graph, fmt)
 
 
 def _dumps(obj):
