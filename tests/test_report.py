@@ -1,5 +1,6 @@
 """Emitters: golden tables, state graphs, stats report, run_all, CLI."""
 
+import copy
 import csv
 import difflib
 import hashlib
@@ -380,6 +381,27 @@ def test_run_all_writes_exactly_the_stage_table_in_its_order(tmp_path, monkeypat
     assert opened == [*stages, "manifest.json"]
     assert list(manifest["files"]) == sorted(stages)
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(opened)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_rendering_changes_neither_the_table_nor_the_next_render(table_id, fmt):
+    """The bundle, the CLI and the API render through one renderer, which
+    reads its document and changes nothing in it."""
+    doc = build_table(table_id)
+    before = copy.deepcopy(doc)
+    text = render_table(doc, fmt)
+    assert doc == before
+    assert render_table(doc, fmt) == render_table(before, fmt) == text
+
+
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+def test_exporting_changes_neither_the_graph_nor_the_next_export(fmt):
+    graph = build_rule_graph()
+    before = copy.deepcopy(graph)
+    text = export_graph(graph, fmt)
+    assert graph == before
+    assert export_graph(graph, fmt) == export_graph(before, fmt) == text
 
 
 def _dumps(obj):
