@@ -9,10 +9,11 @@ symbolic (a zero count plus root-of-unity phases as reduced fractions
 k/p meaning exp(2*pi*i*k/p)).  An independent characteristic-polynomial
 oracle cross-checks the combinatorial spectrum: ``charpoly_oracle``
 expands det(lambda*I - T^t) over the integers by cofactors, as a Laplace
-expansion in principal minors of the matrix entries, recomputed on every
-call and never reading the cycle structure.  A ``transition_matrix`` result is
-a private tuple subclass, equal to the plain tuple of tuples, whose entries
-were checked once, when the atlas built it, so they are read unchecked here.
+expansion in principal minors of the matrix's four rows whose sums share
+their common products, recomputed on every call and never reading the
+cycle structure.  A ``transition_matrix`` result is a private tuple
+subclass, equal to the plain tuple of tuples, whose entries were checked
+once, when the atlas built it, so its rows are read unchecked here.
 """
 
 from collections import namedtuple
@@ -32,34 +33,32 @@ def transition_matrix(rule: Rule, v: Variant) -> TransitionMatrix:
 _SEQUENCES = frozenset((list, tuple))
 
 
-def _matrix_entries(T: TransitionMatrix) -> tuple[int, ...]:
-    """The 16 row-major entries of a 4x4 matrix (rows as lists or tuples)
-    of the ints 0 and 1; any other ``T`` raises ValueError."""
+def _matrix_rows(T: TransitionMatrix) -> TransitionMatrix:
+    """The four rows of a 4x4 matrix (rows as lists or tuples) of the ints
+    0 and 1, as given; any other ``T`` raises ValueError."""
     if type(T) is _UnitRowMatrix:  # the atlas's matrix, checked once when it was built
-        return (*T[0], *T[1], *T[2], *T[3])
+        return T
     # One pass over rows, then entries: the check costs about as much as the expansion.
     if type(T) in _SEQUENCES and len(T) == 4:
         r0, r1, r2, r3 = T
         if (type(r0) in _SEQUENCES and type(r1) in _SEQUENCES and type(r2) in _SEQUENCES
                 and type(r3) in _SEQUENCES and len(r0) == len(r1) == len(r2) == len(r3) == 4):
-            entries = (*r0, *r1, *r2, *r3)
-            for e in entries:
+            for e in (*r0, *r1, *r2, *r3):
                 if type(e) is not int or not 0 <= e <= 1:
                     break
             else:
-                return entries
+                return T
     raise ValueError(f"matrix must be 4x4 with 0/1 int entries, got {T!r}")
 
 
 def is_row_stochastic_01(T: TransitionMatrix) -> bool:
     """True when every row of ``T``, a 4x4 matrix of 0/1 ints, holds exactly one 1."""
-    entries = _matrix_entries(T)
-    return all(sum(entries[i:i + 4]) == 1 for i in (0, 4, 8, 12))
+    return all(sum(row) == 1 for row in _matrix_rows(T))
 
 
 def is_permutation_matrix(T: TransitionMatrix) -> bool:
     """True when every column, like every row, holds exactly one 1."""
-    return is_row_stochastic_01(T) and all(sum(T[i][j] for i in range(4)) == 1 for j in range(4))
+    return is_row_stochastic_01(T) and all(sum(col) == 1 for col in zip(*T))
 
 
 class Spectrum(namedtuple("Spectrum", "zero_count phases cycle_lengths")):
@@ -113,16 +112,17 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _charpoly_kernel(t):
-    """det(lambda*I - T^t) for the 16 row-major entries of T, in
-    descending powers of lambda: the coefficient of lambda^(4-k) is
-    (-1)^k times the sum of the k x k principal minors (transposing
-    leaves every principal minor unchanged).  The determinant is the
-    Laplace expansion along rows 0-1 over the six complementary pairs
-    of 2x2 minors, and the 3x3 principal minors expand over the same
-    minors.  Works on any ring elements, so tests can run it on symbols.
+def _charpoly_kernel(rows):
+    """det(lambda*I - T^t) for the four rows of T, in descending powers
+    of lambda: the coefficient of lambda^(4-k) is (-1)^k times the sum
+    of the k x k principal minors (transposing leaves every principal
+    minor unchanged).  The determinant is the Laplace expansion along
+    rows 0-1 over the six complementary pairs of 2x2 minors; the 3x3
+    principal minors expand over the same minors, and the sums share the
+    products of the diagonal halves t00 + t11 and t22 + t33.  Works on
+    any ring elements, so tests can run it on symbols.
     """
-    t00, t01, t02, t03, t10, t11, t12, t13, t20, t21, t22, t23, t30, t31, t32, t33 = t
+    (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = rows
     # 2x2 minors of rows 0-1 (u) and of rows 2-3 (w), by column pair
     u01 = t00 * t11 - t01 * t10
     u02 = t00 * t12 - t02 * t10
@@ -136,29 +136,29 @@ def _charpoly_kernel(t):
     w12 = t21 * t32 - t22 * t31
     w13 = t21 * t33 - t23 * t31
     w23 = t22 * t33 - t23 * t32
-    trace = t00 + t11 + t22 + t33
-    minors2 = (u01 + w23 + t00 * t22 - t02 * t20 + t00 * t33 - t03 * t30
-               + t11 * t22 - t12 * t21 + t11 * t33 - t13 * t31)
-    minors3 = (t20 * u12 - t21 * u02 + t22 * u01      # states 0, 1, 2
-               + t30 * u13 - t31 * u03 + t33 * u01    # states 0, 1, 3
-               + t00 * w23 - t02 * w03 + t03 * w02    # states 0, 2, 3
-               + t11 * w23 - t12 * w13 + t13 * w12)   # states 1, 2, 3
+    top, bottom = t00 + t11, t22 + t33
+    minors2 = u01 + w23 + top * bottom - t02 * t20 - t03 * t30 - t12 * t21 - t13 * t31
+    minors3 = (t20 * u12 - t21 * u02 + t30 * u13 - t31 * u03 + bottom * u01  # {0,1,2}, {0,1,3}
+               + top * w23 - t02 * w03 + t03 * w02 - t12 * w13 + t13 * w12)  # {0,2,3}, {1,2,3}
     det = (u01 * w23 - u02 * w13 + u03 * w12
            + u12 * w03 - u13 * w02 + u23 * w01)
-    return [1, -trace, minors2, -minors3, det]
+    return [1, -(top + bottom), minors2, -minors3, det]
 
 
 def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     """Characteristic polynomial of the transpose of T, exact integers.
 
     Expands det(lambda*I - T^t) by cofactors (a Laplace expansion in
-    principal minors) from the matrix entries alone, recomputed on every
-    call and independent of the cycle route of ``charpoly_from_cycles``;
-    returns the coefficients in descending powers of lambda, leading
-    coefficient 1.  ``T`` must be a 4x4 matrix (rows as lists or tuples) of
-    the ints 0 and 1; the atlas checked its own matrices once, when built.
+    principal minors, their sums sharing common products) from the four
+    rows of T alone, recomputed on every call and independent of the cycle
+    route of ``charpoly_from_cycles``; returns the coefficients in
+    descending powers of lambda, leading coefficient 1.  ``T`` must be a
+    4x4 matrix (rows as lists or tuples) of the ints 0 and 1; the atlas's
+    own matrices, checked once when built, go straight to the expansion.
     """
-    return _charpoly_kernel(_matrix_entries(T))
+    if type(T) is _UnitRowMatrix:
+        return _charpoly_kernel(T)
+    return _charpoly_kernel(_matrix_rows(T))
 
 
 def charpoly_from_cycles(attractors: AttractorSet) -> list[int]:

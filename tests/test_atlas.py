@@ -547,9 +547,11 @@ def test_malformed_variant_inputs_raise_and_are_not_interned(tag, mode, message)
 
 def test_a_warm_query_enters_no_python_frame_outside_its_entry_points():
     """The table reads and every cache key's hash run in C, so a warm
-    query op enters only the package's entry functions and ``_record``."""
+    query op enters only the package's entry functions and ``_record``,
+    and the oracle passes the atlas's matrix straight to its expansion."""
     allowed = {"rule_from_number", "variant", "classify", "spectrum", "gate_pair",
-               "class_robustness", "emit_state_graph", "_record"}
+               "class_robustness", "emit_state_graph", "_record", "transition_matrix",
+               "charpoly_oracle", "_charpoly_kernel"}
     package = os.path.dirname(mpnspace.__file__)
 
     def query():
@@ -557,6 +559,7 @@ def test_a_warm_query_enters_no_python_frame_outside_its_entry_points():
             rule, v = rule_from_number(8), variant(tag, mode)
             classify(rule, v)
             spectrum(rule, v)
+            charpoly_oracle(transition_matrix(rule, v))
             gate_pair(rule, v)
             class_robustness(rule, v)
             emit_state_graph(rule, v)

@@ -462,6 +462,14 @@ def test_the_json_writer_equals_json_dumps_on_any_json_tree(obj):
     assert report._json(obj) == _dumps(obj)
 
 
+def test_the_json_writer_rejects_a_value_json_cannot_hold_as_json_dumps_does():
+    message = "Object of type object is not JSON serializable"
+    for write in (report._json, _dumps):
+        with pytest.raises(TypeError) as excinfo:
+            write({"a": object()})
+        assert str(excinfo.value) == message
+
+
 def _csv_writer_text(doc, delimiter):
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")

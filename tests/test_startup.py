@@ -348,12 +348,13 @@ def test_the_first_export_read_binds_every_export_and_removes_getattr():
 
 
 def _loaded_by_cli_import(names):
-    """Those of ``names`` in ``sys.modules`` of a fresh process after
+    """Those of ``names`` in ``sys.modules`` of a fresh process started
+    without ``site`` (whose ``.pth`` files may import anything) after
     ``import mpnspace.cli``."""
     return _run_fresh("import sys\n"
                       "import mpnspace.cli\n"
-                      f"print(' '.join(m for m in {list(names)!r} if m in sys.modules))\n"
-                      ).split()
+                      f"print(' '.join(m for m in {list(names)!r} if m in sys.modules))\n",
+                      "-S").split()
 
 
 def test_importing_the_cli_defers_one_command_stdlib_modules():

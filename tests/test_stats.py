@@ -38,6 +38,9 @@ def test_fisher_rejects_bad_tables():
         fisher_exact(((1, 2), (3,)))
     with pytest.raises(ValueError):
         fisher_exact(((-1, 2), (3, 4)))
+    with pytest.raises(ValueError) as excinfo:
+        fisher_exact([[0, 0], [0, 0]])
+    assert str(excinfo.value) == "table must contain at least one observation"
 
 
 @pytest.mark.parametrize("table", [
@@ -116,6 +119,17 @@ def test_spearman_matches_scipy_with_ties():
         rho, p = scipy.stats.spearmanr(xs, ys)
         assert ours.statistic == pytest.approx(rho, rel=1e-9)
         assert ours.p_value == pytest.approx(p, rel=1e-6)
+
+
+@pytest.mark.parametrize(("fn", "ys", "statistic", "p_value"), [
+    (pearson, [2, 4, 6], 1.0, 0.0),    # |r| = 1: no t statistic
+    (pearson, [3, 2, 1], -1.0, 0.0),
+    (pearson, [1, 0, 1], 0.0, 1.0),    # r = 0: the x >= 1 end of the incomplete beta
+    (spearman, [1, 0, 1], 0.0, 1.0),
+], ids=["pearson+1", "pearson-1", "pearson0", "spearman0"])
+def test_correlations_at_the_ends_of_their_range(fn, ys, statistic, p_value):
+    res = fn([1, 2, 3], ys)
+    assert (res.statistic, res.p_value) == (statistic, p_value)
 
 
 def test_rankdata_midranks():
