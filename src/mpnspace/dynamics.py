@@ -90,13 +90,12 @@ def _rule_number(weights: tuple[int, int, int, int]) -> int:
 _setattr = object.__setattr__
 
 
-class _Record:
-    """A slotted record: repr and ``==`` over the values of ``_fields``
-    (within one class); unhashable, as its fields may be reassigned."""
+class _FrozenRecord:
+    """A slotted record set once, in ``__init__``: repr, ``==`` (within one
+    class) and hash over the values of ``_fields``, unhashable if one is."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    __hash__ = None
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -109,12 +108,6 @@ class _Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
-
-
-class _FrozenRecord(_Record):
-    """A record set once, in ``__init__``, hashing like its field values."""
-
-    __slots__ = ()
 
     def __hash__(self):
         return hash(self._values())

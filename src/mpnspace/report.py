@@ -29,10 +29,11 @@ from .dynamics import (
     VARIANT_TAGS,
     Rule,
     UpdateMode,
+    _FrozenRecord,
     _keyed_record,
     _label,
-    _Record,
     _RULES,
+    _setattr,
     _SYNCHRONOUS,
     _V1,
     all_rules,
@@ -51,18 +52,59 @@ REFERENCE = {
 }
 
 
-class TableDocument(_Record):
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change.  It pickles and copies as a plain
+    dict, which the document holding it freezes again."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a built document's maps are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+def _frozen(obj):
+    """``obj`` with each dict in it read-only and each list a tuple."""
+    if isinstance(obj, dict):
+        return _ReadOnlyDict(zip(obj, map(_frozen, obj.values())))
+    return tuple(map(_frozen, obj)) if isinstance(obj, (list, tuple)) else obj
+
+
+def _strs(items) -> bool:
+    return isinstance(items, (list, tuple)) and all(map(isinstance, items, repeat(str)))
+
+
+def _json_value(obj) -> bool:
+    """Whether ``obj`` is made of JSON values only, with str keys."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and _json_value(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(map(_json_value, obj))
+    return obj is None or isinstance(obj, (str, int, float))
+
+
+class TableDocument(_FrozenRecord):
     """One built table: its id, column names, rows of cell strings and
-    metadata (notes, conventions, merge-check warnings)."""
+    metadata (notes, conventions, merge-check warnings), read-only once checked."""
 
     __slots__ = _fields = __match_args__ = ("table_id", "columns", "rows", "metadata")
 
     def __init__(self, table_id: str, columns: tuple[str, ...], rows: list[list[str]],
                  metadata: dict | None = None):
-        self.table_id = table_id
-        self.columns = columns
-        self.rows = rows
-        self.metadata = {} if metadata is None else metadata
+        metadata = {} if metadata is None else metadata
+        if not (isinstance(table_id, str) and _strs(columns) and isinstance(rows, (list, tuple))
+                and all(_strs(row) and len(row) == len(columns) for row in rows)
+                and isinstance(metadata, dict) and _json_value(metadata)):
+            raise ValueError("a TableDocument needs a str id, str columns, rows of one str "
+                             "cell per column and JSON metadata with str keys")
+        _setattr(self, "table_id", table_id)
+        _setattr(self, "columns", tuple(columns))
+        _setattr(self, "rows", tuple(map(tuple, rows)))
+        _setattr(self, "metadata", _frozen(metadata))
 
 
 def _fmt_fraction(f) -> str:
@@ -130,18 +172,8 @@ def _dynamics_table(table_id: str, arities: tuple[int, ...],
         [*_rule_cells(r), *(_class_cell(r, column, warnings) for column in columns)]
         for r in _t12_representatives(arities)
     ]
-    doc = TableDocument(table_id, (*_RULE_COLUMNS, *columns), rows)
-    if warnings:
-        doc.metadata["warnings"] = warnings
-    return doc
-
-
-def build_t1() -> TableDocument:
-    return _dynamics_table("T1", (2,), _T1_COLUMNS)
-
-
-def build_ta1() -> TableDocument:
-    return _dynamics_table("TA1", (0, 1), _TA1_COLUMNS)
+    return TableDocument(table_id, (*_RULE_COLUMNS, *columns), rows,
+                         {"warnings": warnings} if warnings else None)
 
 
 _TA2_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6")
@@ -209,14 +241,6 @@ def _transition_doc(table_id: str, grouping: str) -> TableDocument:
             "low_arity_edges": counts.low_arity_edges,
         },
     )
-
-
-def build_t3a() -> TableDocument:
-    return _transition_doc("T3A", "five-class")
-
-
-def build_t3b() -> TableDocument:
-    return _transition_doc("T3B", "three-class")
 
 
 # The T4 row name of each three-class group, in row order.
@@ -326,12 +350,12 @@ def build_spectra_table() -> TableDocument:
 
 
 _BUILDERS = {
-    "T1": build_t1,
+    "T1": functools.partial(_dynamics_table, "T1", (2,), _T1_COLUMNS),
     "T2": build_t2,
-    "T3A": build_t3a,
-    "T3B": build_t3b,
+    "T3A": functools.partial(_transition_doc, "T3A", "five-class"),
+    "T3B": functools.partial(_transition_doc, "T3B", "three-class"),
     "T4": build_t4,
-    "TA1": build_ta1,
+    "TA1": functools.partial(_dynamics_table, "TA1", (0, 1), _TA1_COLUMNS),
     "TA2": build_ta2,
     "robustness": build_robustness_table,
     "spectra": build_spectra_table,
@@ -347,28 +371,9 @@ def build_table(table_id: str) -> TableDocument:
     return _BUILDERS[key]()
 
 
-def _strs(items) -> bool:
-    return isinstance(items, (list, tuple)) and all(map(isinstance, items, repeat(str)))
-
-
-def _json_value(obj) -> bool:
-    """Whether ``obj`` is made of JSON values only, with str keys."""
-    if isinstance(obj, dict):
-        return all(isinstance(k, str) and _json_value(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple)):
-        return all(map(_json_value, obj))
-    return obj is None or isinstance(obj, (str, int, float))
-
-
 def render_table(doc: TableDocument, fmt: str) -> str:
-    if not isinstance(doc, TableDocument):
+    if type(doc) is not TableDocument:
         raise ValueError(f"render_table needs a TableDocument, got {doc!r}")
-    if not (isinstance(doc.table_id, str) and _strs(doc.columns)
-            and isinstance(doc.rows, (list, tuple))
-            and all(_strs(row) and len(row) == len(doc.columns) for row in doc.rows)
-            and isinstance(doc.metadata, dict) and _json_value(doc.metadata)):
-        raise ValueError("a TableDocument needs a str id, str columns, rows of one str "
-                         "cell per column and JSON metadata with str keys")
     if fmt in ("csv", "tsv"):
         delimiter, width = "," if fmt == "csv" else "\t", len(doc.columns)
         lines = [delimiter.join(row) for row in (doc.columns, *doc.rows)]
@@ -393,7 +398,7 @@ def render_table(doc: TableDocument, fmt: str) -> str:
         lines.extend("| " + " | ".join(row) + " |" for row in doc.rows)
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return _json({"table": doc.table_id, "columns": list(doc.columns),
+        return _json({"table": doc.table_id, "columns": doc.columns,
                       "rows": doc.rows, "metadata": doc.metadata})
     raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
 
@@ -434,20 +439,39 @@ def emit_table(table_id: str, fmt: str = "csv") -> str:
     return render_table(build_table(table_id), fmt)
 
 
-class RuleGraph(_Record):
+class RuleGraph(_FrozenRecord):
     """The 81-node mutation graph with per-rule attributes.
 
-    ``nodes`` maps rule number to its attribute dict (arity, dynamics
+    ``nodes`` maps rule number to its attribute map (arity, dynamics
     class per synchronous variant, and the three robustness fractions);
     ``edges`` lists each undirected edge once as (smaller, larger).
+    Checked when built, and read-only after, like a ``TableDocument``.
     """
 
     __slots__ = _fields = __match_args__ = ("nodes", "edges")
 
     def __init__(self, nodes: dict[int, dict] | None = None,
                  edges: tuple[tuple[int, int], ...] = ()):
-        self.nodes = {} if nodes is None else nodes
-        self.edges = edges
+        nodes = {} if nodes is None else nodes
+        if not (isinstance(nodes, dict) and all(map(_graph_node, nodes, nodes.values()))
+                and isinstance(edges, (list, tuple))
+                and all(isinstance(e, (list, tuple)) and len(e) == 2
+                        and all(type(v) is int and v in nodes for v in e) for e in edges)):
+            raise ValueError("a RuleGraph needs int nodes, each with an int arity and str-to-str "
+                             "classes and robustness maps, and edges that are pairs of its nodes")
+        _setattr(self, "nodes", _ReadOnlyDict({n: _ReadOnlyDict(  # each map str-to-str, as checked
+            {k: m if k == "arity" else _ReadOnlyDict(m) for k, m in attrs.items()})
+            for n, attrs in nodes.items()}))
+        _setattr(self, "edges", tuple(map(tuple, edges)))
+
+
+def _graph_node(n, attrs) -> bool:
+    """Whether ``n: attrs`` is a rule graph node: an int number with an int
+    arity and, optionally, str-to-str ``classes`` and ``robustness`` maps."""
+    return (type(n) is int and isinstance(attrs, dict) and type(attrs.get("arity")) is int
+            and attrs.keys() <= {"arity", "classes", "robustness"}
+            and all(isinstance(m, dict) and _strs([*m, *m.values()])
+                    for key, m in attrs.items() if key != "arity"))
 
 
 def build_rule_graph() -> RuleGraph:
@@ -462,33 +486,17 @@ def build_rule_graph() -> RuleGraph:
     } for r in all_rules()}
     edges = sorted((r.number, nb.number)
                    for r in all_rules() for nb in rulespace.neighbors(r) if nb.number > r.number)
-    return RuleGraph(nodes=nodes, edges=tuple(edges))
+    return RuleGraph(nodes=nodes, edges=edges)
 
 
 def _dot_escape(s: str) -> str:
     return s.replace('"', '\\"')
 
 
-def _graph_node(n, attrs) -> bool:
-    """Whether ``n: attrs`` is a rule graph node: an int number with an int
-    arity and, optionally, str-to-str ``classes`` and ``robustness`` maps."""
-    return (type(n) is int and isinstance(attrs, dict) and type(attrs.get("arity")) is int
-            and attrs.keys() <= {"arity", "classes", "robustness"}
-            and all(isinstance(m, dict) and _strs([*m, *m.values()])
-                    for key, m in attrs.items() if key != "arity"))
-
-
 def export_graph(graph: RuleGraph, fmt: str) -> str:
     """Serialize the rule graph deterministically as dot, csv, or json."""
-    if not isinstance(graph, RuleGraph):
+    if type(graph) is not RuleGraph:
         raise ValueError(f"export_graph needs a RuleGraph, got {graph!r}")
-    nodes, edges = graph.nodes, graph.edges
-    if not (isinstance(nodes, dict) and all(map(_graph_node, nodes, nodes.values()))
-            and isinstance(edges, (list, tuple))
-            and all(isinstance(e, (list, tuple)) and len(e) == 2
-                    and all(type(v) is int and v in nodes for v in e) for e in edges)):
-        raise ValueError("a RuleGraph needs int nodes, each with an int arity and str-to-str "
-                         "classes and robustness maps, and edges that are pairs of its nodes")
     if fmt == "dot":
         lines = ["graph rulespace {"]
         for n in sorted(graph.nodes):
@@ -509,7 +517,7 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return _json({"nodes": [{"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)],
-                      "edges": [list(e) for e in graph.edges]})
+                      "edges": graph.edges})
     raise ValueError(f"unknown export format {fmt!r}")
 
 

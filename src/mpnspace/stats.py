@@ -151,8 +151,6 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
 
 def _t_two_sided_p(t: float, dof: int) -> float:
     """P(|T| >= |t|) for Student's t with ``dof`` degrees of freedom."""
-    if math.isinf(t):
-        return 0.0
     return _reg_inc_beta(dof / 2.0, 0.5, dof / (dof + t * t))
 
 

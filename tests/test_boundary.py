@@ -1,9 +1,9 @@
 """The boundary contract over ``mpnspace.__all__``, table-driven.
 
-Every public function, and the three records that validate at
-construction (``Rule``, ``Variant`` and ``EquivalenceClass``), has one
-row: a valid call, and for each parameter the probe values that are
-valid there.  Each parameter in turn then takes every value of a fixed
+Every public function, and the five records that validate at
+construction (``Rule``, ``Variant``, ``EquivalenceClass``,
+``TableDocument`` and ``RuleGraph``), has one row: a valid call, and
+for each parameter the probe values that are valid there.  Each parameter in turn then takes every value of a fixed
 probe catalogue in place of its valid argument.  A probe value valid
 for the parameter must be accepted; every other one is a malformed call
 and must raise ``ValueError``, and must leave no key outside the
@@ -55,6 +55,8 @@ CLASS = mp.reduce_rules({"T12"})[1]
 ROWS = {
     "EquivalenceClass": ((CLASS.representative, CLASS.members, CLASS.generators), {}),
     "Rule": ((-1, 0, 1, 0), {}),
+    "RuleGraph": (({8: {"arity": 2}}, ((8, 8),)), {}),
+    "TableDocument": (("X", ("a",), [["1"]], {"n": 1}), {0: {"'zz'", "'V1'", "''"}, 3: {"None"}}),
     "Variant": (("V2", mp.UpdateMode.X_FIRST), {0: {"'V1'"}}),
     "all_rules": ((), {}),
     "attractor_set": ((RULE, V1), {}),
@@ -106,7 +108,7 @@ ROWS = {
     "variant": (("v3", "x-first"), {0: {"'V1'"}}),
 }
 
-VALIDATING_RECORDS = (mp.Rule, mp.Variant, mp.EquivalenceClass)
+VALIDATING_RECORDS = (mp.Rule, mp.Variant, mp.EquivalenceClass, mp.TableDocument, mp.RuleGraph)
 PUBLIC_CALLABLES = [name for name in mp.__all__
                     if inspect.isfunction(getattr(mp, name))
                     or getattr(mp, name) in VALIDATING_RECORDS]

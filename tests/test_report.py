@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,8 +92,8 @@ def test_a_disagreeing_merge_keeps_the_column_and_warns(monkeypatch, tag, modes,
     doc = build_table("T1")
     assert (doc.columns, doc.rows) == (expected.columns, expected.rows)
     kept = doc.columns.index(column)
-    assert doc.metadata["warnings"] == [warning.format(rule=row[0], label=row[kept])
-                                        for row in expected.rows]
+    assert doc.metadata["warnings"] == tuple(warning.format(rule=row[0], label=row[kept])
+                                             for row in expected.rows)
 
 
 def test_a_v1_label_outside_the_t4_groups_stops_the_count_table(monkeypatch):
@@ -159,54 +160,149 @@ def test_renders_parse_back_to_the_table(table_id):
     for fmt, delimiter in (("csv", ","), ("tsv", "\t")):
         text = render_table(doc, fmt)
         assert list(csv.reader(io.StringIO(text), delimiter=delimiter)) == [
-            list(doc.columns), *doc.rows], fmt
+            list(doc.columns), *map(list, doc.rows)], fmt
     payload = json.loads(render_table(doc, "json"))
     assert (payload["table"], payload["columns"], payload["rows"]) == (
-        doc.table_id, list(doc.columns), doc.rows)
+        doc.table_id, list(doc.columns), [*map(list, doc.rows)])
 
 
-# Each breaks one field of a well-formed document or graph.
+# Each builds a well-formed document or graph with one field broken.
 MALFORMED_TABLES = {
-    "int-id": TableDocument(1, ("a", "b"), [["1", "2"]]),
-    "str-columns": TableDocument("X", "ab", [["1", "2"]]),
-    "int-column": TableDocument("X", ("a", 2), [["1", "2"]]),
-    "int-cells": TableDocument("X", ("a", "b"), [[1, 2]]),
-    "long-row": TableDocument("X", ("a", "b"), [["1", "2", "3"]]),
-    "short-row": TableDocument("X", ("a", "b"), [["1"]]),
-    "str-row": TableDocument("X", ("a", "b"), ["12"]),
-    "str-rows": TableDocument("X", ("a", "b"), "12"),
-    "list-metadata": TableDocument("X", ("a", "b"), [["1", "2"]], [("note", "x")]),
-    "int-metadata-key": TableDocument("X", ("a", "b"), [["1", "2"]], {1: "x"}),
-    "set-metadata-value": TableDocument("X", ("a", "b"), [["1", "2"]], {"note": {"x"}}),
+    "int-id": lambda: TableDocument(1, ("a", "b"), [["1", "2"]]),
+    "str-columns": lambda: TableDocument("X", "ab", [["1", "2"]]),
+    "int-column": lambda: TableDocument("X", ("a", 2), [["1", "2"]]),
+    "int-cells": lambda: TableDocument("X", ("a", "b"), [[1, 2]]),
+    "long-row": lambda: TableDocument("X", ("a", "b"), [["1", "2", "3"]]),
+    "short-row": lambda: TableDocument("X", ("a", "b"), [["1"]]),
+    "str-row": lambda: TableDocument("X", ("a", "b"), ["12"]),
+    "str-rows": lambda: TableDocument("X", ("a", "b"), "12"),
+    "list-metadata": lambda: TableDocument("X", ("a", "b"), [["1", "2"]], [("note", "x")]),
+    "int-metadata-key": lambda: TableDocument("X", ("a", "b"), [["1", "2"]], {1: "x"}),
+    "set-metadata-value": lambda: TableDocument("X", ("a", "b"), [["1", "2"]], {"note": {"x"}}),
 }
 GRAPH_FORMATS = ("dot", "csv", "json")
 MALFORMED_GRAPHS = {
-    "no-arity": RuleGraph({1: {}}),
-    "str-arity": RuleGraph({1: {"arity": "2"}}),
-    "str-node": RuleGraph({"1": {"arity": 2}}),
-    "list-attrs": RuleGraph({1: [("arity", 2)]}),
-    "int-class": RuleGraph({1: {"arity": 2, "classes": {"V1": 3}}}),
-    "list-robustness": RuleGraph({1: {"arity": 2, "robustness": ["1/2"]}}),
-    "unknown-attr": RuleGraph({1: {"arity": 2, "colour": "red"}}),
-    "list-nodes": RuleGraph([1, 2]),
-    "edge-to-a-missing-node": RuleGraph({1: {"arity": 2}}, ((1, 2),)),
-    "three-node-edge": RuleGraph({1: {"arity": 2}, 2: {"arity": 2}}, ((1, 2, 1),)),
-    "str-edges": RuleGraph({1: {"arity": 2}, 2: {"arity": 2}}, "12"),
+    "no-arity": lambda: RuleGraph({1: {}}),
+    "str-arity": lambda: RuleGraph({1: {"arity": "2"}}),
+    "str-node": lambda: RuleGraph({"1": {"arity": 2}}),
+    "list-attrs": lambda: RuleGraph({1: [("arity", 2)]}),
+    "int-class": lambda: RuleGraph({1: {"arity": 2, "classes": {"V1": 3}}}),
+    "list-robustness": lambda: RuleGraph({1: {"arity": 2, "robustness": ["1/2"]}}),
+    "unknown-attr": lambda: RuleGraph({1: {"arity": 2, "colour": "red"}}),
+    "list-nodes": lambda: RuleGraph([1, 2]),
+    "edge-to-a-missing-node": lambda: RuleGraph({1: {"arity": 2}}, ((1, 2),)),
+    "three-node-edge": lambda: RuleGraph({1: {"arity": 2}, 2: {"arity": 2}}, ((1, 2, 1),)),
+    "str-edges": lambda: RuleGraph({1: {"arity": 2}, 2: {"arity": 2}}, "12"),
 }
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("doc", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
-def test_a_malformed_table_document_is_a_value_error_in_every_format(doc, fmt):
-    with pytest.raises(ValueError, match="a TableDocument needs"):
-        render_table(doc, fmt)
+@pytest.mark.parametrize("build", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
+def test_a_malformed_table_document_is_a_value_error_in_every_format(build, fmt):
+    """Refused where it is built, so no format gets to render it."""
+    with pytest.raises(ValueError, match="a TableDocument needs") as excinfo:
+        render_table(build(), fmt)
+    assert excinfo.traceback[-1].frame.code.raw is TableDocument.__init__.__code__
 
 
 @pytest.mark.parametrize("fmt", GRAPH_FORMATS)
-@pytest.mark.parametrize("graph", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS)
-def test_a_malformed_rule_graph_is_a_value_error_in_every_format(graph, fmt):
-    with pytest.raises(ValueError, match="a RuleGraph needs"):
-        export_graph(graph, fmt)
+@pytest.mark.parametrize("build", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS)
+def test_a_malformed_rule_graph_is_a_value_error_in_every_format(build, fmt):
+    with pytest.raises(ValueError, match="a RuleGraph needs") as excinfo:
+        export_graph(build(), fmt)
+    assert excinfo.traceback[-1].frame.code.raw is RuleGraph.__init__.__code__
+
+
+# Each mutating method of a dict, with arguments it would accept.
+_DICT_CHANGES = {"__setitem__": ("key", 1), "__delitem__": ("key",), "__ior__": ({"key": 1},),
+                 "clear": (), "pop": ("key",), "popitem": (), "setdefault": ("key", 1),
+                 "update": ({"key": 1},)}
+
+
+def _containers(obj) -> set[type]:
+    """The type of ``obj`` and of every array and map nested in it."""
+    if isinstance(obj, (list, tuple, dict)):
+        items = obj.values() if isinstance(obj, dict) else obj
+        return {type(obj)}.union(*map(_containers, items))
+    return set()
+
+
+def _assert_read_only(record, maps):
+    for field in record.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    for m in maps:
+        before = dict(m)
+        for name, args in _DICT_CHANGES.items():
+            with pytest.raises(TypeError, match="read-only"):
+                getattr(m, name)(*args)
+        assert m == before
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_a_built_table_refuses_every_change(table_id):
+    doc = build_table(table_id)
+    for copied in (doc, pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc)):
+        assert copied == doc
+        _assert_read_only(copied, [copied.metadata])
+        assert _containers(copied.columns) == _containers(copied.rows) == {tuple}
+        assert _containers(copied.metadata) <= {type(copied.metadata), tuple}
+
+
+def test_a_document_keeps_no_container_it_was_built_from():
+    columns, rows, metadata = ["a", "b"], [["1", "2"]], {"n": [1, ["x"]], "m": {"k": None}}
+    doc = TableDocument("X", columns, rows, metadata)
+    columns.append("c")
+    rows[0].append("3")
+    metadata["n"][1].append("y")
+    metadata.clear()
+    assert doc == TableDocument("X", ("a", "b"), (("1", "2"),),
+                                {"n": (1, ("x",)), "m": {"k": None}})
+    assert _containers(doc.metadata) == {type(doc.metadata), tuple}
+    _assert_read_only(doc, [doc.metadata, doc.metadata["m"]])
+
+
+def test_a_built_rule_graph_refuses_every_change():
+    graph = build_rule_graph()
+    for copied in (graph, pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+        assert copied == graph
+        node = copied.nodes[8]
+        _assert_read_only(copied, [copied.nodes, node, node["classes"], node["robustness"]])
+        assert _containers(copied.edges) == {tuple}
+
+
+def test_the_renderers_refuse_a_look_alike_of_a_document():
+    doc, graph = build_table("T3A"), build_rule_graph()
+    fake_doc = SimpleNamespace(**{f: getattr(doc, f) for f in TableDocument.__match_args__})
+    fake_graph = SimpleNamespace(nodes=graph.nodes, edges=graph.edges)
+    for fmt in FORMATS:
+        with pytest.raises(ValueError, match="^render_table needs a TableDocument, got namespace"):
+            render_table(fake_doc, fmt)
+    for fmt in GRAPH_FORMATS:
+        with pytest.raises(ValueError, match="^export_graph needs a RuleGraph, got namespace"):
+            export_graph(fake_graph, fmt)
+
+
+def test_a_cold_run_all_checks_each_rule_graph_node_once(tmp_path):
+    """The bundle's one rule graph is checked when it is built, and its
+    three exports, which only format it, check none of its 81 nodes again."""
+    program = (
+        "import sys\n"
+        "from mpnspace import report\n"
+        "check, calls = report._graph_node.__code__, []\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and frame.f_code is check\n"
+        "               and calls.append(1))\n"
+        "report.run_all(sys.argv[1])\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls))\n")
+    src = os.path.dirname(os.path.dirname(mpnspace.__file__))
+    proc = subprocess.run([sys.executable, "-c", program, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "81\n"
 
 
 def test_the_smallest_well_formed_records_render_in_every_format():
