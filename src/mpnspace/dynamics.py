@@ -202,20 +202,19 @@ class Variant(_FrozenRecord):
         self.__post_init__()  # a hook, so perfbench/tracer.py can count constructions
 
     def __post_init__(self):
-        if self.tag not in VARIANT_TAGS:
+        if type(self.tag) is not str or self.tag not in VARIANT_TAGS:
             raise ValueError(f"unknown variant tag {self.tag!r}")
         if not isinstance(self.mode, UpdateMode):
             raise ValueError(f"mode must be an UpdateMode, got {self.mode!r}")
 
 
 def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Variant:
-    """Build a :class:`Variant`, accepting lowercase tags and mode strings.
+    """The shared :class:`Variant` of a tag and a mode, from a table built at import.
 
-    A plain-string tag with a mode string or :class:`UpdateMode` member
-    is read from a table built at import: every call with the same tag
-    and mode, in any accepted spelling, gets one shared, immutable Variant,
-    and a pair that misses it is rejected there with the constructor's
-    message.
+    ``tag`` is a ``str`` in either case and ``mode`` an :class:`UpdateMode`
+    member or its ``str`` value, each by exact type: every accepted spelling
+    of a pair gets one shared, immutable Variant, and any other argument, a
+    ``str`` subclass included, raises ``ValueError`` and builds no Variant.
     """
     if type(tag) is str and type(mode) in (str, UpdateMode):
         try:
@@ -224,11 +223,9 @@ def variant(tag: str, mode: UpdateMode | str = UpdateMode.SYNCHRONOUS) -> Varian
             if mode not in _MODE_FORMS:
                 raise ValueError(f"{mode!r} is not a valid UpdateMode") from None
             raise ValueError(f"unknown variant tag {tag.upper()!r}") from None
-    if not isinstance(tag, str):
+    if type(tag) is not str:
         raise ValueError(f"variant tag must be a string, got {tag!r}")
-    if isinstance(mode, str):
-        mode = UpdateMode(mode)
-    return Variant(tag.upper(), mode)
+    raise ValueError(f"mode must be an UpdateMode, got {mode!r}")
 
 
 # The 6 accepted mode forms: each UpdateMode member and its string.

@@ -365,7 +365,7 @@ TABLE_IDS = tuple(_BUILDERS)
 
 def build_table(table_id: str) -> TableDocument:
     key = {t.lower(): t for t in TABLE_IDS}.get(
-        table_id.lower() if isinstance(table_id, str) else None)
+        table_id.lower() if type(table_id) is str else None)
     if key is None:
         raise ValueError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
     return _BUILDERS[key]()
@@ -374,6 +374,8 @@ def build_table(table_id: str) -> TableDocument:
 def render_table(doc: TableDocument, fmt: str) -> str:
     if type(doc) is not TableDocument:
         raise ValueError(f"render_table needs a TableDocument, got {doc!r}")
+    if type(fmt) is not str or fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
     if fmt in ("csv", "tsv"):
         delimiter, width = "," if fmt == "csv" else "\t", len(doc.columns)
         lines = [delimiter.join(row) for row in (doc.columns, *doc.rows)]
@@ -397,10 +399,8 @@ def render_table(doc: TableDocument, fmt: str) -> str:
                  "|" + "|".join(" --- " for _ in doc.columns) + "|"]
         lines.extend("| " + " | ".join(row) + " |" for row in doc.rows)
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return _json({"table": doc.table_id, "columns": doc.columns,
-                      "rows": doc.rows, "metadata": doc.metadata})
-    raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    return _json({"table": doc.table_id, "columns": doc.columns,
+                  "rows": doc.rows, "metadata": doc.metadata})
 
 
 def _json(obj) -> str:
@@ -459,10 +459,8 @@ class RuleGraph(_FrozenRecord):
                         and all(type(v) is int and v in nodes for v in e) for e in edges)):
             raise ValueError("a RuleGraph needs int nodes, each with an int arity and str-to-str "
                              "classes and robustness maps, and edges that are pairs of its nodes")
-        _setattr(self, "nodes", _ReadOnlyDict({n: _ReadOnlyDict(  # each map str-to-str, as checked
-            {k: m if k == "arity" else _ReadOnlyDict(m) for k, m in attrs.items()})
-            for n, attrs in nodes.items()}))
-        _setattr(self, "edges", tuple(map(tuple, edges)))
+        _setattr(self, "nodes", _frozen(nodes))
+        _setattr(self, "edges", _frozen(edges))
 
 
 def _graph_node(n, attrs) -> bool:
@@ -497,6 +495,8 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
     """Serialize the rule graph deterministically as dot, csv, or json."""
     if type(graph) is not RuleGraph:
         raise ValueError(f"export_graph needs a RuleGraph, got {graph!r}")
+    if type(fmt) is not str or fmt not in ("dot", "csv", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
     if fmt == "dot":
         lines = ["graph rulespace {"]
         for n in sorted(graph.nodes):
@@ -515,10 +515,8 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
         lines = ["source,target"]
         lines.extend(f"{u},{w}" for u, w in graph.edges)
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return _json({"nodes": [{"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)],
-                      "edges": graph.edges})
-    raise ValueError(f"unknown export format {fmt!r}")
+    return _json({"nodes": [{"rule": n, **graph.nodes[n]} for n in sorted(graph.nodes)],
+                  "edges": graph.edges})
 
 
 def distribution_payload(targets: str) -> dict:
@@ -649,7 +647,7 @@ def run_all(out_dir: str) -> dict:
         path = os.fspath(out_dir)
     except TypeError:
         path = None
-    if not isinstance(path, str) or path == "":
+    if not isinstance(path, str) or not path:
         raise ValueError(f"out_dir must be a non-empty str or a str os.PathLike, got {out_dir!r}")
     if os.path.lexists(path) and not os.path.isdir(path):
         raise ValueError(f"out_dir {out_dir!r} exists and is not a directory")

@@ -98,7 +98,7 @@ def state_robustness_rule_mutation(rule: Rule,
     """Fraction of (initial state, neighbor) pairs preserving the
     limiting state under V4.  See the module docstring for the two
     neighbor conventions."""
-    if targets not in MUTATION_TARGET_CHOICES:
+    if type(targets) is not str or targets not in MUTATION_TARGET_CHOICES:
         raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
     if type(rule) is not Rule:
         raise ValueError(f"mutation robustness needs a Rule, got {rule!r}")
@@ -127,17 +127,17 @@ def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
 
 
 def score(rule: Rule, metric: str, targets: str = "two-input") -> RobustnessScore:
-    """Dispatch on the metric kind; ``targets`` is validated for all,
-    for the mutation metric by its own scorer."""
+    """Dispatch on ``metric``, one of ``METRIC_KINDS`` by exact ``str``; ``targets``
+    is validated for every metric, for the mutation metric by its own scorer."""
+    if type(metric) is not str or metric not in METRIC_KINDS:
+        raise ValueError(f"metric must be one of {METRIC_KINDS}")
     if metric == "state-vs-rule-mutation":
         return state_robustness_rule_mutation(rule, targets)
-    if targets not in MUTATION_TARGET_CHOICES:
+    if type(targets) is not str or targets not in MUTATION_TARGET_CHOICES:
         raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
     if metric == "class-vs-rule-mutation":
         return class_robustness(rule)
-    if metric == "state-vs-init-perturbation":
-        return state_robustness_init_perturbation(rule)
-    raise ValueError(f"metric must be one of {METRIC_KINDS}")
+    return state_robustness_init_perturbation(rule)
 
 
 class Histogram(namedtuple("Histogram", "edges counts rules_per_bin")):
@@ -159,7 +159,7 @@ def robustness_distribution(targets: str = "two-input") -> Histogram:
     frozen edges above: the two-input convention over the 72 two-input
     rules by default, or ``targets="all"``, the all-neighbor convention
     over all 81 rules."""
-    if targets not in MUTATION_TARGET_CHOICES:
+    if type(targets) is not str or targets not in MUTATION_TARGET_CHOICES:
         raise ValueError(f"targets must be one of {MUTATION_TARGET_CHOICES}")
     edges = TWO_INPUT_BIN_EDGES if targets == "two-input" else ALL_TARGET_BIN_EDGES
     bins: list[list[int]] = [[] for _ in range(len(edges) + 1)]

@@ -95,7 +95,7 @@ def class_transition_counts(v: Variant | None = None,
     ``grouping`` is "five-class" (per-label identity) or "three-class"
     (all-fixed-point labels merged as F, the 2C and M labels merged).
     """
-    if grouping not in ("five-class", "three-class"):
+    if type(grouping) is not str or grouping not in ("five-class", "three-class"):
         raise ValueError(f"unknown grouping {grouping!r}")
     rules = all_rules()  # rule number n sits at position n - 1
     label_of = _labels(v)

@@ -31,11 +31,11 @@ class TestResult(namedtuple("TestResult", "statistic p_value ci_low ci_high note
 
 
 def _check_table(t: Table2x2) -> tuple[int, int, int, int]:
-    """The cells of a 2x2 table row by row, checked once per public call."""
-    try:
-        (n11, n12), (n21, n22) = t
-    except (TypeError, ValueError):
-        raise ValueError(f"expected a 2x2 table, got {t!r}") from None
+    """The cells, row by row, of two list or tuple rows in a list or tuple, checked once."""
+    if not (type(t) in (list, tuple) and len(t) == 2
+            and all(type(row) in (list, tuple) and len(row) == 2 for row in t)):
+        raise ValueError(f"expected a 2x2 table, got {t!r}")
+    (n11, n12), (n21, n22) = t
     cells = (n11, n12, n21, n22)
     # type() rather than isinstance: a bool is an int subclass.
     if any(type(c) is not int or c < 0 for c in cells):

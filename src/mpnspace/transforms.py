@@ -60,7 +60,8 @@ class EquivalenceClass(_FrozenRecord):
                 and members[:1] == (representative,) and members == tuple(sorted(set(members)))):
             raise ValueError("members must be distinct rule numbers in 1..81 ascending from the "
                              f"representative, got {representative!r} and {members!r}")
-        if type(generators) is not frozenset or not generators <= TRANSFORMATIONS.keys():
+        if type(generators) is not frozenset or any(
+                type(g) is not str or g not in TRANSFORMATIONS for g in generators):
             raise ValueError(f"generators must be a frozenset of {sorted(TRANSFORMATIONS)}, "
                              f"got {generators!r}")
         _setattr(self, "representative", representative)
@@ -95,9 +96,9 @@ def reduce_rules(generators: Iterable[str],
         generators = frozenset(generators)
     except TypeError:
         raise ValueError(f"generators must be an iterable of names, got {generators!r}") from None
-    unknown = generators - TRANSFORMATIONS.keys()
+    unknown = [g for g in generators if type(g) is not str or g not in TRANSFORMATIONS]
     if unknown:
-        raise ValueError(f"unknown transformations: {sorted(unknown)}")
+        raise ValueError(f"unknown transformations: {sorted(unknown, key=repr)}")
     under = _V1 if under is None else under
     if isinstance(rules, str):
         raise ValueError(f"rules must be an iterable of Rules, not the string {rules!r}")

@@ -497,24 +497,27 @@ def test_interned_variants_equal_the_plain_constructor():
             assert variant(tag, mode) is v, (tag, mode)
 
 
-def test_str_subclass_tags_are_not_interned():
+def test_str_subclass_tags_are_not_interned(monkeypatch):
     class Tag(str):
         pass
 
+    built = []
+    monkeypatch.setattr(Variant, "__post_init__", lambda self: built.append(self))
     before = dict(dynamics._VARIANTS)
-    v = variant(Tag("v4"), "x-first")
-    assert v == Variant("V4", UpdateMode.X_FIRST)
-    assert variant(Tag("v4"), "x-first") is not v
-    assert v is not variant("V4", "x-first")
+    for tag in (Tag("v4"), Tag("V4")):
+        with pytest.raises(ValueError) as excinfo:
+            variant(tag, "x-first")
+        assert str(excinfo.value) == f"variant tag must be a string, got {tag!r}"
     assert dynamics._VARIANTS == before
+    assert built == []
 
 
 class _Str(str):
-    """A str subclass, which ``variant`` hands to the constructor."""
+    """A str subclass, which ``variant`` refuses, a valid spelling included."""
 
 
-# The messages are those of the uninterned constructor, which the
-# str-subclass rows reach.
+# The messages ``variant`` raises: a plain-string pair at its table miss,
+# any other argument by its type.
 MALFORMED_VARIANT_INPUTS = [
     ("V0", "x-first", "unknown variant tag 'V0'"),
     ("V8", "x-first", "unknown variant tag 'V8'"),
@@ -528,8 +531,9 @@ MALFORMED_VARIANT_INPUTS = [
     ("V1", 1, "mode must be an UpdateMode, got 1"),
 ]
 STR_SUBCLASS_INPUTS = [
-    pytest.param(_Str("V0"), "x-first", "unknown variant tag 'V0'", id="str-subclass-tag"),
-    pytest.param("V1", _Str("z-first"), "'z-first' is not a valid UpdateMode",
+    pytest.param(_Str("V1"), "x-first", "variant tag must be a string, got 'V1'",
+                 id="str-subclass-tag"),
+    pytest.param("V1", _Str("x-first"), "mode must be an UpdateMode, got 'x-first'",
                  id="str-subclass-mode"),
 ]
 

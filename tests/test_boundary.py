@@ -3,13 +3,16 @@
 Every public function, and the five records that validate at
 construction (``Rule``, ``Variant``, ``EquivalenceClass``,
 ``TableDocument`` and ``RuleGraph``), has one row: a valid call, and
-for each parameter the probe values that are valid there.  Each parameter in turn then takes every value of a fixed
-probe catalogue in place of its valid argument.  A probe value valid
-for the parameter must be accepted; every other one is a malformed call
-and must raise ``ValueError``, and must leave no key outside the
-universe in the memos keyed by (rule number, tag, mode).  A public
-callable with no row fails, so an addition to the public surface must
-state its boundary here.
+for each parameter the probe values that are valid there.  Each
+parameter in turn then takes every value of a fixed probe catalogue in
+place of its valid argument.  A probe value valid for the parameter
+must be accepted; every other one is a malformed call and must raise
+``ValueError``, and must leave no key outside its universe in the memos
+keyed by (rule number, tag, mode) or (rule number, convention).  A
+parameter that picks a choice takes an exact ``str``, so a ``str``
+subclass is valid only where any string is data.  A public callable
+with no row fails, so an addition to the public surface must state its
+boundary here.
 """
 
 import copy
@@ -27,8 +30,30 @@ from mpnspace import dynamics, robustness
 # Rule 8's fields, which a look-alike of a record carries.
 RULE_8_FIELDS = {"wxx": -1, "wxy": -1, "wyx": 1, "wyy": 0, "weights": (-1, -1, 1, 0), "number": 8}
 
+
+class EqualsAnything(str):
+    """A look-alike of every choice: a str equal to any value, hashing as a
+    str, whose ``upper`` and ``lower`` give the valid spellings "V1" and "t1"."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return True
+
+    def upper(self):
+        return "V1"
+
+    def lower(self):
+        return "t1"
+
+
+class PlainSubclass(str):
+    """A str subclass and nothing more."""
+
+
 # The probe catalogue: the label of each value, as shown in a failure.
-# A look-alike of a Rule or a Variant is no record, whatever its fields.
+# A look-alike of a Rule or a Variant is no record, whatever its fields,
+# and a str subclass is no choice, whatever it spells or equals.
 PROBES = {
     "None": None, "True": True, "2.5": 2.5, "nan": math.nan, "'zz'": "zz",
     "10**400": 10 ** 400, "8": 8, "'V1'": "V1", "[1, 2]": [1, 2],
@@ -37,11 +62,19 @@ PROBES = {
         **RULE_8_FIELDS, tag="V1", mode=mp.UpdateMode.SYNCHRONOUS),
     "rule -1 V9 look-alike": SimpleNamespace(
         **{**RULE_8_FIELDS, "number": -1, "wyy": 5}, tag="V9", mode="synchronous"),
+    "str equal to anything": EqualsAnything("V9"),
+    "str subclass 'all'": PlainSubclass("all"),
 }
+# The labels of the probes that are any str, valid wherever any str is data.
+STRS = {"'zz'", "'V1'", "''", "str equal to anything", "str subclass 'all'"}
 
-# The memos keyed by (rule number, tag, mode), and that key universe.
-MEMOS = (dynamics._keyed_record, robustness._class_score, dynamics._state_graph)
-UNIVERSE = list(itertools.product(range(1, 82), mp.VARIANT_TAGS, mp.UpdateMode))
+# The memos keyed by (rule number, tag, mode) or (rule number, convention),
+# each with its key universe.
+VARIANT_KEYS = list(itertools.product(range(1, 82), mp.VARIANT_TAGS, mp.UpdateMode))
+MEMOS = ((dynamics._keyed_record, VARIANT_KEYS), (robustness._class_score, VARIANT_KEYS),
+         (dynamics._state_graph, VARIANT_KEYS),
+         (robustness._state_robustness_rule_mutation,
+          list(itertools.product(range(1, 82), mp.MUTATION_TARGET_CHOICES))))
 
 RULE = mp.rule_from_number(8)
 V1 = mp.variant("V1")
@@ -56,7 +89,7 @@ ROWS = {
     "EquivalenceClass": ((CLASS.representative, CLASS.members, CLASS.generators), {}),
     "Rule": ((-1, 0, 1, 0), {}),
     "RuleGraph": (({8: {"arity": 2}}, ((8, 8),)), {}),
-    "TableDocument": (("X", ("a",), [["1"]], {"n": 1}), {0: {"'zz'", "'V1'", "''"}, 3: {"None"}}),
+    "TableDocument": (("X", ("a",), [["1"]], {"n": 1}), {0: STRS, 3: {"None"}}),
     "Variant": (("V2", mp.UpdateMode.X_FIRST), {0: {"'V1'"}}),
     "all_rules": ((), {}),
     "attractor_set": ((RULE, V1), {}),
@@ -87,7 +120,7 @@ ROWS = {
     "robustness_distribution": (("all",), {}),
     "rule_from_number": ((81,), {0: {"8"}}),
     # Any string is a path; the test runs in a scratch directory.
-    "run_all": (("bundle",), {0: {"'zz'", "'V1'"}}),
+    "run_all": (("bundle",), {0: STRS - {"''"}}),
     "score": ((RULE, "state-vs-rule-mutation", "all"), {}),
     "sign_predicates": ((RULE,), {}),
     "spearman": (([1, 2, 4, 3], [2, 1, 4, 3]), {}),
@@ -141,11 +174,11 @@ def test_a_malformed_argument_to_a_public_callable_is_a_value_error(name, tmp_pa
             else:
                 escapes.append(f"argument {i} = {label}: accepted")
     assert not escapes, escapes
-    # With every key of the universe filled, a memo holds no other key.
-    for memo in MEMOS:
-        for key in UNIVERSE:
+    # With every key of its universe filled, a memo holds no other key.
+    for memo, universe in MEMOS:
+        for key in universe:
             memo(*key)
-        assert memo.cache_info().currsize == len(UNIVERSE), memo.__name__
+        assert memo.cache_info().currsize == len(universe), memo.__name__
 
 
 @pytest.mark.parametrize("kind", ["devnull", "file", "dangling-symlink"])

@@ -41,6 +41,12 @@ def test_fisher_rejects_bad_tables():
     with pytest.raises(ValueError) as excinfo:
         fisher_exact([[0, 0], [0, 0]])
     assert str(excinfo.value) == "table must contain at least one observation"
+    # A set row would be read in hash order, a dict by its keys.
+    for table in ([{6, 1}, (2, 5)], {(6, 1): 0, (2, 5): 1}):
+        for test in (fisher_exact, odds_ratio):
+            with pytest.raises(ValueError) as excinfo:
+                test(table)
+            assert str(excinfo.value) == f"expected a 2x2 table, got {table!r}"
 
 
 @pytest.mark.parametrize("table", [

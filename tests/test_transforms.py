@@ -144,6 +144,29 @@ def test_reduce_rejects_unknown_generator():
         reduce_rules(None)
 
 
+class _NamedT12(str):
+    """A look-alike of the name "T12": equal to it and hashing as it."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return hash("T12")
+
+
+def test_a_generator_name_is_an_exact_str():
+    bogus = _NamedT12("bogus")
+    with pytest.raises(ValueError) as excinfo:
+        reduce_rules({bogus})
+    assert str(excinfo.value) == "unknown transformations: ['bogus']"
+    with pytest.raises(ValueError, match="generators must be a frozenset"):
+        EquivalenceClass(1, (1,), frozenset({bogus}))
+    # Names of mixed types are listed, not compared.
+    with pytest.raises(ValueError) as excinfo:
+        reduce_rules({"x", 1})
+    assert str(excinfo.value) == "unknown transformations: ['x', 1]"
+
+
 def test_reduce_refuses_sign_flip_for_non_v1_dynamics():
     with pytest.raises(ValueError):
         reduce_rules({"G"}, under=variant("V2"))
