@@ -128,13 +128,15 @@ class Rule(_FrozenRecord):
     ``wxx`` weighs node x's own value in the update of x, ``wxy`` weighs
     node y's value in the update of x, and symmetrically ``wyx``/``wyy``
     for the update of y.  Each weight is -1, 0, or +1, giving 81 rules.
-    ``weights`` is the tuple of the four, and ``number`` the canonical
-    rule number in 1..81 (base-3 encoding of the weights), both derived
-    once at construction.  Rules compare, order and hash by their
-    weights alone.
+    ``weights`` is the tuple of the four, ``number`` the canonical rule
+    number in 1..81 (base-3 encoding of the weights), and ``arity`` the
+    number of nodes that actually feed the update: 0 if all weights
+    vanish, 1 if both cross weights vanish (each node sees only itself),
+    2 otherwise.  All three are derived once, at construction.  Rules
+    compare, order and hash by their weights alone.
     """
 
-    __slots__ = ("wxx", "wxy", "wyx", "wyy", "weights", "number")
+    __slots__ = ("wxx", "wxy", "wyx", "wyy", "weights", "number", "arity")
     _fields = __match_args__ = ("wxx", "wxy", "wyx", "wyy")
 
     def __init__(self, wxx: int, wxy: int, wyx: int, wyy: int):
@@ -149,6 +151,7 @@ class Rule(_FrozenRecord):
                 raise ValueError(f"weights must be the ints -1, 0, or +1, got {w!r}")
             _setattr(self, name, w)
         _setattr(self, "number", _rule_number(self.weights))
+        _setattr(self, "arity", 2 if self.wxy or self.wyx else 1 if self.wxx or self.wyy else 0)
 
     def _values(self) -> tuple[int, int, int, int]:
         return self.weights
@@ -159,19 +162,6 @@ class Rule(_FrozenRecord):
 
     def __le__(self, other):
         return self.weights <= other.weights if other.__class__ is Rule else NotImplemented
-
-    @property
-    def arity(self) -> int:
-        """Number of nodes that actually feed the update.
-
-        0 if all weights vanish, 1 if both cross weights vanish (each
-        node sees only itself), 2 otherwise.
-        """
-        if self.weights == (0, 0, 0, 0):
-            return 0
-        if self.wxy == 0 and self.wyx == 0:
-            return 1
-        return 2
 
 
 # The 81 shared rules by rule number, built at import (slot 0 unused).

@@ -395,12 +395,19 @@ def render_table(doc: TableDocument, fmt: str) -> str:
             (doc.columns, *doc.rows))
         return buf.getvalue()
     if fmt == "markdown":
-        lines = ["| " + " | ".join(doc.columns) + " |",
+        lines = ["| " + " | ".join(map(_markdown_cell, doc.columns)) + " |",
                  "|" + "|".join(" --- " for _ in doc.columns) + "|"]
-        lines.extend("| " + " | ".join(row) + " |" for row in doc.rows)
+        lines.extend("| " + " | ".join(map(_markdown_cell, row)) + " |" for row in doc.rows)
         return "\n".join(lines) + "\n"
     return _json({"table": doc.table_id, "columns": doc.columns,
                   "rows": doc.rows, "metadata": doc.metadata})
+
+
+def _markdown_cell(s: str) -> str:
+    """``s`` as one markdown table cell: a backslash or ``|`` is
+    backslash-escaped and each line break (CRLF, CR or LF) is ``<br>``."""
+    return (s.replace("\\", "\\\\").replace("|", "\\|").replace("\r\n", "<br>")
+            .replace("\r", "<br>").replace("\n", "<br>"))
 
 
 def _json(obj) -> str:
@@ -487,8 +494,18 @@ def build_rule_graph() -> RuleGraph:
     return RuleGraph(nodes=nodes, edges=edges)
 
 
-def _dot_escape(s: str) -> str:
-    return s.replace('"', '\\"')
+def _dot_quoted(s: str) -> str:
+    """``s`` as a DOT quoted string, a backslash or ``"`` in it backslash-escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot_attr(name: str, value: str) -> str:
+    """One DOT attribute ``name=value``: the value always quoted, the name
+    quoted unless it is a plain DOT ID (an ASCII identifier, not a keyword)."""
+    if not (name.isascii() and name.isidentifier()) or name.lower() in (
+            "node", "edge", "graph", "digraph", "subgraph", "strict"):
+        name = _dot_quoted(name)
+    return f"{name}={_dot_quoted(value)}"
 
 
 def export_graph(graph: RuleGraph, fmt: str) -> str:
@@ -503,9 +520,9 @@ def export_graph(graph: RuleGraph, fmt: str) -> str:
             attrs = graph.nodes[n]
             parts = [f'arity={attrs["arity"]}']
             for tag in sorted(attrs.get("classes", {})):
-                parts.append(f'{tag.lower()}_class="{_dot_escape(attrs["classes"][tag])}"')
+                parts.append(_dot_attr(f"{tag.lower()}_class", attrs["classes"][tag]))
             for key in sorted(attrs.get("robustness", {})):
-                parts.append(f'{key}="{attrs["robustness"][key]}"')
+                parts.append(_dot_attr(key, attrs["robustness"][key]))
             lines.append(f'  {n} [{" ".join(parts)}];')
         for u, w in graph.edges:
             lines.append(f"  {u} -- {w};")

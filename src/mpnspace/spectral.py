@@ -83,18 +83,16 @@ def _cycle_lengths(attractors: AttractorSet, what: str) -> tuple[int, ...]:
         raise ValueError(f"a {what} needs cycles of states, got {attractors!r}") from None
 
 
-def _spectrum(lengths: tuple[int, ...]) -> Spectrum:
-    phases = tuple(sorted(Fraction(k, p) for p in lengths for k in range(p)))
-    return Spectrum(zero_count=4 - sum(lengths), phases=phases, cycle_lengths=lengths)
+# The spectrum of each of the 11 cycle types, shared by every map of the type:
+# zeros for transients, p-th roots of unity per cycle of length p.
+_SPECTRA = {lengths: Spectrum(4 - sum(lengths), tuple(sorted(
+    Fraction(k, p) for p in lengths for k in range(p))), lengths) for lengths in _CLASSES}
 
 
 def spectrum_from_cycles(attractors: AttractorSet) -> Spectrum:
-    """Combinatorial spectrum: zeros for transients, p-th roots per cycle."""
-    return _spectrum(_cycle_lengths(attractors, "spectrum"))
-
-
-# The spectrum of each of the 11 cycle types, shared by every map of the type.
-_SPECTRA = {lengths: _spectrum(lengths) for lengths in _CLASSES}
+    """Combinatorial spectrum: zeros for transients, p-th roots per cycle;
+    the one shared ``Spectrum`` of the attractors' cycle type."""
+    return _SPECTRA[_cycle_lengths(attractors, "spectrum")]
 
 
 def spectrum(rule: Rule, v: Variant) -> Spectrum:

@@ -1,14 +1,15 @@
 """The four statistical procedures used by the analysis reports.
 
-Fisher's exact test is computed with exact rational arithmetic: the
-two-sided p-value sums the hypergeometric probabilities (margins fixed)
-of every table whose probability does not exceed the observed table's,
-so no floating-point tie-breaking is involved.  The odds ratio is the
-sample estimate with a Woolf (log-scale normal) 95% interval.  Pearson
-and Spearman correlations take two-sided p-values from the exact t
-transform of r with n-2 degrees of freedom, evaluated through a
-continued-fraction regularized incomplete beta function, so the package
-needs no numerical library at run time.
+Fisher's exact test is computed with exact arithmetic: every table with
+the observed margins has an integer weight comb(c1, k) * comb(n - c1,
+r1 - k) over the one denominator comb(n, r1), and the two-sided p-value
+is the sum of the weights no larger than the observed table's over that
+denominator, so no floating-point tie-breaking is involved.  The odds
+ratio is the sample estimate with a Woolf (log-scale normal) 95%
+interval.  Pearson and Spearman correlations take two-sided p-values
+from the exact t transform of r with n-2 degrees of freedom, evaluated
+through a continued-fraction regularized incomplete beta function, so
+the package needs no numerical library at run time.
 """
 
 import math
@@ -45,13 +46,6 @@ def _check_table(t: Table2x2) -> tuple[int, int, int, int]:
     return cells
 
 
-def _hypergeom_pmf(k: int, r1: int, c1: int, n: int) -> Fraction:
-    """P(top-left cell = k) with both margins fixed."""
-    return Fraction(
-        math.comb(c1, k) * math.comb(n - c1, r1 - k), math.comb(n, r1)
-    )
-
-
 def fisher_exact(t: Table2x2) -> TestResult:
     """Two-sided Fisher test; p is an exact Fraction.
 
@@ -66,15 +60,11 @@ def fisher_exact(t: Table2x2) -> TestResult:
     odds = _sample_odds_ratio(*cells)
     if 0 in (r1, r2, c1, c2):
         return TestResult(odds, Fraction(1), note="degenerate margins")
+    # Table k's probability is its weight over the shared comb(n, r1).
     k_min = max(0, r1 - c2)
-    k_max = min(r1, c1)
-    observed = _hypergeom_pmf(n11, r1, c1, n)
-    p = Fraction(0)
-    for k in range(k_min, k_max + 1):
-        q = _hypergeom_pmf(k, r1, c1, n)
-        if q <= observed:
-            p += q
-    return TestResult(odds, p)
+    weights = [math.comb(c1, k) * math.comb(c2, r1 - k) for k in range(k_min, min(r1, c1) + 1)]
+    observed = weights[n11 - k_min]
+    return TestResult(odds, Fraction(sum(w for w in weights if w <= observed), math.comb(n, r1)))
 
 
 def _sample_odds_ratio(n11: int, n12: int, n21: int, n22: int) -> float:

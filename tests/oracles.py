@@ -12,9 +12,15 @@ loops over the four states with the update rule of each mode, where the
 package writes each mode out state by state.  The orbit reference searches
 the weight tuples to closure under the symmetries, where the package
 reads an orbit off as the images under each subset of its generators.
+The Fisher reference sums one ``Fraction`` per table, each a ratio of
+factorials, where the package sums integer weights over one binomial
+denominator.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial, prod
 
 
 # The variant table of the ``dynamics`` module docstring: node values
@@ -189,3 +195,22 @@ def closure_orbit(weights, generators) -> set:
                 orbit.add(nxt)
                 frontier.append(nxt)
     return orbit
+
+
+def fisher_two_sided(table) -> Fraction:
+    """Two-sided Fisher exact p-value of a 2x2 table of counts: the plain
+    ``Fraction`` sum of the probabilities of every table with the observed
+    row and column sums that are no larger than the observed table's.  A
+    table's probability with its margins fixed is r1! r2! c1! c2! / (n!
+    times the product of its cells' factorials)."""
+    (a, b), (c, d) = table
+    r1, r2, c1, c2 = a + b, c + d, a + c, b + d
+    margins = prod(map(factorial, (r1, r2, c1, c2)))
+
+    def probability(cells):
+        return Fraction(margins, factorial(r1 + r2) * prod(map(factorial, cells)))
+
+    tables = [(x, r1 - x, c1 - x, r2 - c1 + x) for x in range(r1 + 1)]
+    observed = probability((a, b, c, d))
+    return sum((q for q in map(probability, (t for t in tables if min(t) >= 0))
+                if q <= observed), Fraction(0))

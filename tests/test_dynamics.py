@@ -1,6 +1,9 @@
 """Rule numbering, stepping, attractors, and classification."""
 
+import copy
 import itertools
+import pickle
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -53,6 +56,24 @@ def test_rule_number_is_the_base_three_definition_on_all_81_weight_tuples():
     for weights in itertools.product((-1, 0, 1), repeat=4):
         digits = "".join(str(w + 1) for w in weights)
         assert dynamics._rule_number(weights) == 1 + int(digits, 3) == Rule(*weights).number
+
+
+def test_arity_is_a_slot_set_once_at_construction():
+    """``arity`` is a field beside ``number``, not a property recomputed per
+    read: read-only, kept by pickle and deep copy, and on all 81 rules the
+    count made from the weights: one for any nonzero weight, and one more
+    for a nonzero cross weight (the other node feeds the update)."""
+    assert "arity" in Rule.__slots__
+    assert not isinstance(vars(Rule).get("arity"), property)
+    for r in ALL:
+        wxx, wxy, wyx, wyy = r.weights
+        expected = (wxx != 0 or wxy != 0 or wyx != 0 or wyy != 0) + (wxy != 0 or wyx != 0)
+        assert r.arity == expected, r
+        with pytest.raises(AttributeError):
+            r.arity = expected
+        for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert twin == r and twin.arity == r.arity, r
+    assert Counter(r.arity for r in ALL) == {0: 1, 1: 8, 2: 72}
 
 
 def test_rule_number_bounds():

@@ -11,6 +11,7 @@ import math
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -303,6 +304,60 @@ def test_a_cold_run_all_checks_each_rule_graph_node_once(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "81\n"
+
+
+# A DOT token: a quoted string (group 1, its escapes still in), a bare ID or
+# numeral (group 2), or one punctuation character (group 3).
+DOT_TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"|([\w.-]+)|(\S)', re.S)
+
+
+def _dot_node_attributes(text):
+    """Each node statement's attributes of a DOT text, as {node: {name: value}},
+    a quoted string read with its backslash escapes undone."""
+    tokens = [re.sub(r"\\(.)", r"\1", m[1], flags=re.S) if m[1] is not None else m[0]
+              for m in DOT_TOKEN.finditer(text)]
+    nodes = {}
+    for i in (i for i, token in enumerate(tokens) if token == "["):
+        attrs = nodes[int(tokens[i - 1])] = {}
+        for j in range(i + 1, tokens.index("]", i), 3):
+            assert tokens[j + 1] == "="
+            attrs[tokens[j]] = tokens[j + 2]
+    return nodes
+
+
+def test_dot_attribute_values_and_names_read_back_exactly():
+    odd = ('a"b', "ends\\", 'x\\"y', "two\nlines", "")
+    graph = RuleGraph({
+        1: {"arity": 2, "classes": {"V1": odd[0], 'W"\\': "F1"},
+            "robustness": {"plain": odd[1], "has space": odd[2], "graph": odd[3], "1st": odd[4]}},
+        2: {"arity": 0}}, ((1, 2),))
+    text = export_graph(graph, "dot")
+    assert ' "1st"="" "graph"="two\nlines" ' in text and ' plain="ends\\\\"];' in text
+    assert _dot_node_attributes(text) == {
+        1: {"arity": "2", "v1_class": odd[0], 'w"\\_class': "F1", "plain": odd[1],
+            "has space": odd[2], "graph": odd[3], "1st": odd[4]},
+        2: {"arity": "0"}}
+    # The package's graph reads back to its own attributes.
+    package = build_rule_graph()
+    assert _dot_node_attributes(export_graph(package, "dot")) == {
+        n: {"arity": str(a["arity"]), **{f"{t.lower()}_class": c for t, c in a["classes"].items()},
+            **a["robustness"]} for n, a in package.nodes.items()}
+
+
+def _markdown_cells(line):
+    """The cells of one markdown table row, split at each unescaped ``|``, each
+    cell's backslash escapes undone and its padding spaces stripped."""
+    assert line.startswith("| ") and line.endswith(" |"), line
+    cells = re.findall(r"((?:[^|\\]|\\.)*)\|", line[1:])
+    return [re.sub(r"\\(.)", r"\1", cell[1:-1]) for cell in cells]
+
+
+def test_markdown_cells_keep_their_pipes_backslashes_and_line_breaks_in_one_row():
+    doc = TableDocument("X", ("a", "b|c", "d\\"), [["1|2", "x\ny", "\\|"], ["cr\r\nlf\rlf", "", "e"]])
+    lines = render_table(doc, "markdown").splitlines()
+    assert len(lines) == 4 and lines[1] == "| --- | --- | --- |"
+    assert [_markdown_cells(line) for line in (lines[0], *lines[2:])] == [
+        ["a", "b|c", "d\\"], ["1|2", "x<br>y", "\\|"], ["cr<br>lf<br>lf", "", "e"]]
 
 
 def test_the_smallest_well_formed_records_render_in_every_format():

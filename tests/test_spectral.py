@@ -367,6 +367,15 @@ def test_single_two_cycle_representatives():
         assert _phase_counter(n, "V1") == expect
 
 
+def test_spectrum_from_cycles_hands_out_the_shared_spectrum_of_its_cycle_type():
+    """On all 1701 (rule, tag, mode) keys, the spectrum read off the
+    attractors is the very object ``spectrum`` reads from its table."""
+    for r in ALL:
+        for tag, mode in itertools.product(VARIANT_TAGS, UpdateMode):
+            v = variant(tag, mode)
+            assert spectrum_from_cycles(attractor_set(r, v)) is spectrum(r, v), (r, v)
+
+
 def test_spectrum_from_cycles_uses_attractors_only():
     aset = attractor_set(rule_from_number(39), variant("V1"))
     sp = spectrum_from_cycles(aset)

@@ -1,5 +1,6 @@
 """Exact 2x2 tests and correlation p-values, checked against scipy."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 import scipy.stats
 
 from mpnspace import fisher_exact, odds_ratio, pearson, rankdata, spearman, stats
+from oracles import fisher_two_sided
 
 QUADRANTS = ((27, 21), (28, 5))
 
@@ -83,6 +85,22 @@ def test_fisher_matches_scipy(table):
     ours = float(fisher_exact(table).p_value)
     theirs = scipy.stats.fisher_exact(table, alternative="two-sided")[1]
     assert ours == pytest.approx(theirs, rel=1e-11)
+
+
+# Every 2x2 table with cells in 0..7 but the empty one: 4095 tables.
+SMALL_TABLES = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(8), repeat=4)
+                if a + b + c + d]
+
+
+def test_fisher_equals_the_fraction_oracle_on_every_small_table():
+    wrong = [t for t in SMALL_TABLES if fisher_exact(t).p_value != fisher_two_sided(t)]
+    assert len(SMALL_TABLES) == 4095 and wrong == []
+
+
+def test_fisher_matches_scipy_on_every_small_table():
+    worst = max(abs(float(fisher_exact(t).p_value) / scipy.stats.fisher_exact(t)[1] - 1)
+                for t in SMALL_TABLES)
+    assert worst <= 1e-12
 
 
 def test_odds_ratio_woolf_interval():
