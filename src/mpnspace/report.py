@@ -371,11 +371,16 @@ def build_table(table_id: str) -> TableDocument:
     return _BUILDERS[key]()
 
 
+def _check_format(fmt: str) -> None:
+    """Refuse any ``fmt`` but one of ``FORMATS``, an exact str."""
+    if type(fmt) is not str or fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+
+
 def render_table(doc: TableDocument, fmt: str) -> str:
     if type(doc) is not TableDocument:
         raise ValueError(f"render_table needs a TableDocument, got {doc!r}")
-    if type(fmt) is not str or fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    _check_format(fmt)
     if fmt in ("csv", "tsv"):
         delimiter, width = "," if fmt == "csv" else "\t", len(doc.columns)
         lines = [delimiter.join(row) for row in (doc.columns, *doc.rows)]
@@ -443,6 +448,8 @@ def _json_text(obj, newline: str) -> str:
 
 
 def emit_table(table_id: str, fmt: str = "csv") -> str:
+    """The table ``table_id`` rendered as ``fmt``, which is checked before the table is built."""
+    _check_format(fmt)
     return render_table(build_table(table_id), fmt)
 
 
@@ -472,11 +479,15 @@ class RuleGraph(_FrozenRecord):
 
 def _graph_node(n, attrs) -> bool:
     """Whether ``n: attrs`` is a rule graph node: an int number with an int
-    arity and, optionally, str-to-str ``classes`` and ``robustness`` maps."""
+    arity and, optionally, str-to-str ``classes`` and ``robustness`` maps,
+    no two ``classes`` tags equal in lower case."""
     return (type(n) is int and isinstance(attrs, dict) and type(attrs.get("arity")) is int
             and attrs.keys() <= {"arity", "classes", "robustness"}
             and all(isinstance(m, dict) and _strs([*m, *m.values()])
-                    for key, m in attrs.items() if key != "arity"))
+                    for key, m in attrs.items() if key != "arity")
+            # DOT names a class attribute by its tag in lower case.
+            and len(set(map(str.lower, attrs.get("classes", ()))))
+            == len(attrs.get("classes", ())))
 
 
 def build_rule_graph() -> RuleGraph:

@@ -10,12 +10,15 @@ k/p meaning exp(2*pi*i*k/p)).  An independent characteristic-polynomial
 oracle cross-checks the combinatorial spectrum: ``charpoly_oracle``
 expands det(lambda*I - T^t) over the integers by cofactors, as a Laplace
 expansion in principal minors of the matrix's four rows whose sums share
-their common products, recomputed on every call and never reading the
-cycle structure.  A ``transition_matrix`` result is a private tuple
-subclass, equal to the plain tuple of tuples, whose entries were checked
-once, when the atlas built it, so its rows are read unchecked here.
+their common products, never reading the cycle structure.  A
+``transition_matrix`` result is a private tuple subclass, equal to the
+plain tuple of tuples, whose entries were checked once, when the atlas
+built it, so its rows are read unchecked here, and its expansion is
+computed once per matrix and kept (at most 4^4 = 256 of them); any other
+matrix is checked and expanded on every call.
 """
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -143,19 +146,26 @@ def _charpoly_kernel(rows):
     return [1, -(top + bottom), minors2, -minors3, det]
 
 
+@functools.cache
+def _atlas_charpoly(T: _UnitRowMatrix) -> tuple[int, ...]:
+    """The expansion of one atlas matrix's own rows, kept per matrix."""
+    return tuple(_charpoly_kernel(T))
+
+
 def charpoly_oracle(T: TransitionMatrix) -> list[int]:
     """Characteristic polynomial of the transpose of T, exact integers.
 
     Expands det(lambda*I - T^t) by cofactors (a Laplace expansion in
     principal minors, their sums sharing common products) from the four
-    rows of T alone, recomputed on every call and independent of the cycle
-    route of ``charpoly_from_cycles``; returns the coefficients in
+    rows of T alone, independent of the cycle route of
+    ``charpoly_from_cycles``; returns a new list of the coefficients in
     descending powers of lambda, leading coefficient 1.  ``T`` must be a
-    4x4 matrix (rows as lists or tuples) of the ints 0 and 1; the atlas's
-    own matrices, checked once when built, go straight to the expansion.
+    4x4 matrix (rows as lists or tuples) of the ints 0 and 1.  The atlas's
+    own matrices, checked once when built, are expanded once each, on
+    their first call; any other matrix is checked and expanded on every call.
     """
     if type(T) is _UnitRowMatrix:
-        return _charpoly_kernel(T)
+        return list(_atlas_charpoly(T))
     return _charpoly_kernel(_matrix_rows(T))
 
 

@@ -10,6 +10,16 @@ interval.  Pearson and Spearman correlations take two-sided p-values
 from the exact t transform of r with n-2 degrees of freedom, evaluated
 through a continued-fraction regularized incomplete beta function, so
 the package needs no numerical library at run time.
+
+Precision of those p-values, measured on CPython 3.11 against mpmath
+1.3.0's ``betainc`` at 50 digits, fed the same float r: at the package's
+own sample sizes (n <= 81) each is within 1.5e-12 relative for
+|r| <= 0.99, and the four correlations of the statistics report are
+within 1e-13.  Nearer |r| = 1 the rounding of the float 1 - r*r costs up
+to about (n - 2) * 6e-17 / (1 - r*r) relative (1.4e-7 seen at
+1 - |r| = 7e-9, n = 78).  The error grows with n: against
+``scipy.stats.pearsonr`` (scipy 1.17.1) it reached 1e-11 at n = 10**4,
+7e-11 at n = 10**5 and 2.3e-10 at n = 10**6.
 """
 
 import math
@@ -124,9 +134,7 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
+    """Regularized incomplete beta I_x(a, b), for 0 < x."""
     if x >= 1.0:
         return 1.0
     front = math.exp(

@@ -552,10 +552,10 @@ def test_malformed_variant_inputs_raise_and_are_not_interned(tag, mode, message)
 def test_a_warm_query_enters_no_python_frame_outside_its_entry_points():
     """The table reads and every cache key's hash run in C, so a warm
     query op enters only the package's entry functions and ``_record``,
-    and the oracle passes the atlas's matrix straight to its expansion."""
+    and the oracle reads the atlas matrix's kept expansion, not the kernel."""
     allowed = {"rule_from_number", "variant", "classify", "spectrum", "gate_pair",
                "class_robustness", "emit_state_graph", "_record", "transition_matrix",
-               "charpoly_oracle", "_charpoly_kernel"}
+               "charpoly_oracle"}
     package = os.path.dirname(mpnspace.__file__)
 
     def query():

@@ -8,9 +8,9 @@ parameter in turn then takes every value of a fixed probe catalogue in
 place of its valid argument.  A probe value valid for the parameter
 must be accepted; every other one is a malformed call and must raise
 ``ValueError``, and must leave no key outside its universe in the memos
-keyed by (rule number, tag, mode) or (rule number, convention).  A
-parameter that picks a choice takes an exact ``str``, so a ``str``
-subclass is valid only where any string is data.  A public callable
+keyed by (rule number, tag, mode), (rule number, convention) or atlas
+matrix.  A parameter that picks a choice takes an exact ``str``, so a
+``str`` subclass is valid only where any string is data.  A public callable
 with no row fails, so an addition to the public surface must state its
 boundary here.
 """
@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 import mpnspace as mp
-from mpnspace import dynamics, robustness
+from mpnspace import dynamics, robustness, spectral
 
 # Rule 8's fields, which a look-alike of a record carries.
 RULE_8_FIELDS = {"wxx": -1, "wxy": -1, "wyx": 1, "wyy": 0, "weights": (-1, -1, 1, 0), "number": 8}
@@ -68,13 +68,15 @@ PROBES = {
 # The labels of the probes that are any str, valid wherever any str is data.
 STRS = {"'zz'", "'V1'", "''", "str equal to anything", "str subclass 'all'"}
 
-# The memos keyed by (rule number, tag, mode) or (rule number, convention),
-# each with its key universe.
+# The memos keyed by (rule number, tag, mode), (rule number, convention) or
+# atlas matrix, each with its key universe.
 VARIANT_KEYS = list(itertools.product(range(1, 82), mp.VARIANT_TAGS, mp.UpdateMode))
 MEMOS = ((dynamics._keyed_record, VARIANT_KEYS), (robustness._class_score, VARIANT_KEYS),
          (dynamics._state_graph, VARIANT_KEYS),
          (robustness._state_robustness_rule_mutation,
-          list(itertools.product(range(1, 82), mp.MUTATION_TARGET_CHOICES))))
+          list(itertools.product(range(1, 82), mp.MUTATION_TARGET_CHOICES))),
+         (spectral._atlas_charpoly, [(dynamics._UnitRowMatrix(*succ),)
+                                     for succ in itertools.product(range(4), repeat=4)]))
 
 RULE = mp.rule_from_number(8)
 V1 = mp.variant("V1")

@@ -129,6 +129,18 @@ def test_unknown_table_and_format_raise():
         emit_table("T1", "yaml")
 
 
+@pytest.mark.parametrize("fmt", ["yaml", "CSV", None], ids=repr)
+def test_emit_table_refuses_a_bad_format_before_building(fmt, monkeypatch):
+    built = []
+    for table_id in TABLE_IDS:
+        monkeypatch.setitem(report._BUILDERS, table_id, lambda t=table_id: built.append(t))
+    for table_id in (*TABLE_IDS, "T9"):
+        with pytest.raises(ValueError) as excinfo:
+            emit_table(table_id, fmt)
+        assert str(excinfo.value) == f"unknown format {fmt!r}; choose from {FORMATS}"
+    assert built == []
+
+
 @pytest.mark.parametrize("table_id", [None, 3, b"T1", ("T1",)], ids=repr)
 def test_non_string_table_ids_raise_the_unknown_id_error(table_id):
     with pytest.raises(ValueError, match="unknown table id"):
@@ -188,6 +200,9 @@ MALFORMED_GRAPHS = {
     "str-node": lambda: RuleGraph({"1": {"arity": 2}}),
     "list-attrs": lambda: RuleGraph({1: [("arity", 2)]}),
     "int-class": lambda: RuleGraph({1: {"arity": 2, "classes": {"V1": 3}}}),
+    # Both tags would name the one DOT attribute v1_class.
+    "tags-equal-in-lower-case":
+        lambda: RuleGraph({1: {"arity": 2, "classes": {"V1": "F1", "v1": "2C"}}}),
     "list-robustness": lambda: RuleGraph({1: {"arity": 2, "robustness": ["1/2"]}}),
     "unknown-attr": lambda: RuleGraph({1: {"arity": 2, "colour": "red"}}),
     "list-nodes": lambda: RuleGraph([1, 2]),

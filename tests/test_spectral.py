@@ -27,7 +27,7 @@ from mpnspace import (
     transition_matrix,
     variant,
 )
-from mpnspace import dynamics
+from mpnspace import dynamics, spectral
 from mpnspace.spectral import _charpoly_kernel
 from oracles import functional_graph_attractors, recursive_charpoly
 
@@ -103,6 +103,25 @@ def test_charpoly_oracle_equals_recursive_expansion_on_every_successor_map():
     for succ in itertools.product(range(4), repeat=4):
         T = tuple(unit[s] for s in succ)
         assert charpoly_oracle(T) == recursive_charpoly(T), succ
+
+
+def test_the_kept_atlas_expansion_equals_the_kernel_and_the_recursion_on_every_map():
+    """All 256 atlas matrices, from an empty memo: on the miss that expands
+    each one and on the hit that reads it back, the oracle equals the kernel
+    and the recursive expansion, and a caller who changes a returned list
+    changes no later result."""
+    spectral._atlas_charpoly.cache_clear()
+    matrices = [dynamics._UnitRowMatrix(*succ) for succ in itertools.product(range(4), repeat=4)]
+    for run in ("cold", "warm"):
+        for T in matrices:
+            got = charpoly_oracle(T)
+            assert type(got) is list, (run, T)
+            assert got == _charpoly_kernel(T) == recursive_charpoly(T), (run, T)
+            got[0] = 99
+            assert charpoly_oracle(T) == recursive_charpoly(T), (run, T)
+        info = spectral._atlas_charpoly.cache_info()
+        assert (info.misses, info.currsize) == (256, 256), run
+    assert info.hits == 3 * 256  # every call but the first on each matrix
 
 
 def test_charpoly_spot_values():
