@@ -310,10 +310,10 @@ def step_async(rule: Rule, v: Variant, order: UpdateMode | str,
                s: tuple[int, int]) -> tuple[int, int]:
     """Sequential one-sweep update: the second node sees the first
     node's already updated value."""
-    mode = variant("V1", order).mode  # the order, checked as a variant's mode
-    if mode is _SYNCHRONOUS:
+    keyed = _VARIANTS.get(("V1", order)) if type(order) in (str, UpdateMode) else None
+    if (keyed or variant("V1", order)).mode is _SYNCHRONOUS:  # variant refuses any other order
         raise ValueError("order must be x-first or y-first")
-    succ = _record(rule, v, mode).successors
+    succ = _record(rule, v, keyed.mode).successors
     return _STATES[v.tag][succ[state_index(v, s)]]  # v checked by _record
 
 

@@ -37,7 +37,6 @@ from .dynamics import (
     _SYNCHRONOUS,
     _V1,
     all_rules,
-    variant,
 )
 
 FORMATS = ("csv", "tsv", "markdown", "json")
@@ -180,8 +179,8 @@ _TA2_TAGS = ("V1", "V2", "V3", "V4", "V5", "V6")
 
 
 def build_ta2() -> TableDocument:
-    variants = [variant(tag) for tag in _TA2_TAGS]
-    rows = [[str(r.number), *(g.name for v in variants for g in gates.gate_pair(r, v))]
+    rows = [[str(r.number), *(g.name for tag in _TA2_TAGS for g in gates._GATE_PAIRS[
+                 _keyed_record(r.number, tag, _SYNCHRONOUS).successors])]
             for r in _t12_representatives((2,))]
     return TableDocument(
         "TA2",
@@ -200,7 +199,7 @@ def build_t2() -> TableDocument:
         cross = "positive" if preds.cross_positive else (
             "negative" if preds.cross_negative else "none"
         )
-        gx, gy = gates.gate_pair(r, _V1)
+        gx, gy = gates._GATE_PAIRS[_keyed_record(r.number, "V1", _SYNCHRONOUS).successors]
         rows.append([
             *_rule_cells(r),
             _label(r.number, "V1"),
@@ -306,10 +305,10 @@ def build_t4() -> TableDocument:
 
 def build_robustness_table() -> TableDocument:
     rows = [[str(r.number), str(r.arity), _label(r.number, "V1"),
-             *map(_fmt_fraction, (rb.class_robustness(r),
-                                  rb.state_robustness_rule_mutation(r, "two-input"),
-                                  rb.state_robustness_rule_mutation(r, "all"),
-                                  rb.state_robustness_init_perturbation(r)))]
+             *map(_fmt_fraction, (rb._class_score(r.number, "V1", _SYNCHRONOUS),
+                                  rb._state_robustness_rule_mutation(r.number, "two-input"),
+                                  rb._state_robustness_rule_mutation(r.number, "all"),
+                                  rb._init_score(r.number, "V4", _SYNCHRONOUS)))]
             for r in all_rules()]
     return TableDocument(
         "robustness",
@@ -325,20 +324,19 @@ def build_robustness_table() -> TableDocument:
 
 
 def build_spectra_table() -> TableDocument:
-    variants = [variant(tag) for tag in VARIANT_TAGS]
     tails = {}  # the five cells after rule and variant, per cycle type
     rows = []
     for r in all_rules():
-        for v in variants:
-            rec = _keyed_record(r.number, v.tag, _SYNCHRONOUS)
+        for tag in VARIANT_TAGS:
+            rec = _keyed_record(r.number, tag, _SYNCHRONOUS)
             tail = tails.get(rec.dynamics_class)
             if tail is None:
-                sp = spectral.spectrum(r, v)
+                sp = spectral._SPECTRA[rec.dynamics_class.cycle_lengths]
                 tail = tails[rec.dynamics_class] = (
                     rec.dynamics_class.label, str(sp.zero_count), ";".join(map(str, sp.phases)),
                     ";".join(map(str, sp.cycle_lengths)),
                     " ".join(map(str, spectral.charpoly_from_cycles(rec.attractor_set))))
-            rows.append([str(r.number), v.tag, *tail])
+            rows.append([str(r.number), tag, *tail])
     return TableDocument(
         "spectra",
         ("rule", "variant", "class", "zero_count", "phases",
@@ -496,12 +494,12 @@ def build_rule_graph() -> RuleGraph:
         "arity": r.arity,
         "classes": {tag: _label(r.number, tag) for tag in VARIANT_TAGS},
         "robustness": {key: _fmt_fraction(sc).removesuffix("/1") for key, sc in (
-            ("class_vs_rule_mutation", rb.class_robustness(r)),
-            ("state_vs_rule_mutation", rb.state_robustness_rule_mutation(r)),
-            ("state_vs_init_perturbation", rb.state_robustness_init_perturbation(r)))},
+            ("class_vs_rule_mutation", rb._class_score(r.number, "V1", _SYNCHRONOUS)),
+            ("state_vs_rule_mutation", rb._state_robustness_rule_mutation(r.number, "two-input")),
+            ("state_vs_init_perturbation", rb._init_score(r.number, "V4", _SYNCHRONOUS)))},
     } for r in all_rules()}
-    edges = sorted((r.number, nb.number)
-                   for r in all_rules() for nb in rulespace.neighbors(r) if nb.number > r.number)
+    edges = sorted((r.number, nb.number) for r in all_rules()
+                   for nb in rulespace._neighbors(r.number) if nb.number > r.number)
     return RuleGraph(nodes=nodes, edges=edges)
 
 
@@ -580,12 +578,12 @@ def stats_report() -> dict:
     # Per-rule scores in rule order: all 81 rules, then the 72 two-input rules.
     rules = all_rules()
     # n / d is float(Fraction(n, d)): int true division is correctly rounded.
-    init_all = [(sc := rb.state_robustness_init_perturbation(r)).numerator / sc.denominator
-                for r in rules]
-    mut_all = [(sc := rb.state_robustness_rule_mutation(r, "all")).numerator / sc.denominator
-               for r in rules]
+    init_all = [(sc := rb._init_score(r.number, "V4", _SYNCHRONOUS)).numerator
+                / sc.denominator for r in rules]
+    mut_all = [(sc := rb._state_robustness_rule_mutation(r.number, "all")).numerator
+               / sc.denominator for r in rules]
     init_two = [x for r, x in zip(rules, init_all) if r.arity == 2]
-    mut_two = [(sc := rb.state_robustness_rule_mutation(r, "two-input")).numerator
+    mut_two = [(sc := rb._state_robustness_rule_mutation(r.number, "two-input")).numerator
                / sc.denominator for r in rules if r.arity == 2]
 
     counts = rulespace.class_transition_counts(_V1, "five-class")

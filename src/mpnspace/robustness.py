@@ -16,12 +16,12 @@
   the fraction of the four unordered Hamming-1 state pairs whose two
   members reach the same attractor.
 
-Every score is a rational number stored as numerator/denominator; all
-three metrics are invariant under the node-swap transformation.  A
-variant is its tag and mode alone, so class scores are computed once
-per (rule number, tag, mode) and mutation scores once per (rule number,
-convention), then shared; the initial-state score reads one shared
-record per call.  Only the mutation metric is binned, at frozen edges.
+Every score is a rational number stored as numerator/denominator; all three
+metrics are invariant under the node-swap transformation.  A variant is its
+tag and mode alone, so each score is read by key: class scores are computed
+once per (rule number, tag, mode) and mutation scores once per (rule number,
+convention), then shared, and the initial-state score, four comparisons on
+one shared record, per call.  Only the mutation metric is binned.
 """
 
 import functools
@@ -117,13 +117,14 @@ def _state_robustness_rule_mutation(number: int, targets: str) -> RobustnessScor
 
 
 def state_robustness_init_perturbation(rule: Rule) -> RobustnessScore:
-    """Fraction of Hamming-1 initial-state pairs reaching the same
-    attractor under V4."""
-    own = _record(rule, _V4).landing
+    """Fraction of Hamming-1 initial-state pairs reaching the same attractor under V4."""
+    return _record(rule, _V4, view=_init_score)
+
+
+def _init_score(number: int, tag: str, mode) -> RobustnessScore:
+    own = _keyed_record(number, tag, mode).landing
     hits = sum(1 for i, j in _HAMMING1_STATE_PAIRS if own[i] == own[j])
-    return RobustnessScore(
-        rule.number, "state-vs-init-perturbation", hits, len(_HAMMING1_STATE_PAIRS)
-    )
+    return RobustnessScore(number, "state-vs-init-perturbation", hits, len(_HAMMING1_STATE_PAIRS))
 
 
 def score(rule: Rule, metric: str, targets: str = "two-input") -> RobustnessScore:

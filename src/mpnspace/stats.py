@@ -155,7 +155,7 @@ def _t_two_sided_p(t: float, dof: int) -> float:
 def _corr_result(r: float, n: int) -> TestResult:
     if abs(r) >= 1.0:
         return TestResult(r, 0.0)
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    t = r * math.sqrt((n - 2) / ((1.0 - r) * (1.0 + r)))  # 1 - r * r cancels as |r| nears 1
     return TestResult(r, _t_two_sided_p(t, n - 2))
 
 

@@ -70,10 +70,10 @@ class EquivalenceClass(_FrozenRecord):
 
 
 def _orbit(rule: Rule, generators: Iterable[str]) -> frozenset[int]:
-    # The generators are commuting involutions, so the orbit is the set
-    # of images of the rule under the products of their subsets.
+    # The generators are commuting involutions, so the orbit holds the rule's images under
+    # the products of their subsets; sorted, they apply in an order no hash seed changes.
     images = [rule]
-    for g in generators:
+    for g in sorted(generators):
         images += [TRANSFORMATIONS[g](r) for r in images]
     return frozenset(r.number for r in images)
 

@@ -464,6 +464,8 @@ def test_memoised_robustness_equals_plain_recomputation(number):
     sc = state_robustness_init_perturbation(rule)
     assert (sc.numerator, sc.denominator) == (
         sum(own[i] == own[j] for i, j in pairs), len(pairs))
+    # The keyed reader the report module reads, on the same key.
+    assert robustness._init_score(number, "V4", UpdateMode.SYNCHRONOUS) == sc
 
 
 def test_transforms_and_neighbors_return_the_shared_rules():
@@ -632,14 +634,18 @@ def test_run_all_computes_each_result_once(tmp_path, monkeypatch):
 
 
 def test_below_the_public_api_the_atlas_is_read_by_key(tmp_path):
-    """One ``run_all`` on an empty atlas classifies through no public
-    reader, enters ``variant`` for table columns but not per rule, and
-    takes neighbor lists through ``rulespace.neighbors`` only for the rule
-    graph; the bodies of the robustness memos and of the state graph memo
-    read the atlas by key alone, on every key."""
+    """One ``run_all`` on an empty atlas enters no checked public reader of
+    a record, a variant, a neighbor list, a gate pair, a spectrum or a
+    robustness score: every builder reads them by key.  The bodies of the
+    robustness memos, of the keyed initial-state reader and of the state
+    graph memo read the atlas by key alone, on every key."""
     boundary = {fn.__code__: name for name, fn in (
         ("variant", dynamics.variant), ("_record", dynamics._record),
-        ("classify", dynamics.classify), ("neighbors", rulespace.neighbors))}
+        ("classify", dynamics.classify), ("neighbors", rulespace.neighbors),
+        ("gate_pair", gate_pair), ("spectrum", spectrum),
+        ("class_robustness", class_robustness),
+        ("state_robustness_rule_mutation", state_robustness_rule_mutation),
+        ("state_robustness_init_perturbation", state_robustness_init_perturbation))}
 
     def entries(run):
         """(boundary function, first caller that is not a comprehension) per entry."""
@@ -660,16 +666,13 @@ def test_below_the_public_api_the_atlas_is_read_by_key(tmp_path):
         return entered
 
     clear_atlas()
-    entered = entries(lambda: run_all(str(tmp_path)))
-    assert not [e for e in entered if e[0] == "classify"]
-    # The V1 and V4 defaults are read once, at import: 423 entries were 405 of these.
-    assert sum(1 for name, _ in entered if name == "variant") < 81
-    assert {caller for name, caller in entered if name == "neighbors"} == {
-        report.build_rule_graph.__name__}
+    # The V1 and V4 defaults are read once, at import.
+    assert entries(lambda: run_all(str(tmp_path))) == []
 
     def memo_bodies():
         for rule, tag, mode in itertools.product(ALL, VARIANT_TAGS, UpdateMode):
             robustness._class_score.__wrapped__(rule.number, tag, mode)
+            robustness._init_score(rule.number, tag, mode)
             dynamics._state_graph.__wrapped__(rule.number, tag, mode)
         for rule, targets in itertools.product(ALL, ("two-input", "all")):
             robustness._state_robustness_rule_mutation.__wrapped__(rule.number, targets)

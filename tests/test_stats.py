@@ -156,6 +156,20 @@ def test_correlations_at_the_ends_of_their_range(fn, ys, statistic, p_value):
     assert (res.statistic, res.p_value) == (statistic, p_value)
 
 
+def test_correlation_p_values_near_the_ends_match_a_50_digit_incomplete_beta():
+    """Fed one float r, the two-sided p-value equals I_x((n - 2)/2, 1/2) at
+    x = 1 - r * r, taken exactly from that r by mpmath at 50 digits, to 1e-12
+    relative while 1 - |r| falls to 7e-9; no p-value here underflows."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for gap, sign, n in itertools.product((1e-3, 1e-6, 7e-9), (1, -1), range(3, 82)):
+            r = sign * (1.0 - gap)
+            exact = mpmath.betainc((n - 2) / 2, 0.5, 0, 1 - mpmath.mpf(r) ** 2, regularized=True)
+            got = stats._corr_result(r, n)
+            assert got.statistic == r
+            assert abs(got.p_value - exact) <= 1e-12 * exact, (r, n, got.p_value, exact)
+
+
 def test_rankdata_midranks():
     assert rankdata([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
     assert rankdata([5, 5, 5]) == [2.0, 2.0, 2.0]

@@ -13,15 +13,21 @@ and these counts, each the same on every run:
 
 * ``run_all``: the misses and size of every ``functools.cache`` of the
   package after one cold ``run_all``, in a fresh process;
+* ``run_all_frames``: the Python frames entered in the package, by
+  function, during that cold ``run_all`` (``sys.setprofile``), once every
+  layer module has run;
 * ``queries``: the same after one call of each query kind on each of the
   1701 (rule, tag, mode) keys, in another fresh process;
 * ``warm_query_frames``: per query kind, the Python frames entered in the
   package, by function, while that process runs the kind over the 1701
-  keys again with every cache warm (``sys.setprofile``);
+  keys again with every cache warm;
 * ``src_lines``: the lines of each module of ``src/mpnspace``.
 
 A query kind is one of the library calls of the query benchmark, from the
-raw rule number, tag and mode, as a library user writes it.
+raw rule number, tag and mode, as a library user writes it.  A frame is
+counted by module and function name, and only for a named function: a
+name that starts with ``<`` (a comprehension, which 3.12 inlines, a
+generator expression or a lambda) is left out.
 ``tests/test_ledger.py`` recomputes the counts and compares them with the
 newest point.  pytest does not collect this file.
 """
@@ -35,11 +41,13 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 LEDGER = os.path.join(ROOT, "BENCH_layers.json")
-COUNTS = ("run_all", "queries", "warm_query_frames", "src_lines")
+COUNTS = ("run_all", "run_all_frames", "queries", "warm_query_frames", "src_lines")
 
-# Prints, as JSON, the misses and size of every package cache.
+# Prints, as JSON, the misses and size of every package cache, and counts
+# the package frames a call enters.
 _CACHES = """
-import json, sys
+import collections, json, os, sys
+import mpnspace as mp
 
 def caches():
     found = {}
@@ -51,20 +59,35 @@ def caches():
                     found[f"{name[len('mpnspace.'):]}.{attr}"] = {
                         "misses": info.misses, "currsize": info.currsize}
     return found
+
+def frames(run, *args):
+    package = os.path.dirname(mp.__file__)
+    entered = collections.Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and not code.co_name.startswith("<")
+                and os.path.dirname(code.co_filename) == package):
+            entered[f"{os.path.basename(code.co_filename)[:-3]}.{code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(None)
+    return dict(sorted(entered.items()))
 """
 
 _RUN_ALL = _CACHES + """
 import tempfile
-import mpnspace as mp
 
 with tempfile.TemporaryDirectory() as out:
-    mp.run_all(out)
-print(json.dumps(caches()))
+    entered = frames(mp.run_all, out)  # reading mp.run_all runs every layer module
+print(json.dumps({"caches": caches(), "frames": entered}))
 """
 
 _QUERIES = _CACHES + """
-import collections, itertools, os
-import mpnspace as mp
+import itertools
 
 def rv(n, tag, mode):
     return mp.rule_from_number(n), mp.variant(tag, mode)
@@ -95,24 +118,8 @@ for call in KINDS.values():
     for key in KEYS:
         call(*key)
 cold = caches()
-package = os.path.dirname(mp.__file__)
-frames = {}
-for kind, call in KINDS.items():
-    entered = collections.Counter()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and os.path.dirname(code.co_filename) == package:
-            entered[f"{os.path.basename(code.co_filename)[:-3]}.{code.co_name}"] += 1
-
-    sys.setprofile(profile)
-    try:
-        for key in KEYS:
-            call(*key)
-    finally:
-        sys.setprofile(None)
-    frames[kind] = dict(sorted(entered.items()))
-print(json.dumps({"caches": cold, "frames": frames}))
+warm = {kind: frames(lambda: [call(*key) for key in KEYS]) for kind, call in KINDS.items()}
+print(json.dumps({"caches": cold, "frames": warm}))
 """
 
 
@@ -134,8 +141,9 @@ def measure(root: str = ROOT) -> dict:
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 lines[name[:-3]] = sum(1 for _ in fh)
-    return {"run_all": run_all, "queries": queries["caches"],
-            "warm_query_frames": queries["frames"], "src_lines": lines}
+    return {"run_all": run_all["caches"], "run_all_frames": run_all["frames"],
+            "queries": queries["caches"], "warm_query_frames": queries["frames"],
+            "src_lines": lines}
 
 
 def head_commit(root: str) -> str:
@@ -186,7 +194,7 @@ def main() -> None:
         with open(LEDGER, encoding="utf-8") as fh:
             ledger = json.load(fh)
     if ledger["points"]:
-        print("\n".join(diff({k: ledger["points"][-1][k] for k in COUNTS},
+        print("\n".join(diff({k: ledger["points"][-1].get(k) for k in COUNTS},
                              {k: point[k] for k in COUNTS})) or "no count changed")
     ledger["points"].append(point)
     with open(LEDGER, "w", encoding="utf-8") as fh:
